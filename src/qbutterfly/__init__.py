@@ -5,87 +5,15 @@ butterfly topology and resource formulas (topology), a tick-based
 message-passing layer (simnet), the swap-assisted teleportation protocol
 with XOR-coded classical messaging (iedtc), the rotation-encoding defense
 and its insider-attack model (qsre), and the Monte-Carlo experiment
-drivers (experiments).
+drivers (experiments).  The package namespace carries only what one
+round needs; everything else is imported from its module.
 """
 
 __version__ = "0.1.0"
 
-from .qstate import (  # noqa: F401
-    CNOT,
-    DeadQubitError,
-    Gate,
-    GateKind,
-    H,
-    NOISE_ALL_GATES,
-    NOISE_ENTANGLING,
-    QubitId,
-    StateRegistry,
-    X,
-    Y,
-    Z,
-    random_state,
-    rx,
-    ry,
-    states_equal,
-)
-from .topology import (  # noqa: F401
-    Link,
-    LinkKind,
-    NodeId,
-    NodeKind,
-    ResourceTriple,
-    Topology,
-    build_butterfly,
-    link_counts,
-    reference_resources,
-    report_peak,
-    serialize_topology,
-)
-from .simnet import (  # noqa: F401
-    ClassicalBits,
-    NetworkError,
-    NodeInventory,
-    QNetwork,
-    QubitTransfer,
-    TraceEntry,
-    serialize_trace,
-)
-from .iedtc import (  # noqa: F401
-    RoundResult,
-    TeleportMessage,
-    assign_swappers,
-    distribute_entanglements,
-    entanglement_swap,
-    run_round,
-    teleport_decode,
-    teleport_encode,
-    xor_combine,
-    xor_recover,
-)
-from .qsre import (  # noqa: F401
-    AttackStats,
-    Axis,
-    EAVESDROP_THRESHOLD,
-    PrivateKey,
-    RotationSpec,
-    SignConvention,
-    decode_state,
-    derive_rotation,
-    encode_state,
-    load_key_file,
-    random_guess,
-    rotation_angle,
-    run_attack,
-)
-from .experiments import (  # noqa: F401
-    ExperimentConfig,
-    ResourceRow,
-    SweepRow,
-    binomial_ci,
-    run_accuracy_sweep,
-    run_eavesdrop_sweep,
-    run_resource_report,
-    write_manifest,
-    write_resource_csv,
-    write_sweep_csv,
-)
+from .qstate import StateRegistry, random_state
+from .topology import build_butterfly
+from .simnet import QNetwork
+from .iedtc import run_round
+
+__all__ = ["QNetwork", "StateRegistry", "build_butterfly", "random_state", "run_round"]

@@ -107,10 +107,9 @@ def main(argv: list[str] | None = None) -> int:
             cfg = ExperimentConfig(
                 experiment="accuracy", n_pairs=args.n,
                 noise_levels=parse_float_range(args.noise),
-                trials=args.trials, seed=args.seed, noise_model=args.noise_model,
-                out=args.out, manifest=args.json_manifest)
+                trials=args.trials, seed=args.seed, noise_model=args.noise_model)
             rows = run_accuracy_sweep(cfg)
-            write_sweep_csv(rows, cfg.out)
+            write_sweep_csv(rows, args.out)
             for row in rows:
                 print(f"noise={row.x:.4f}  accuracy={row.estimate:.3f} "
                       f"+/- {row.ci_half_width:.3f}  ({row.successes}/{row.trials})")
@@ -121,30 +120,29 @@ def main(argv: list[str] | None = None) -> int:
                 bits_range=parse_int_range(args.bits),
                 trials=args.trials, seed=args.seed,
                 sign_convention=SignConvention(args.sign_convention),
-                key_bits=key_bits, out=args.out, manifest=args.json_manifest)
+                key_bits=key_bits)
             rows = run_eavesdrop_sweep(cfg)
-            write_sweep_csv(rows, cfg.out)
+            write_sweep_csv(rows, args.out)
             for row in rows:
                 print(f"bits={int(row.x)}  eavesdrop_rate={row.estimate:.3f} "
                       f"+/- {row.ci_half_width:.3f}  ({row.successes}/{row.trials})")
         else:
             n_range = parse_int_range(args.n)
             cfg = ExperimentConfig(
-                experiment="resources", n_range=n_range, trials=1,
-                seed=args.seed, out=args.out, manifest=args.json_manifest)
+                experiment="resources", n_range=n_range, trials=1, seed=args.seed)
             if args.dump_topology:
                 for n in n_range:
                     print(serialize_topology(build_butterfly(n)), end="")
             rows = run_resource_report(n_range, seed=args.seed)
-            write_resource_csv(rows, cfg.out)
+            write_resource_csv(rows, args.out)
             for row in rows:
                 print(f"n={row.n_pairs}  links={row.total_links}/{row.ref_total_links}  "
                       f"quantum={row.quantum_links}/{row.ref_quantum_links}  "
                       f"qubits={row.qubit_usage}/{row.ref_qubits}  "
                       f"within_reference={str(row.within_reference).lower()}")
-        print(f"wrote {cfg.out}")
+        print(f"wrote {args.out}")
         if args.json_manifest:
-            write_manifest(cfg, [cfg.out], time.perf_counter() - started, args.json_manifest)
+            write_manifest(cfg, [args.out], time.perf_counter() - started, args.json_manifest)
             print(f"wrote {args.json_manifest}")
     except (ValueError, OSError) as exc:
         print(f"qbutterfly: error: {exc}", file=sys.stderr)

@@ -57,8 +57,6 @@ class ExperimentConfig:
     noise_model: str = NOISE_ENTANGLING
     sign_convention: SignConvention = SignConvention.FORMULA
     key_bits: str | None = None
-    out: str | None = None
-    manifest: str | None = None
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -19,15 +19,10 @@ from .qstate import QubitId, StateRegistry, X, Z
 from .simnet import QNetwork, TraceEntry
 from .topology import NodeId
 
+if TYPE_CHECKING:
+    from .qsre import RotationSpec
+
 SUCCESS_FIDELITY = 1.0 - 1e-9
-
-
-class RotationCodec(Protocol):
-    """Anything that can wrap/unwrap a payload state with a rotation gate."""
-
-    def gate(self): ...
-
-    def inverse_gate(self): ...
 
 
 @dataclass(frozen=True)
@@ -88,6 +83,15 @@ def entanglement_swap(reg: StateRegistry, phi_half: QubitId, psi_half: QubitId) 
     return TeleportMessage(b1, b2)
 
 
+SwapPolicy = Callable[[QNetwork, StateRegistry, int, NodeId, QubitId, QubitId], TeleportMessage]
+
+
+def honest_swap(net: QNetwork, reg: StateRegistry, k: int, assister: NodeId,
+                phi_half: QubitId, psi_half: QubitId) -> TeleportMessage:
+    """Swap policy of a faithful assister: Bell-measure the two halves it was sent."""
+    return entanglement_swap(reg, phi_half, psi_half)
+
+
 def teleport_encode(reg: StateRegistry, state: QubitId, half: QubitId) -> TeleportMessage:
     """Bell-measure payload against the local pair half; consumes both."""
     b1, b2 = reg.bell_measure(state, half)
@@ -107,13 +111,16 @@ def _tag(prefix: str, k: int, role: str = "") -> str:
     return f"{prefix}{k}.{role}" if role else f"{prefix}{k}"
 
 
-def distribute_entanglements(net: QNetwork, reg: StateRegistry) -> dict[int, tuple[QubitId, QubitId]]:
+def distribute_entanglements(net: QNetwork, reg: StateRegistry,
+                             swap: SwapPolicy = honest_swap) -> dict[int, tuple[QubitId, QubitId]]:
     """Phase one: leave every (Tk, Rk) holding an exact shared Bell pair.
 
     Per pair: Tk makes a pair and sends one half to the assister; M2 makes a
     pair and sends its halves to the assister and to Rk; the assister
-    Bell-measures its two halves and sends the 2 correction bits straight to
-    Tk, which applies them.  The M1--M2 bottleneck is never used here.
+    Bell-measures its two halves (through ``swap``) and sends the 2
+    correction bits straight to Tk, which applies them.  The M1--M2
+    bottleneck is never used here.  A dishonest ``swap`` policy breaks the
+    promise of exact pairs, which is what the insider attack in qsre does.
     """
     n = net.topology.n_pairs
     swappers = assign_swappers(n)
@@ -135,7 +142,7 @@ def distribute_entanglements(net: QNetwork, reg: StateRegistry) -> dict[int, tup
         assister = swappers[k]
         phi_half = net.take(assister, _tag("phi", k, "swap"))
         psi_half = net.take(assister, _tag("psi", k, "swap"))
-        msg = entanglement_swap(reg, phi_half, psi_half)
+        msg = swap(net, reg, k, assister, phi_half, psi_half)
         net.send_classical(assister, NodeId.transmitter(k), msg.bits, _tag("swap", k))
     net.run_until_idle()
 
@@ -157,18 +164,19 @@ class RoundResult:
     peak_usage: int = 0        # sum over nodes of per-node peak holdings
     peak_alloc: int = 0        # network-wide simultaneous live qubits
     trace: list[TraceEntry] = field(default_factory=list)
-    distribution_events: int = 0
     error: str | None = None
 
 
 def run_round(net: QNetwork, reg: StateRegistry,
               input_states: Sequence[Sequence[complex]],
-              rotations: Sequence[RotationCodec | None] | None = None) -> RoundResult:
+              rotations: Sequence[RotationSpec | None] | None = None,
+              swap: SwapPolicy = honest_swap) -> RoundResult:
     """One full protocol round on a fresh/reset network.
 
     input_states: one payload state per pair.  rotations: optional per-pair
-    codec applied at the transmitter and inverted at the receiver.  A pair
-    succeeds when the receiver-side fidelity reaches 1 within 1e-9.
+    rotation applied at the transmitter and inverted at the receiver.  swap:
+    the assisters' policy during distribution.  A pair succeeds when the
+    receiver-side fidelity reaches 1 within 1e-9.
     """
     n = net.topology.n_pairs
     if len(input_states) != n:
@@ -177,8 +185,7 @@ def run_round(net: QNetwork, reg: StateRegistry,
         raise ValueError(f"need {n} rotation entries, got {len(rotations)}")
     result = RoundResult()
     try:
-        distribute_entanglements(net, reg)
-        result.distribution_events = len(net.trace)
+        distribute_entanglements(net, reg, swap)
 
         relay = NodeId.relay()
         source = NodeId.source()

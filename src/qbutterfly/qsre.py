@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .iedtc import (
-    SUCCESS_FIDELITY,
     TeleportMessage,
+    _tag,
     assign_swappers,
     entanglement_swap,
+    run_round,
     teleport_decode,
-    teleport_encode,
-    xor_combine,
-    xor_recover,
 )
 from .qstate import Gate, QubitId, StateRegistry, random_state, rx, ry
 from .simnet import QNetwork
@@ -130,16 +128,6 @@ def derive_rotation(key: PrivateKey, i: int,
     return RotationSpec.from_bits(key.chunk(i), convention)
 
 
-def encode_state(reg: StateRegistry, q: QubitId, spec: RotationSpec) -> None:
-    """Rotate the payload; goes through the normal gate path (noise included)."""
-    reg.apply_gate(spec.gate(), [q])
-
-
-def decode_state(reg: StateRegistry, q: QubitId, spec: RotationSpec) -> None:
-    """Inverse rotation at the receiving end."""
-    reg.apply_gate(spec.inverse_gate(), [q])
-
-
 def random_guess(magnitude_bits: int, rng: np.random.Generator,
                  convention: SignConvention = SignConvention.FORMULA) -> RotationSpec:
     """Uniform draw over the 2 * 2 * 2**magnitude_bits possible rotations."""
@@ -177,6 +165,26 @@ class AttackStats:
         return self.legit_successes / self.trials
 
 
+def substituting_swap(net: QNetwork, reg: StateRegistry, k: int, assister: NodeId,
+                      phi_half: QubitId, psi_half: QubitId) -> TeleportMessage:
+    """Swap policy of a malicious assister on pair 1; honest on every other pair.
+
+    It Bell-measures a half of its own fresh pair against the transmitter's
+    half, so the transmitter unknowingly shares a pair with the attacker,
+    keeps the other half in the slot the source half arrived in, and
+    discards the source half, leaving the real receiver with a decoy.
+    Creating the pair before the swap and discarding after it keeps the
+    registry's random draws in the order of the honest round.
+    """
+    if k != 1:
+        return entanglement_swap(reg, phi_half, psi_half)
+    keep, give = reg.create_bell_pair()
+    net.deposit(assister, _tag("psi", k, "swap"), keep)
+    msg = entanglement_swap(reg, phi_half, give)
+    reg.release(psi_half)
+    return msg
+
+
 def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
                use_qsre: bool, trials: int, seed: int, *,
                key: PrivateKey | None = None,
@@ -184,14 +192,14 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
                threshold: float = EAVESDROP_THRESHOLD) -> AttackStats:
     """Insider attack on pair 1: the assisting receiver swaps in its own pair.
 
-    The malicious assister Bell-measures its own pair half against the
-    transmitter's half (so the transmitter unknowingly shares a pair with
-    the attacker) and discards the half sourced at M2, leaving the real
-    receiver with a decoy.  After the broadcast the attacker applies the
-    teleport corrections it can read directly and, when rotation encoding is
-    on, a uniformly guessed counter-rotation.  Eavesdrop success means
-    fidelity >= threshold against the original payload; legitimate success
-    keeps the protocol's own exactness bar.
+    Each trial is an ordinary protocol round run with ``substituting_swap``
+    as the assisters' policy; pair 1 carries the payload, the other pairs
+    carry |0>.  After the broadcast the attacker applies the teleport
+    corrections it can read directly and, when rotation encoding is on, a
+    uniformly guessed counter-rotation.  Eavesdrop success means fidelity >=
+    threshold against the original payload; legitimate success keeps the
+    protocol's own exactness bar.  A round that fails inside the simulator
+    raises RuntimeError rather than counting as a decoy.
     """
     n = net.topology.n_pairs
     if n < 2:
@@ -204,6 +212,8 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
         raise ValueError("key chunk width does not match magnitude_bits")
     rng = np.random.default_rng(seed)
     chunk_width = 2 + magnitude_bits
+    eve = assign_swappers(n)[1]
+    idle = [[1.0, 0.0]] * (n - 1)
     eve_hits = 0
     legit_hits = 0
     for t in range(trials):
@@ -217,112 +227,20 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
                 spec = derive_rotation(PrivateKey(bits, magnitude_bits), 0, convention)
         else:
             spec = None
-        eve_qubit, legit_qubit = _run_attacked_round(net, reg, payload_ref, spec)
-
-        legit_fid = reg.fidelity(legit_qubit, payload_ref)
-        if legit_fid >= SUCCESS_FIDELITY:
+        result = run_round(net, reg, [payload_ref] + idle, [spec] + [None] * (n - 1),
+                           swap=substituting_swap)
+        if result.error is not None:
+            raise RuntimeError(f"attacked round {t} failed: {result.error}")
+        if result.successes[0]:
             legit_hits += 1
+
+        # Eve reads the pair-1 broadcast directly: she is a connected receiver.
+        broadcast = TeleportMessage.from_bits(net.inventories[eve].message(_tag("B", 1)).bits)
+        eve_qubit = teleport_decode(reg, net.take(eve, _tag("psi", 1, "swap")), broadcast)
         if use_qsre:
             guess = random_guess(magnitude_bits, rng, convention)
             reg.apply_gate(guess.inverse_gate(), [eve_qubit])
-        eve_fid = reg.fidelity(eve_qubit, payload_ref)
-        if eve_fid >= threshold:
+        if reg.fidelity(eve_qubit, payload_ref) >= threshold:
             eve_hits += 1
-
         reg.release(eve_qubit)
-        reg.release(legit_qubit)
-        _release_leftovers(net, reg)
     return AttackStats(trials, eve_hits, legit_hits)
-
-
-def _run_attacked_round(net: QNetwork, reg: StateRegistry,
-                        payload_ref: np.ndarray,
-                        spec: RotationSpec | None) -> tuple[QubitId, QubitId]:
-    """One protocol round with a malicious assister on pair 1.
-
-    Returns (attacker's captured qubit, legitimate receiver's qubit), both
-    already teleport-corrected (and rotation-decoded on the legitimate side).
-    """
-    n = net.topology.n_pairs
-    swappers = assign_swappers(n)
-    eve = swappers[1]
-    source = NodeId.source()
-    relay = NodeId.relay()
-
-    for k in range(1, n + 1):
-        tx = NodeId.transmitter(k)
-        keep, give = reg.create_bell_pair()
-        net.deposit(tx, f"phi{k}.keep", keep)
-        net.deposit(tx, f"phi{k}.give", give)
-        net.send_qubit(tx, swappers[k], give, f"phi{k}.swap")
-        left, right = reg.create_bell_pair()
-        net.deposit(source, f"psi{k}.assist", left)
-        net.deposit(source, f"psi{k}.own", right)
-        net.send_qubit(source, swappers[k], left, f"psi{k}.swap")
-        net.send_qubit(source, NodeId.receiver(k), right, f"psi{k}.own")
-    net.run_until_idle()
-
-    for k in range(1, n + 1):
-        assister = swappers[k]
-        phi_half = net.take(assister, f"phi{k}.swap")
-        if k == 1:
-            # Substitution: Eve's own pair rides the swap; the genuine
-            # source half is discarded, decohering the receiver's half
-            # into a decoy.
-            e_keep, e_give = reg.create_bell_pair()
-            net.deposit(eve, "eve.keep", e_keep)
-            net.deposit(eve, "eve.give", e_give)
-            msg = entanglement_swap(reg, phi_half, net.take(eve, "eve.give"))
-            reg.release(net.take(eve, f"psi{k}.swap"))
-        else:
-            msg = entanglement_swap(reg, phi_half, net.take(assister, f"psi{k}.swap"))
-        net.send_classical(assister, NodeId.transmitter(k), msg.bits, f"swap{k}")
-    net.run_until_idle()
-
-    for k in range(1, n + 1):
-        tx = NodeId.transmitter(k)
-        msg = TeleportMessage.from_bits(net.inventories[tx].message(f"swap{k}").bits)
-        teleport_decode(reg, net.holdings(tx)[f"phi{k}.keep"], msg)
-
-    for k in range(1, n + 1):
-        tx = NodeId.transmitter(k)
-        if k == 1:
-            payload = reg.alloc_qubit(payload_ref)
-            net.deposit(tx, f"eta{k}", payload)
-            if spec is not None:
-                encode_state(reg, payload, spec)
-        else:
-            payload = reg.alloc_qubit([1.0, 0.0])
-            net.deposit(tx, f"eta{k}", payload)
-        msg = teleport_encode(reg, net.take(tx, f"eta{k}"), net.take(tx, f"phi{k}.keep"))
-        net.broadcast_classical(tx, msg.bits, f"B{k}")
-    net.run_until_idle()
-
-    combined = xor_combine([TeleportMessage.from_bits(m.bits)
-                            for m in net.inventories[relay].messages_tagged("B")])
-    net.send_classical(relay, source, combined.bits, "combined")
-    net.run_until_idle()
-    net.broadcast_classical(source, combined.bits, "combined", exclude=[relay])
-    net.run_until_idle()
-
-    # Legitimate receiver of pair 1: recover its message via the XOR path.
-    r1 = NodeId.receiver(1)
-    inbox = net.inventories[r1]
-    others = [TeleportMessage.from_bits(m.bits) for m in inbox.messages_tagged("B")]
-    own = xor_recover(TeleportMessage.from_bits(inbox.message("combined").bits), others)
-    legit_qubit = teleport_decode(reg, net.take(r1, "psi1.own"), own)
-    if spec is not None:
-        decode_state(reg, legit_qubit, spec)
-
-    # Eve reads the pair-1 broadcast directly: she is a connected receiver.
-    b1 = TeleportMessage.from_bits(net.inventories[eve].message("B1").bits)
-    eve_qubit = teleport_decode(reg, net.take(eve, "eve.keep"), b1)
-    return eve_qubit, legit_qubit
-
-
-def _release_leftovers(net: QNetwork, reg: StateRegistry) -> None:
-    for node in net.topology.nodes:
-        for tag in list(net.holdings(node)):
-            q = net.take(node, tag)
-            if reg.is_live(q):
-                reg.release(q)

@@ -348,10 +348,7 @@ class StateRegistry:
         k = len(cluster.qubits)
         if k == 1:
             return float(abs(np.vdot(ref, cluster.amps)) ** 2)
-        pos = cluster.qubits.index(q)
-        psi = np.moveaxis(cluster.amps.reshape([2] * k), pos, 0).reshape(2, -1)
-        rho = psi @ psi.conj().T
-        return float(np.real(ref.conj() @ rho @ ref))
+        return float(np.real(ref.conj() @ self._reduced(q) @ ref))
 
     def pair_fidelity(self, q1: QubitId, q2: QubitId, reference: Sequence[complex]) -> float:
         """<ref|rho_{q1,q2}|ref> for a two-qubit reference (q1 is the high bit)."""

@@ -42,7 +42,6 @@ Payload = Union[ClassicalBits, QubitTransfer]
 @dataclass(frozen=True)
 class NetEvent:
     time: int
-    seq: int
     src: NodeId
     dst: NodeId
     payload: Payload
@@ -92,7 +91,6 @@ class QNetwork:
         self.topology = topology
         self.max_events = max_events
         self.now = 0
-        self._seq = 0
         self._queue: deque[NetEvent] = deque()
         self.trace: list[TraceEntry] = []
         self.inventories: dict[NodeId, NodeInventory] = {n: NodeInventory() for n in topology.nodes}
@@ -102,7 +100,6 @@ class QNetwork:
     def reset(self) -> None:
         """Clear queue, trace, inventories and accounting; topology stays."""
         self.now = 0
-        self._seq = 0
         self._queue.clear()
         self.trace.clear()
         for inv in self.inventories.values():
@@ -215,8 +212,7 @@ class QNetwork:
         return entry
 
     def _enqueue(self, src: NodeId, dst: NodeId, payload: Payload) -> None:
-        self._queue.append(NetEvent(self.now + 1, self._seq, src, dst, payload))
-        self._seq += 1
+        self._queue.append(NetEvent(self.now + 1, src, dst, payload))
 
     def _inventory(self, node: NodeId) -> NodeInventory:
         if node not in self.inventories:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .qstate import StateRegistry
-
 
 class NodeKind(enum.Enum):
     TRANSMITTER = "T"
@@ -158,11 +156,6 @@ def reference_resources(protocol: str, n_pairs: int) -> ResourceTriple:
     if protocol == "benchmark":
         return ResourceTriple(3 * n * n + 5 * n + 2, 2 * n * n + 5 * n + 2, 2 * n * n + 3 * n + 1)
     raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def report_peak(reg: StateRegistry) -> int:
-    """Network-wide maximum of simultaneously live qubits in the registry."""
-    return reg.peak_alloc
 
 
 def serialize_topology(topology: Topology) -> str:

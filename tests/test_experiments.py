@@ -151,8 +151,7 @@ def test_resource_csv_layout(tmp_path):
 
 
 def test_manifest_contents(tmp_path):
-    cfg = ExperimentConfig("accuracy", noise_levels=(0.01,), trials=10, seed=42,
-                           out="acc.csv")
+    cfg = ExperimentConfig("accuracy", noise_levels=(0.01,), trials=10, seed=42)
     path = tmp_path / "run.json"
     write_manifest(cfg, ["acc.csv"], 1.2345, str(path))
     doc = json.loads(path.read_text())

@@ -1,6 +1,8 @@
 """Tests for the distribution/teleportation protocol round."""
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +19,12 @@ from qbutterfly.iedtc import (
     xor_combine,
     xor_recover,
 )
+from qbutterfly.qsre import random_guess
 from qbutterfly.qstate import StateRegistry, random_state
 from qbutterfly.simnet import QNetwork
 from qbutterfly.topology import NodeId, build_butterfly
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SQ2 = 1.0 / math.sqrt(2.0)
 BELL = np.array([SQ2, 0.0, 0.0, SQ2], dtype=complex)
@@ -219,6 +224,24 @@ def test_round_input_validation():
         run_round(net, reg, [[1.0, 0.0]])  # one state for two pairs
     with pytest.raises(ValueError):
         run_round(net, reg, [[1.0, 0.0], [1.0, 0.0]], rotations=[None])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rotated_round_is_exact(n):
+    net = fresh(n)
+    reg = StateRegistry(seed=40 + n)
+    rng = np.random.default_rng(50 + n)
+    specs = [random_guess(3, rng) for _ in range(n)]
+    result = run_round(net, reg, [random_state(rng) for _ in range(n)], rotations=specs)
+    assert result.error is None
+    assert result.all_success
+
+
+def test_readme_library_snippet_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(snippet, str(README), "exec"), {})
 
 
 def test_round_captures_internal_failures():

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from qbutterfly import qsre
 from qbutterfly.qsre import (
     EAVESDROP_THRESHOLD,
     AttackStats,
@@ -18,9 +19,7 @@ from qbutterfly.qsre import (
     PrivateKey,
     RotationSpec,
     SignConvention,
-    decode_state,
     derive_rotation,
-    encode_state,
     load_key_file,
     random_guess,
     rotation_angle,
@@ -150,8 +149,8 @@ def test_encode_decode_roundtrip_is_exact():
             ref = random_state(rng)
             q = reg.alloc_qubit(ref)
             spec = RotationSpec.from_bits(chunk, convention)
-            encode_state(reg, q, spec)
-            decode_state(reg, q, spec)
+            reg.apply_gate(spec.gate(), [q])
+            reg.apply_gate(spec.inverse_gate(), [q])
             assert reg.fidelity(q, ref) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -161,8 +160,8 @@ def test_wrong_sign_is_invisible_at_magnitude_zero():
     reg = StateRegistry()
     ref = random_state(np.random.default_rng(12))
     q = reg.alloc_qubit(ref)
-    encode_state(reg, q, RotationSpec.from_parts(Axis.X, 0, 0))
-    decode_state(reg, q, RotationSpec.from_parts(Axis.X, 1, 0))
+    reg.apply_gate(RotationSpec.from_parts(Axis.X, 0, 0).gate(), [q])
+    reg.apply_gate(RotationSpec.from_parts(Axis.X, 1, 0).inverse_gate(), [q])
     assert reg.fidelity(q, ref) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -221,7 +220,23 @@ def test_attack_without_defense_always_wins():
     stats = run_attack(net, reg, 1, use_qsre=False, trials=100, seed=10)
     assert stats.eavesdrop_rate == 1.0
     assert stats.legit_rate == 0.0
-    assert reg.live_count == 0  # every trial cleans up after itself
+    assert_nothing_left(net, reg)  # every trial cleans up after itself
+
+
+def assert_nothing_left(net, reg):
+    assert reg.live_count == 0
+    assert all(not net.holdings(node) for node in net.topology.nodes)
+    assert net.pending == 0
+
+
+def test_attack_raises_when_the_round_fails(monkeypatch):
+    def broken_swap(*args):
+        raise IndexError("simulated fault in the attacked round")
+
+    monkeypatch.setattr(qsre, "substituting_swap", broken_swap)
+    net = QNetwork(build_butterfly(2))
+    with pytest.raises(RuntimeError, match="IndexError"):
+        run_attack(net, StateRegistry(seed=3), 1, use_qsre=True, trials=5, seed=4)
 
 
 @pytest.mark.parametrize("magnitude_bits,mc_trials", [(1, 800), (2, 800)])
@@ -254,3 +269,4 @@ def test_attack_works_on_larger_networks():
     stats = run_attack(net, reg, 1, use_qsre=False, trials=30, seed=62)
     assert stats.eavesdrop_rate == 1.0
     assert stats.legit_rate == 0.0
+    assert_nothing_left(net, reg)

@@ -1,7 +1,6 @@
 """Tests for the butterfly topology builder and resource accounting."""
 import pytest
 
-from qbutterfly.qstate import StateRegistry
 from qbutterfly.topology import (
     Link,
     LinkKind,
@@ -11,7 +10,6 @@ from qbutterfly.topology import (
     build_butterfly,
     link_counts,
     reference_resources,
-    report_peak,
     serialize_topology,
 )
 
@@ -138,10 +136,3 @@ def test_serialize_topology_is_stable():
     assert serialize_topology(build_butterfly(2)) == N2_SERIALIZED
     # serialization is deterministic across rebuilds
     assert serialize_topology(build_butterfly(3)) == serialize_topology(build_butterfly(3))
-
-
-def test_report_peak_reads_registry():
-    reg = StateRegistry()
-    reg.create_bell_pair()
-    reg.create_bell_pair()
-    assert report_peak(reg) == 4
