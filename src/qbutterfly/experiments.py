@@ -109,7 +109,11 @@ def run_accuracy_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
             input_rng = np.random.default_rng(_derived_seed(cfg.seed, salt + 1, t))
             inputs = [random_state(input_rng) for _ in range(cfg.n_pairs)]
             net.reset()
-            if run_round(net, reg, inputs).all_success:
+            result = run_round(net, reg, inputs)
+            if result.error is not None:
+                raise RuntimeError(f"accuracy round failed at noise {level}, trial {t}: "
+                                   f"{result.error}")
+            if result.all_success:
                 successes += 1
         estimate, half = binomial_ci(successes, cfg.trials)
         rows.append(SweepRow(level, estimate, half, cfg.trials, successes))

@@ -2,8 +2,9 @@
 
 Qubits live in independent clusters (dense complex amplitude vectors).
 Only a two-qubit gate can merge clusters, so K Bell pairs cost K
-4-amplitude vectors rather than one 4**K-amplitude vector.  This is what
-keeps a simulated round linear in the number of transceiver pairs.
+4-amplitude vectors rather than one 4**K-amplitude vector.  This keeps the
+qubit memory of a simulated round linear in the number of transceiver
+pairs; the round itself still delivers Theta(n**2) messages.
 """
 from __future__ import annotations
 
@@ -184,8 +185,7 @@ class StateRegistry:
         self._cluster_of[q] = cid
         self.live_count += 1
         self.peak_alloc = max(self.peak_alloc, self.live_count)
-        self._track_dims()
-        self._sample_resident()
+        self._note(cid)
         return q
 
     def create_bell_pair(self) -> tuple[QubitId, QubitId]:
@@ -197,14 +197,14 @@ class StateRegistry:
         b = self.alloc_qubit([1.0, 0.0])
         self._apply_gate(H, [a])
         self._apply_gate(CNOT, [a, b])
-        self._sample_resident()
+        self._note(self._cluster_of[a])
         return a, b
 
     # -- gates --------------------------------------------------------------
 
     def apply_gate(self, gate: Gate, targets: Sequence[QubitId]) -> None:
         self._apply_gate(gate, targets)
-        self._sample_resident()
+        self._note(self._cluster_of[targets[0]])
 
     def _apply_gate(self, gate: Gate, targets: Sequence[QubitId]) -> None:
         targets = list(targets)
@@ -260,7 +260,7 @@ class StateRegistry:
         self._clusters[cid] = merged
         for q in merged.qubits:
             self._cluster_of[q] = cid
-        self._track_dims()
+        self.peak_cluster_dim = max(self.peak_cluster_dim, merged.dim)
 
     def _inject_noise(self, gate: Gate, targets: list[QubitId]) -> None:
         p = self.noise_prob
@@ -284,9 +284,7 @@ class StateRegistry:
 
     def measure(self, q: QubitId) -> int:
         """Computational-basis measurement; collapses and consumes the qubit."""
-        bit = self._measure(q)
-        self._sample_resident()
-        return bit
+        return self._measure(q)
 
     def bell_measure(self, q1: QubitId, q2: QubitId) -> tuple[int, int]:
         """Bell-basis measurement: CNOT(q1->q2), H(q1), then measure both.
@@ -299,15 +297,16 @@ class StateRegistry:
         self._require_live(q2)
         self._apply_gate(CNOT, [q1, q2])
         self._apply_gate(H, [q1])
+        merged = self._cluster_of[q1]
         b1 = self._measure(q1)
         b2 = self._measure(q2)
-        self._sample_resident()
+        if merged in self._clusters:  # other qubits shared the merged cluster
+            self._note(merged)
         return b1, b2
 
     def release(self, q: QubitId) -> None:
         """Discard a qubit (measure-and-forget); partners decohere accordingly."""
         self._measure(q)
-        self._sample_resident()
 
     def _measure(self, q: QubitId) -> int:
         self._require_live(q)
@@ -405,16 +404,9 @@ class StateRegistry:
         if q not in self._cluster_of:
             raise DeadQubitError(f"qubit {q} is not live (consumed or never allocated)")
 
-    def _track_dims(self) -> None:
-        if self._clusters:
-            dim = max(c.dim for c in self._clusters.values())
-            if dim > self.peak_cluster_dim:
-                self.peak_cluster_dim = dim
-
-    def _sample_resident(self) -> None:
-        # Resident footprint between operations; transient merges inside a
-        # Bell measurement are tracked separately in peak_cluster_dim.
-        if self._clusters:
-            dim = max(c.dim for c in self._clusters.values())
-            if dim > self.peak_resident_cluster_dim:
-                self.peak_resident_cluster_dim = dim
+    def _note(self, cid: int) -> None:
+        # Called at the end of each operation on the one cluster it can have
+        # grown; measurement and release only shrink clusters.
+        dim = self._clusters[cid].dim
+        self.peak_cluster_dim = max(self.peak_cluster_dim, dim)
+        self.peak_resident_cluster_dim = max(self.peak_resident_cluster_dim, dim)

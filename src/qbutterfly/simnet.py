@@ -140,16 +140,15 @@ class QNetwork:
     # -- sending ---------------------------------------------------------------
 
     def send_classical(self, src: NodeId, dst: NodeId, bits: str, tag: str) -> None:
-        link = self.topology.find_link(src, dst)
-        if link is None:
+        if self.topology.find_link(src, dst) is None:
             raise NetworkError(f"no link between {src} and {dst}")
         self._enqueue(src, dst, ClassicalBits(bits, tag))
 
     def send_qubit(self, src: NodeId, dst: NodeId, q: QubitId, tag: str) -> None:
-        link = self.topology.find_link(src, dst)
-        if link is None:
+        kind = self.topology.find_link(src, dst)
+        if kind is None:
             raise NetworkError(f"no link between {src} and {dst}")
-        if link.kind is not LinkKind.QUANTUM:
+        if kind is not LinkKind.QUANTUM:
             raise NetworkError(f"link {src}--{dst} is classical; it cannot carry a qubit")
         inv = self._inventory(src)
         held_tag = None

@@ -56,55 +56,19 @@ class LinkKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Link:
-    """Undirected link; endpoints are stored in sorted order."""
-
-    a: NodeId
-    b: NodeId
-    kind: LinkKind
-
-    @classmethod
-    def between(cls, x: NodeId, y: NodeId, kind: LinkKind) -> "Link":
-        if x == y:
-            raise ValueError("a link needs two distinct endpoints")
-        lo, hi = sorted((x, y))
-        return cls(lo, hi, kind)
-
-    def touches(self, node: NodeId) -> bool:
-        return node == self.a or node == self.b
-
-    def other(self, node: NodeId) -> NodeId:
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise ValueError(f"{node} is not an endpoint of {self}")
-
-    def __str__(self) -> str:
-        return f"{self.a} {self.b} {self.kind.value}"
-
-
-@dataclass(frozen=True)
 class Topology:
+    """Each node's neighbours and link kinds, in sorted NodeId order; that order
+    fixes the send order of a broadcast and with it the delivery trace."""
+
     n_pairs: int
     nodes: tuple[NodeId, ...]
-    links: frozenset[Link]
+    adjacency: dict[NodeId, dict[NodeId, LinkKind]]
 
     def neighbors(self, node: NodeId) -> list[NodeId]:
-        return sorted(link.other(node) for link in self.links if link.touches(node))
+        return list(self.adjacency.get(node, ()))
 
-    def find_link(self, x: NodeId, y: NodeId) -> Link | None:
-        for kind in LinkKind:
-            candidate = Link.between(x, y, kind)
-            if candidate in self.links:
-                return candidate
-        return None
-
-    def quantum_degree(self, node: NodeId) -> int:
-        return sum(1 for l in self.links if l.touches(node) and l.kind is LinkKind.QUANTUM)
-
-    def classical_degree(self, node: NodeId) -> int:
-        return sum(1 for l in self.links if l.touches(node) and l.kind is LinkKind.CLASSICAL)
+    def find_link(self, x: NodeId, y: NodeId) -> LinkKind | None:
+        return self.adjacency.get(x, {}).get(y)
 
 
 def build_butterfly(n_pairs: int) -> Topology:
@@ -115,23 +79,36 @@ def build_butterfly(n_pairs: int) -> Topology:
     receivers = [NodeId.receiver(i) for i in range(1, n_pairs + 1)]
     relay = NodeId.relay()
     source = NodeId.source()
-    links: set[Link] = set()
+    nodes = tuple(transmitters + receivers + [relay, source])
+    adjacency: dict[NodeId, dict[NodeId, LinkKind]] = {node: {} for node in nodes}
+
+    def connect(x: NodeId, y: NodeId, kind: LinkKind) -> None:
+        adjacency[x][y] = kind
+        adjacency[y][x] = kind
+
     for i, t in enumerate(transmitters, start=1):
         for j, r in enumerate(receivers, start=1):
             if i != j:
-                links.add(Link.between(t, r, LinkKind.QUANTUM))
-        links.add(Link.between(t, relay, LinkKind.CLASSICAL))
+                connect(t, r, LinkKind.QUANTUM)
+        connect(t, relay, LinkKind.CLASSICAL)
     for r in receivers:
-        links.add(Link.between(r, source, LinkKind.QUANTUM))
-    links.add(Link.between(relay, source, LinkKind.CLASSICAL))
-    nodes = tuple(transmitters + receivers + [relay, source])
-    return Topology(n_pairs, nodes, frozenset(links))
+        connect(r, source, LinkKind.QUANTUM)
+    connect(relay, source, LinkKind.CLASSICAL)
+    by_node = {node: {m: nbrs[m] for m in sorted(nbrs)} for node, nbrs in adjacency.items()}
+    return Topology(n_pairs, nodes, by_node)
+
+
+def _links(topology: Topology) -> list[tuple[NodeId, NodeId, LinkKind]]:
+    """Each undirected link once, as (a, b, kind) with a < b."""
+    return [(a, b, kind) for a, nbrs in topology.adjacency.items()
+            for b, kind in nbrs.items() if a < b]
 
 
 def link_counts(topology: Topology) -> tuple[int, int]:
     """(total links, quantum links)."""
-    total = len(topology.links)
-    quantum = sum(1 for l in topology.links if l.kind is LinkKind.QUANTUM)
+    links = _links(topology)
+    total = len(links)
+    quantum = sum(1 for _, _, kind in links if kind is LinkKind.QUANTUM)
     return total, quantum
 
 
@@ -161,5 +138,5 @@ def reference_resources(protocol: str, n_pairs: int) -> ResourceTriple:
 def serialize_topology(topology: Topology) -> str:
     """Stable line-oriented description: one node per line, then one link per line."""
     lines = [f"node {node}" for node in sorted(topology.nodes)]
-    lines.extend(f"link {link}" for link in sorted(topology.links, key=str))
+    lines.extend(sorted(f"link {a} {b} {kind.value}" for a, b, kind in _links(topology)))
     return "\n".join(lines) + "\n"

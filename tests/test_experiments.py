@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import qbutterfly.iedtc
 from qbutterfly.cli import main, parse_float_range, parse_int_range
 from qbutterfly.experiments import (
     ExperimentConfig,
@@ -74,6 +75,16 @@ def test_accuracy_sweep_is_reproducible():
     assert all(0.0 <= r.estimate <= 1.0 for r in first)
     # more noise should not help (coarse check at small trial counts)
     assert first[1].estimate <= first[0].estimate + first[0].ci_half_width + first[1].ci_half_width
+
+
+def test_accuracy_sweep_raises_when_a_round_fails(monkeypatch):
+    def broken_swap(*args):
+        raise IndexError("simulated fault in the swap")
+
+    monkeypatch.setattr(qbutterfly.iedtc, "entanglement_swap", broken_swap)
+    cfg = ExperimentConfig("accuracy", noise_levels=(0.0,), trials=20, seed=7)
+    with pytest.raises(RuntimeError, match=r"noise 0\.0, trial 0: IndexError"):
+        run_accuracy_sweep(cfg)
 
 
 def test_accuracy_sweep_rejects_wrong_config():

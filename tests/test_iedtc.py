@@ -20,7 +20,7 @@ from qbutterfly.iedtc import (
     xor_recover,
 )
 from qbutterfly.qsre import random_guess
-from qbutterfly.qstate import StateRegistry, random_state
+from qbutterfly.qstate import NOISE_ALL_GATES, NOISE_ENTANGLING, StateRegistry, random_state
 from qbutterfly.simnet import QNetwork
 from qbutterfly.topology import NodeId, build_butterfly
 
@@ -250,6 +250,22 @@ def test_round_captures_internal_failures():
     result = run_round(net, reg, [[1.0, 0.0], [5.0, 0.0]])  # second not normalized
     assert not result.all_success
     assert result.error is not None and "ValueError" in result.error
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_honest_round_leaves_nothing_behind(n):
+    net = fresh(n)
+    rng = np.random.default_rng(n)
+    for noise, model in [(0.0, NOISE_ENTANGLING), (0.05, NOISE_ENTANGLING),
+                         (0.05, NOISE_ALL_GATES)]:
+        for seed in range(4):
+            net.reset()
+            reg = StateRegistry(noise, seed=seed, noise_model=model)
+            result = run_round(net, reg, [random_state(rng) for _ in range(n)])
+            assert result.error is None
+            assert reg.live_count == 0
+            assert all(net.node_usage(node) == 0 for node in net.topology.nodes)
+            assert net.pending == 0
 
 
 def test_noisy_rounds_mostly_fail_at_full_noise():

@@ -254,6 +254,52 @@ def test_transient_merge_tracked_separately_from_resident():
     assert reg.cluster_dims() == [4]
 
 
+def _merged_dim(reg, q1, q2):
+    qubits, amps = reg.cluster_state(q1)
+    if q2 in qubits:
+        return amps.size
+    return amps.size * reg.cluster_state(q2)[1].size
+
+
+def test_peaks_match_brute_force_reference():
+    # Both peaks recomputed from cluster_dims() after every operation; a
+    # two-qubit operation's transient merge is read from cluster_state first.
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        reg = StateRegistry(0.2, seed=seed, noise_model=NOISE_ALL_GATES)
+        live = []
+        resident = transient = 0
+        for _ in range(60):
+            if len(live) < 2:
+                op = int(rng.integers(2))
+            elif len(live) >= 8:
+                op = int(rng.integers(2, 6))
+            else:
+                op = int(rng.integers(6))
+            i, j = (int(x) for x in rng.choice(max(len(live), 2), 2, replace=False))
+            merge = 0
+            if op == 0:
+                live.append(reg.alloc_qubit(random_state(rng)))
+            elif op == 1:
+                live.extend(reg.create_bell_pair())
+            elif op == 2:
+                merge = _merged_dim(reg, live[i], live[j])
+                reg.apply_gate(CNOT, [live[i], live[j]])
+            elif op == 3:
+                reg.apply_gate([H, X, rx(0.3)][int(rng.integers(3))], [live[i]])
+            elif op == 4:
+                merge = _merged_dim(reg, live[i], live[j])
+                reg.bell_measure(live[i], live[j])
+                live = [q for k, q in enumerate(live) if k not in (i, j)]
+            else:
+                (reg.measure if rng.random() < 0.5 else reg.release)(live.pop(i))
+            top = max(reg.cluster_dims(), default=0)
+            resident = max(resident, top)
+            transient = max(transient, top, merge)
+            assert reg.peak_resident_cluster_dim == resident
+            assert reg.peak_cluster_dim == transient
+
+
 def test_chain_entanglement_grows_and_collapses():
     reg = StateRegistry(seed=0)
     qs = [reg.alloc_qubit([1.0, 0.0]) for _ in range(3)]

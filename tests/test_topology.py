@@ -2,7 +2,6 @@
 import pytest
 
 from qbutterfly.topology import (
-    Link,
     LinkKind,
     NodeId,
     NodeKind,
@@ -29,6 +28,30 @@ link R1 T2 quantum
 link T1 R2 quantum
 """
 
+N3_SERIALIZED = """\
+node M1
+node M2
+node R1
+node T1
+node R2
+node T2
+node R3
+node T3
+link M1 M2 classical
+link M1 T1 classical
+link M1 T2 classical
+link M1 T3 classical
+link M2 R1 quantum
+link M2 R2 quantum
+link M2 R3 quantum
+link R1 T2 quantum
+link R1 T3 quantum
+link R2 T3 quantum
+link T1 R2 quantum
+link T1 R3 quantum
+link T2 R3 quantum
+"""
+
 
 def test_node_ids():
     t3 = NodeId.transmitter(3)
@@ -45,17 +68,14 @@ def test_node_ids():
         NodeId.receiver(-1)
 
 
-def test_link_between_sorts_endpoints():
-    t1, r2 = NodeId.transmitter(1), NodeId.receiver(2)
-    link = Link.between(r2, t1, LinkKind.QUANTUM)
-    assert (link.a, link.b) == (t1, r2)
-    assert link == Link.between(t1, r2, LinkKind.QUANTUM)
-    assert link.other(t1) == r2 and link.other(r2) == t1
-    assert link.touches(t1) and not link.touches(NodeId.relay())
-    with pytest.raises(ValueError):
-        Link.between(t1, t1, LinkKind.QUANTUM)
-    with pytest.raises(ValueError):
-        link.other(NodeId.relay())
+@pytest.mark.parametrize("n", range(2, 9))
+def test_links_are_symmetric_and_neighbours_sorted(n):
+    topo = build_butterfly(n)
+    for x in topo.nodes:
+        assert x not in topo.neighbors(x)
+        assert topo.neighbors(x) == sorted(topo.neighbors(x))
+        for y in topo.nodes:
+            assert topo.find_link(x, y) == topo.find_link(y, x)
 
 
 def test_small_network_shapes():
@@ -84,20 +104,20 @@ def test_adjacency_rules():
         assert topo.find_link(t, r) is None
         for j in range(1, 5):
             if i != j:
-                cross = topo.find_link(t, NodeId.receiver(j))
-                assert cross is not None and cross.kind is LinkKind.QUANTUM
-        up = topo.find_link(r, source)
-        assert up is not None and up.kind is LinkKind.QUANTUM
-        down = topo.find_link(t, relay)
-        assert down is not None and down.kind is LinkKind.CLASSICAL
+                assert topo.find_link(t, NodeId.receiver(j)) is LinkKind.QUANTUM
+        assert topo.find_link(r, source) is LinkKind.QUANTUM
+        assert topo.find_link(t, relay) is LinkKind.CLASSICAL
         assert topo.find_link(t, source) is None
         assert topo.find_link(r, relay) is None
-    bottleneck = topo.find_link(relay, source)
-    assert bottleneck is not None and bottleneck.kind is LinkKind.CLASSICAL
-    assert topo.quantum_degree(relay) == 0
-    assert topo.classical_degree(relay) == 5
-    assert topo.quantum_degree(source) == 4
-    assert topo.quantum_degree(NodeId.transmitter(1)) == 3
+    assert topo.find_link(relay, source) is LinkKind.CLASSICAL
+
+    def degree(node, kind):
+        return sum(1 for k in topo.adjacency[node].values() if k is kind)
+
+    assert degree(relay, LinkKind.QUANTUM) == 0
+    assert degree(relay, LinkKind.CLASSICAL) == 5
+    assert degree(source, LinkKind.QUANTUM) == 4
+    assert degree(NodeId.transmitter(1), LinkKind.QUANTUM) == 3
 
 
 def test_neighbors_sorted_and_complete():
@@ -134,5 +154,6 @@ def test_reference_resources_tuple_fields():
 
 def test_serialize_topology_is_stable():
     assert serialize_topology(build_butterfly(2)) == N2_SERIALIZED
+    assert serialize_topology(build_butterfly(3)) == N3_SERIALIZED
     # serialization is deterministic across rebuilds
     assert serialize_topology(build_butterfly(3)) == serialize_topology(build_butterfly(3))
