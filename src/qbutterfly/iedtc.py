@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from .qstate import QubitId, StateRegistry, X, Z
+from .qstate import QubitId, StateRegistry, X, Z, as_state
 from .simnet import QNetwork, TraceEntry
 from .topology import NodeId
 
@@ -149,7 +147,7 @@ def distribute_entanglements(net: QNetwork, reg: StateRegistry,
     pairs: dict[int, tuple[QubitId, QubitId]] = {}
     for k in range(1, n + 1):
         t = NodeId.transmitter(k)
-        msg = TeleportMessage.from_bits(net.inventories[t].message(_tag("swap", k)).bits)
+        msg = TeleportMessage.from_bits(net.inventories[t].message(_tag("swap", k)))
         kept = net.holdings(t)[_tag("phi", k, "keep")]
         teleport_decode(reg, kept, msg)
         pairs[k] = (kept, net.holdings(NodeId.receiver(k))[_tag("psi", k, "own")])
@@ -183,6 +181,7 @@ def run_round(net: QNetwork, reg: StateRegistry,
         raise ValueError(f"need {n} input states, got {len(input_states)}")
     if rotations is not None and len(rotations) != n:
         raise ValueError(f"need {n} rotation entries, got {len(rotations)}")
+    states = [as_state(s) for s in input_states]  # before any qubit exists
     result = RoundResult()
     try:
         distribute_entanglements(net, reg, swap)
@@ -191,7 +190,7 @@ def run_round(net: QNetwork, reg: StateRegistry,
         source = NodeId.source()
         for k in range(1, n + 1):
             t = NodeId.transmitter(k)
-            payload = reg.alloc_qubit(np.asarray(input_states[k - 1], dtype=complex))
+            payload = reg.alloc_qubit(states[k - 1])
             net.deposit(t, _tag("eta", k), payload)
             if rotations is not None and rotations[k - 1] is not None:
                 reg.apply_gate(rotations[k - 1].gate(), [payload])
@@ -202,7 +201,7 @@ def run_round(net: QNetwork, reg: StateRegistry,
         net.run_until_idle()
 
         tele_msgs = net.inventories[relay].messages_tagged("B")
-        combined = xor_combine([TeleportMessage.from_bits(m.bits) for m in tele_msgs])
+        combined = xor_combine([TeleportMessage.from_bits(b) for b in tele_msgs])
         net.send_classical(relay, source, combined.bits, "combined")
         net.run_until_idle()
 
@@ -212,14 +211,14 @@ def run_round(net: QNetwork, reg: StateRegistry,
         for k in range(1, n + 1):
             r = NodeId.receiver(k)
             inbox = net.inventories[r]
-            others = [TeleportMessage.from_bits(m.bits) for m in inbox.messages_tagged("B")]
-            total = TeleportMessage.from_bits(inbox.message("combined").bits)
+            others = [TeleportMessage.from_bits(b) for b in inbox.messages_tagged("B")]
+            total = TeleportMessage.from_bits(inbox.message("combined"))
             own = xor_recover(total, others)
             half = net.take(r, _tag("psi", k, "own"))
             teleport_decode(reg, half, own)
             if rotations is not None and rotations[k - 1] is not None:
                 reg.apply_gate(rotations[k - 1].inverse_gate(), [half])
-            fid = reg.fidelity(half, np.asarray(input_states[k - 1], dtype=complex))
+            fid = reg.fidelity(half, states[k - 1])
             result.fidelities.append(fid)
             result.successes.append(fid >= SUCCESS_FIDELITY)
             reg.release(half)

@@ -235,7 +235,7 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
             legit_hits += 1
 
         # Eve reads the pair-1 broadcast directly: she is a connected receiver.
-        broadcast = TeleportMessage.from_bits(net.inventories[eve].message(_tag("B", 1)).bits)
+        broadcast = TeleportMessage.from_bits(net.inventories[eve].message(_tag("B", 1)))
         eve_qubit = teleport_decode(reg, net.take(eve, _tag("psi", 1, "swap")), broadcast)
         if use_qsre:
             guess = random_guess(magnitude_bits, rng, convention)

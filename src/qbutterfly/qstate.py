@@ -112,6 +112,17 @@ def random_state(rng: np.random.Generator) -> np.ndarray:
     return np.array([math.cos(half), np.exp(1j * phi) * math.sin(half)], dtype=complex)
 
 
+def as_state(amplitudes: Sequence[complex], n_qubits: int = 1) -> np.ndarray:
+    """The amplitudes as a complex vector; ValueError unless a normalized n-qubit state."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.shape != (2 ** n_qubits,):
+        raise ValueError(f"a {n_qubits}-qubit state needs {2 ** n_qubits} amplitudes, "
+                         f"got shape {amps.shape}")
+    if abs(np.linalg.norm(amps) - 1.0) > NORM_ATOL:
+        raise ValueError("state vector is not normalized")
+    return amps
+
+
 def states_equal(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:
     """True if two state vectors match up to a global phase."""
     inner = np.vdot(a, b)
@@ -172,11 +183,7 @@ class StateRegistry:
 
     def alloc_qubit(self, amplitudes: Sequence[complex]) -> QubitId:
         """Allocate a fresh qubit in the given normalized single-qubit state."""
-        amps = np.asarray(amplitudes, dtype=complex)
-        if amps.shape != (2,):
-            raise ValueError(f"single-qubit state needs 2 amplitudes, got shape {amps.shape}")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_ATOL:
-            raise ValueError("state vector is not normalized")
+        amps = as_state(amplitudes)
         q = QubitId(self._next_qubit)
         self._next_qubit += 1
         cid = self._next_cluster
@@ -338,11 +345,7 @@ class StateRegistry:
     def fidelity(self, q: QubitId, reference: Sequence[complex]) -> float:
         """<ref|rho_q|ref> for the qubit's reduced state; non-destructive."""
         self._require_live(q)
-        ref = np.asarray(reference, dtype=complex)
-        if ref.shape != (2,):
-            raise ValueError("reference must be a single-qubit state")
-        if abs(np.linalg.norm(ref) - 1.0) > NORM_ATOL:
-            raise ValueError("reference state is not normalized")
+        ref = as_state(reference)
         cluster = self._clusters[self._cluster_of[q]]
         k = len(cluster.qubits)
         if k == 1:
@@ -355,11 +358,7 @@ class StateRegistry:
             raise ValueError("pair_fidelity needs two distinct qubits")
         self._require_live(q1)
         self._require_live(q2)
-        ref = np.asarray(reference, dtype=complex)
-        if ref.shape != (4,):
-            raise ValueError("reference must be a two-qubit state")
-        if abs(np.linalg.norm(ref) - 1.0) > NORM_ATOL:
-            raise ValueError("reference state is not normalized")
+        ref = as_state(reference, n_qubits=2)
         cid1 = self._cluster_of[q1]
         cid2 = self._cluster_of[q2]
         if cid1 == cid2:

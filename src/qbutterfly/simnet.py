@@ -1,16 +1,19 @@
 """Message-passing layer over a topology: tick-based FIFO delivery.
 
-Sends enqueue; nothing is delivered until run_until_idle drains the queue,
-so a protocol phase is written as "enqueue everything, then run".  Qubit
-payloads move a QubitId between node inventories; a qubit in flight stays
-in the custody of its sender for capacity accounting (the fiber port is
-the sender's hardware until the photon is absorbed).
+Sends enqueue a plain (src, dst, tag, payload) tuple, whose payload is the
+bit string of a classical message or the QubitId of a qubit.  Nothing is
+delivered until run_until_idle drains the queue, so a protocol phase is
+written as "enqueue everything, then run"; each drain is one tick, and one
+pass empties the queue (delivery never sends), so no event cap is needed.
+Qubit payloads move a QubitId between node inventories; a qubit in
+flight stays in the custody of its sender for capacity accounting (the
+fiber port is the sender's hardware until the photon is absorbed).
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .qstate import QubitId
 from .topology import LinkKind, NodeId, Topology
@@ -18,33 +21,6 @@ from .topology import LinkKind, NodeId, Topology
 
 class NetworkError(ValueError):
     """Illegal network operation: missing link, wrong link kind, bad ownership."""
-
-
-@dataclass(frozen=True)
-class ClassicalBits:
-    bits: str
-    tag: str
-
-    def __post_init__(self) -> None:
-        if any(c not in "01" for c in self.bits):
-            raise ValueError(f"classical payload must be a bit string, got {self.bits!r}")
-
-
-@dataclass(frozen=True)
-class QubitTransfer:
-    qubit: QubitId
-    tag: str
-
-
-Payload = Union[ClassicalBits, QubitTransfer]
-
-
-@dataclass(frozen=True)
-class NetEvent:
-    time: int
-    src: NodeId
-    dst: NodeId
-    payload: Payload
 
 
 @dataclass(frozen=True)
@@ -60,38 +36,30 @@ class TraceEntry:
         return f"{self.time} {self.src} {self.dst} {self.kind} {self.tag} {self.size}"
 
 
-@dataclass(frozen=True)
-class ReceivedMessage:
-    src: NodeId
-    tag: str
-    bits: str
-
-
 class NodeInventory:
     """What one node currently holds: tagged qubits and its classical inbox."""
 
     def __init__(self) -> None:
         self.qubits: dict[str, QubitId] = {}
-        self.messages: list[ReceivedMessage] = []
+        self.messages: dict[str, str] = {}  # tag -> bits, in arrival order
 
-    def message(self, tag: str) -> ReceivedMessage:
-        for msg in self.messages:
-            if msg.tag == tag:
-                return msg
-        raise NetworkError(f"no message tagged {tag!r} in inbox")
+    def message(self, tag: str) -> str:
+        try:
+            return self.messages[tag]
+        except KeyError:
+            raise NetworkError(f"no message tagged {tag!r} in inbox") from None
 
-    def messages_tagged(self, prefix: str) -> list[ReceivedMessage]:
-        return [m for m in self.messages if m.tag.startswith(prefix)]
+    def messages_tagged(self, prefix: str) -> list[str]:
+        return [bits for tag, bits in self.messages.items() if tag.startswith(prefix)]
 
 
 class QNetwork:
     """Event queue, per-node inventories, and the delivery trace."""
 
-    def __init__(self, topology: Topology, max_events: int = 1_000_000):
+    def __init__(self, topology: Topology):
         self.topology = topology
-        self.max_events = max_events
         self.now = 0
-        self._queue: deque[NetEvent] = deque()
+        self._queue: deque[tuple[NodeId, NodeId, str, str | QubitId]] = deque()
         self.trace: list[TraceEntry] = []
         self.inventories: dict[NodeId, NodeInventory] = {n: NodeInventory() for n in topology.nodes}
         self._in_flight: dict[NodeId, int] = {n: 0 for n in topology.nodes}
@@ -142,7 +110,9 @@ class QNetwork:
     def send_classical(self, src: NodeId, dst: NodeId, bits: str, tag: str) -> None:
         if self.topology.find_link(src, dst) is None:
             raise NetworkError(f"no link between {src} and {dst}")
-        self._enqueue(src, dst, ClassicalBits(bits, tag))
+        if any(c not in "01" for c in bits):
+            raise ValueError(f"classical payload must be a bit string, got {bits!r}")
+        self._queue.append((src, dst, tag, bits))
 
     def send_qubit(self, src: NodeId, dst: NodeId, q: QubitId, tag: str) -> None:
         kind = self.topology.find_link(src, dst)
@@ -160,7 +130,7 @@ class QNetwork:
             raise NetworkError(f"{src} does not hold qubit {q}")
         del inv.qubits[held_tag]
         self._in_flight[src] += 1  # custody stays with sender until delivery
-        self._enqueue(src, dst, QubitTransfer(q, tag))
+        self._queue.append((src, dst, tag, q))
 
     def broadcast_classical(self, src: NodeId, bits: str, tag: str,
                             exclude: Iterable[NodeId] = ()) -> list[NodeId]:
@@ -176,42 +146,38 @@ class QNetwork:
     # -- delivery ----------------------------------------------------------------
 
     def run_until_idle(self) -> list[TraceEntry]:
-        """Deliver all queued events in FIFO order; returns this call's deliveries."""
+        """Deliver all queued messages in FIFO order; returns this call's deliveries.
+
+        One drain is one tick, stamped on all its deliveries.  Delivery never
+        sends, so the queue cannot refill during a drain: no event cap needed.
+        """
+        if self._queue:
+            self.now += 1
         delivered: list[TraceEntry] = []
-        processed = 0
         while self._queue:
-            processed += 1
-            if processed > self.max_events:
-                raise NetworkError(f"event cap exceeded ({self.max_events}); livelock?")
-            event = self._queue.popleft()
-            self.now = max(self.now, event.time)
-            entry = self._deliver(event)
-            delivered.append(entry)
+            delivered.append(self._deliver(*self._queue.popleft()))
         return delivered
 
     @property
     def pending(self) -> int:
         return len(self._queue)
 
-    def _deliver(self, event: NetEvent) -> TraceEntry:
-        inv = self._inventory(event.dst)
-        payload = event.payload
-        if isinstance(payload, QubitTransfer):
-            if payload.tag in inv.qubits:
-                raise NetworkError(f"{event.dst} already holds a qubit tagged {payload.tag!r}")
-            self._in_flight[event.src] -= 1
-            inv.qubits[payload.tag] = payload.qubit
-            self._bump(event.dst)
-            entry = TraceEntry(event.time, event.src, event.dst, "quantum", payload.tag, 1)
+    def _deliver(self, src: NodeId, dst: NodeId, tag: str, payload: str | QubitId) -> TraceEntry:
+        inv = self._inventory(dst)
+        if isinstance(payload, str):
+            if tag in inv.messages:
+                raise NetworkError(f"{dst} already holds a message tagged {tag!r}")
+            inv.messages[tag] = payload
+            entry = TraceEntry(self.now, src, dst, "classical", tag, len(payload))
         else:
-            inv.messages.append(ReceivedMessage(event.src, payload.tag, payload.bits))
-            entry = TraceEntry(event.time, event.src, event.dst, "classical",
-                               payload.tag, len(payload.bits))
+            if tag in inv.qubits:
+                raise NetworkError(f"{dst} already holds a qubit tagged {tag!r}")
+            self._in_flight[src] -= 1
+            inv.qubits[tag] = payload
+            self._bump(dst)
+            entry = TraceEntry(self.now, src, dst, "quantum", tag, 1)
         self.trace.append(entry)
         return entry
-
-    def _enqueue(self, src: NodeId, dst: NodeId, payload: Payload) -> None:
-        self._queue.append(NetEvent(self.now + 1, src, dst, payload))
 
     def _inventory(self, node: NodeId) -> NodeInventory:
         if node not in self.inventories:

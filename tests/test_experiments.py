@@ -1,5 +1,6 @@
 """Tests for the sweep harness, CSV/manifest outputs, and the CLI."""
 import csv
+import hashlib
 import json
 
 import pytest
@@ -231,6 +232,29 @@ def test_cli_resources_with_topology_dump(tmp_path, capsys):
     assert "node M1" in stdout
     assert "link M1 M2 classical" in stdout
     assert "n=2" in stdout and "n=3" in stdout
+
+
+SEED42_OUTPUTS = [
+    (["eavesdrop", "--bits", "3:8", "--trials", "100", "--seed", "42"],
+     "550717b2a1f5beb6e5801feba4e252e9398e963a541d730f7bc52657dd6a92e4"),
+    (["accuracy", "--n", "2", "--noise", "0.0:0.10:0.05", "--trials", "200", "--seed", "42",
+      "--noise-model", "entangling"],
+     "f67f5b76cd33b56b938dd1cae63c708abb77ddd1209498d9ad9cf488efdb7ade"),
+    (["accuracy", "--n", "2", "--noise", "0.0:0.10:0.05", "--trials", "200", "--seed", "42",
+      "--noise-model", "all-gates"],
+     "65609fa66fdbb6446cf09d0205b806a77543a3ea019dcd6b1f25b3bf85d03d60"),
+    (["resources", "--n", "2:5"],
+     "fbbd8b5969bffef5f3d17521737d5c8be0b47c84e544552b0c7d3422c0eff2ba"),
+]
+
+
+def test_seed42_outputs_are_pinned(tmp_path):
+    # A change that alters these bytes on purpose (new seed streams, say)
+    # updates the digests and says why; any other change must keep them.
+    for i, (argv, digest) in enumerate(SEED42_OUTPUTS):
+        out = tmp_path / f"{i}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
 def test_cli_error_exits(tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qbutterfly.iedtc
 from qbutterfly.iedtc import (
     SUCCESS_FIDELITY,
     TeleportMessage,
@@ -224,6 +225,12 @@ def test_round_input_validation():
         run_round(net, reg, [[1.0, 0.0]])  # one state for two pairs
     with pytest.raises(ValueError):
         run_round(net, reg, [[1.0, 0.0], [1.0, 0.0]], rotations=[None])
+    for bad in ([5.0, 0.0], [1.0, 0.0, 0.0]):  # unnormalized, three amplitudes
+        with pytest.raises(ValueError):
+            run_round(net, reg, [[1.0, 0.0], bad])
+        assert reg.live_count == 0
+        assert net.pending == 0
+        assert all(net.holdings(node) == {} for node in net.topology.nodes)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -244,12 +251,16 @@ def test_readme_library_snippet_runs():
     exec(compile(snippet, str(README), "exec"), {})
 
 
-def test_round_captures_internal_failures():
+def test_round_captures_internal_failures(monkeypatch):
+    def broken_swap(*args):
+        raise IndexError("simulated fault in the swap")
+
+    monkeypatch.setattr(qbutterfly.iedtc, "entanglement_swap", broken_swap)
     net = fresh(2)
     reg = StateRegistry(seed=1)
-    result = run_round(net, reg, [[1.0, 0.0], [5.0, 0.0]])  # second not normalized
+    result = run_round(net, reg, [[1.0, 0.0], [0.0, 1.0]])
     assert not result.all_success
-    assert result.error is not None and "ValueError" in result.error
+    assert result.error == "IndexError: simulated fault in the swap"
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

@@ -2,13 +2,7 @@
 import pytest
 
 from qbutterfly.qstate import QubitId, StateRegistry
-from qbutterfly.simnet import (
-    ClassicalBits,
-    NetworkError,
-    QNetwork,
-    TraceEntry,
-    serialize_trace,
-)
+from qbutterfly.simnet import NetworkError, QNetwork, TraceEntry, serialize_trace
 from qbutterfly.topology import NodeId, build_butterfly
 
 T1, T2 = NodeId.transmitter(1), NodeId.transmitter(2)
@@ -61,12 +55,11 @@ def test_deposit_take_and_collisions(net):
 def test_nothing_delivered_until_run(net):
     net.send_classical(T1, M1, "10", "msg")
     assert net.pending == 1
-    assert net.inventories[M1].messages == []
-    delivered = net.run_until_idle()
+    assert net.inventories[M1].messages == {}
+    (entry,) = net.run_until_idle()
     assert net.pending == 0
-    assert len(delivered) == 1
-    msg = net.inventories[M1].message("msg")
-    assert (msg.src, msg.bits, msg.tag) == (T1, "10", "msg")
+    assert (entry.src, entry.dst, entry.tag) == (T1, M1, "msg")
+    assert net.inventories[M1].message("msg") == "10"
 
 
 def test_fifo_order_and_times(net):
@@ -110,12 +103,21 @@ def test_qubit_tag_collision_on_delivery(net):
         net.run_until_idle()
 
 
+def test_message_tag_collision_on_delivery(net):
+    net.send_classical(T1, M1, "01", "h")
+    net.run_until_idle()
+    net.send_classical(T2, M1, "10", "h")
+    with pytest.raises(NetworkError):
+        net.run_until_idle()
+    assert net.inventories[M1].message("h") == "01"
+
+
 def test_broadcast_reaches_all_neighbors(net):
     targets = net.broadcast_classical(T1, "01", "b")
     assert targets == [M1, R2]
     net.run_until_idle()
-    assert net.inventories[M1].message("b").bits == "01"
-    assert net.inventories[R2].message("b").bits == "01"
+    assert net.inventories[M1].message("b") == "01"
+    assert net.inventories[R2].message("b") == "01"
 
 
 def test_broadcast_exclusion():
@@ -131,18 +133,10 @@ def test_inbox_queries(net):
     net.send_classical(T2, M1, "01", "B2")
     net.run_until_idle()
     inbox = net.inventories[M1]
-    assert [m.bits for m in inbox.messages_tagged("B")] == ["00", "01"]
+    assert inbox.messages_tagged("B") == ["00", "01"]
     assert inbox.messages_tagged("zzz") == []
     with pytest.raises(NetworkError):
         inbox.message("missing")
-
-
-def test_event_cap_guards_against_livelock():
-    net = QNetwork(build_butterfly(2), max_events=2)
-    for tag in ("a", "b", "c"):
-        net.send_classical(T1, M1, "0", tag)
-    with pytest.raises(NetworkError):
-        net.run_until_idle()
 
 
 def test_reset_clears_state(net):
@@ -156,14 +150,16 @@ def test_reset_clears_state(net):
     assert net.pending == 0
     assert net.trace == []
     assert net.holdings(T1) == {}
-    assert net.inventories[M1].messages == []
+    assert net.inventories[M1].messages == {}
     assert net.peak_usage_total() == 0
 
 
-def test_payload_validation():
+def test_payload_validation(net):
     with pytest.raises(ValueError):
-        ClassicalBits("0a1", "t")
-    ClassicalBits("0101", "t")
+        net.send_classical(T1, M1, "0a1", "t")
+    assert net.pending == 0
+    net.send_classical(T1, M1, "0101", "t")
+    assert net.pending == 1
 
 
 def test_trace_serialization(net):
