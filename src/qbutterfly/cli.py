@@ -10,6 +10,7 @@ single-point range.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -39,7 +40,7 @@ def parse_float_range(text: str) -> tuple[float, ...]:
         raise ValueError(f"bad range {text!r}; expected START:STOP[:STEP]")
     if step <= 0 or stop < start:
         raise ValueError(f"bad range {text!r}; needs stop >= start and step > 0")
-    count = int(round((stop - start) / step)) + 1
+    count = math.floor((stop - start) / step + 1e-9) + 1  # never past stop
     return tuple(round(start + i * step, 10) for i in range(count))
 
 

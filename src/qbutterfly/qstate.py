@@ -84,24 +84,18 @@ _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _HADAMARD = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
 _PAULIS = (_PAULI_X, _PAULI_Y, _PAULI_Z)
+_FIXED = {GateKind.X: _PAULI_X, GateKind.Y: _PAULI_Y, GateKind.Z: _PAULI_Z,
+          GateKind.H: _HADAMARD}
 
 
 def _single_qubit_matrix(gate: Gate) -> np.ndarray:
-    if gate.kind is GateKind.X:
-        return _PAULI_X
-    if gate.kind is GateKind.Y:
-        return _PAULI_Y
-    if gate.kind is GateKind.Z:
-        return _PAULI_Z
-    if gate.kind is GateKind.H:
-        return _HADAMARD
+    if gate.theta is None:
+        return _FIXED[gate.kind]
     half = gate.theta / 2.0
     c, s = math.cos(half), math.sin(half)
     if gate.kind is GateKind.RX:
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if gate.kind is GateKind.RY:
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    raise ValueError(f"not a single-qubit gate: {gate.kind.value}")
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def random_state(rng: np.random.Generator) -> np.ndarray:
@@ -118,7 +112,7 @@ def as_state(amplitudes: Sequence[complex], n_qubits: int = 1) -> np.ndarray:
     if amps.shape != (2 ** n_qubits,):
         raise ValueError(f"a {n_qubits}-qubit state needs {2 ** n_qubits} amplitudes, "
                          f"got shape {amps.shape}")
-    if abs(np.linalg.norm(amps) - 1.0) > NORM_ATOL:
+    if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:  # NaN fails too
         raise ValueError("state vector is not normalized")
     return amps
 
@@ -140,9 +134,16 @@ class _Cluster:
     def dim(self) -> int:
         return self.amps.size
 
+    def tensor(self) -> np.ndarray:
+        """The amplitudes with one axis per qubit, in ``qubits`` order."""
+        return self.amps.reshape([2] * len(self.qubits))
+
 
 class StateRegistry:
     """Owns every live qubit and its cluster state.
+
+    Each live qubit maps straight to the cluster object that holds it;
+    clusters carry no ids, and a cluster lives as long as a qubit maps to it.
 
     Measurement and release consume the QubitId; a consumed id can never be
     used again (no-cloning is enforced by handle death, ids are never reused).
@@ -168,10 +169,8 @@ class StateRegistry:
         self.noise_prob = float(noise_prob)
         self.noise_model = noise_model
         self.rng = np.random.default_rng(seed)
-        self._clusters: dict[int, _Cluster] = {}
-        self._cluster_of: dict[QubitId, int] = {}
+        self._cluster_of: dict[QubitId, _Cluster] = {}
         self._next_qubit = 0
-        self._next_cluster = 0
         self.live_count = 0
         self.peak_alloc = 0              # max simultaneous live qubits, any instant
         self.peak_cluster_dim = 0        # max amplitudes in one cluster, any instant
@@ -186,13 +185,11 @@ class StateRegistry:
         amps = as_state(amplitudes)
         q = QubitId(self._next_qubit)
         self._next_qubit += 1
-        cid = self._next_cluster
-        self._next_cluster += 1
-        self._clusters[cid] = _Cluster([q], amps.copy())
-        self._cluster_of[q] = cid
+        cluster = _Cluster([q], amps.copy())
+        self._cluster_of[q] = cluster
         self.live_count += 1
         self.peak_alloc = max(self.peak_alloc, self.live_count)
-        self._note(cid)
+        self._note(cluster)
         return q
 
     def create_bell_pair(self) -> tuple[QubitId, QubitId]:
@@ -229,45 +226,30 @@ class StateRegistry:
         self._inject_noise(gate, targets)
 
     def _apply_single(self, matrix: np.ndarray, q: QubitId) -> None:
-        cluster = self._clusters[self._cluster_of[q]]
-        k = len(cluster.qubits)
+        cluster = self._cluster_of[q]
         pos = cluster.qubits.index(q)
-        state = cluster.amps.reshape([2] * k)
-        state = np.tensordot(matrix, state, axes=([1], [pos]))
+        state = np.tensordot(matrix, cluster.tensor(), axes=([1], [pos]))
         state = np.moveaxis(state, 0, pos)
         cluster.amps = np.ascontiguousarray(state).reshape(-1)
 
     def _apply_cnot(self, control: QubitId, target: QubitId) -> None:
-        cid_c = self._cluster_of[control]
-        cid_t = self._cluster_of[target]
-        if cid_c != cid_t:
-            self._merge(cid_c, cid_t)
-        cluster = self._clusters[self._cluster_of[control]]
-        k = len(cluster.qubits)
+        cluster = self._cluster_of[control]
+        if cluster is not self._cluster_of[target]:
+            cluster = self._merge(cluster, self._cluster_of[target])
         pc = cluster.qubits.index(control)
         pt = cluster.qubits.index(target)
-        state = cluster.amps.reshape([2] * k)
-        sel0: list[slice | int] = [slice(None)] * k
-        sel1: list[slice | int] = [slice(None)] * k
-        sel0[pc] = 1
-        sel1[pc] = 1
-        sel0[pt] = 0
-        sel1[pt] = 1
-        tmp = state[tuple(sel0)].copy()
-        state[tuple(sel0)] = state[tuple(sel1)]
-        state[tuple(sel1)] = tmp
+        state = cluster.tensor()
+        # Where the control is 1, swap the target's 0 and 1 halves.
+        half = state[(slice(None),) * pc + (1,)]
+        half[...] = np.flip(half, axis=pt - (pt > pc))
         cluster.amps = state.reshape(-1)
 
-    def _merge(self, cid_a: int, cid_b: int) -> None:
-        a = self._clusters.pop(cid_a)
-        b = self._clusters.pop(cid_b)
-        cid = self._next_cluster
-        self._next_cluster += 1
+    def _merge(self, a: _Cluster, b: _Cluster) -> _Cluster:
         merged = _Cluster(a.qubits + b.qubits, np.kron(a.amps, b.amps))
-        self._clusters[cid] = merged
         for q in merged.qubits:
-            self._cluster_of[q] = cid
+            self._cluster_of[q] = merged
         self.peak_cluster_dim = max(self.peak_cluster_dim, merged.dim)
+        return merged
 
     def _inject_noise(self, gate: Gate, targets: list[QubitId]) -> None:
         p = self.noise_prob
@@ -291,7 +273,21 @@ class StateRegistry:
 
     def measure(self, q: QubitId) -> int:
         """Computational-basis measurement; collapses and consumes the qubit."""
-        return self._measure(q)
+        self._require_live(q)
+        cluster = self._cluster_of[q]
+        pos = cluster.qubits.index(q)
+        moved = np.moveaxis(cluster.tensor(), pos, 0)
+        p1 = float(np.sum(np.abs(moved[1]) ** 2))
+        p1 = min(max(p1, 0.0), 1.0)
+        outcome = 1 if self.rng.random() < p1 else 0
+        collapsed = moved[outcome]
+        norm = np.linalg.norm(collapsed)
+        del self._cluster_of[q]
+        self.live_count -= 1
+        cluster.qubits.pop(pos)
+        if cluster.qubits:  # an emptied cluster is dropped with its last qubit
+            cluster.amps = np.ascontiguousarray(collapsed).reshape(-1) / norm
+        return outcome
 
     def bell_measure(self, q1: QubitId, q2: QubitId) -> tuple[int, int]:
         """Bell-basis measurement: CNOT(q1->q2), H(q1), then measure both.
@@ -305,37 +301,15 @@ class StateRegistry:
         self._apply_gate(CNOT, [q1, q2])
         self._apply_gate(H, [q1])
         merged = self._cluster_of[q1]
-        b1 = self._measure(q1)
-        b2 = self._measure(q2)
-        if merged in self._clusters:  # other qubits shared the merged cluster
+        b1 = self.measure(q1)
+        b2 = self.measure(q2)
+        if merged.qubits:  # other qubits shared the merged cluster
             self._note(merged)
         return b1, b2
 
     def release(self, q: QubitId) -> None:
         """Discard a qubit (measure-and-forget); partners decohere accordingly."""
-        self._measure(q)
-
-    def _measure(self, q: QubitId) -> int:
-        self._require_live(q)
-        cid = self._cluster_of[q]
-        cluster = self._clusters[cid]
-        k = len(cluster.qubits)
-        pos = cluster.qubits.index(q)
-        state = cluster.amps.reshape([2] * k)
-        moved = np.moveaxis(state, pos, 0)
-        p1 = float(np.sum(np.abs(moved[1]) ** 2))
-        p1 = min(max(p1, 0.0), 1.0)
-        outcome = 1 if self.rng.random() < p1 else 0
-        collapsed = moved[outcome]
-        norm = np.linalg.norm(collapsed)
-        del self._cluster_of[q]
-        self.live_count -= 1
-        if k == 1:
-            del self._clusters[cid]
-        else:
-            cluster.qubits.pop(pos)
-            cluster.amps = np.ascontiguousarray(collapsed).reshape(-1) / norm
-        return outcome
+        self.measure(q)
 
     # -- inspection ----------------------------------------------------------
 
@@ -346,9 +320,8 @@ class StateRegistry:
         """<ref|rho_q|ref> for the qubit's reduced state; non-destructive."""
         self._require_live(q)
         ref = as_state(reference)
-        cluster = self._clusters[self._cluster_of[q]]
-        k = len(cluster.qubits)
-        if k == 1:
+        cluster = self._cluster_of[q]
+        if len(cluster.qubits) == 1:
             return float(abs(np.vdot(ref, cluster.amps)) ** 2)
         return float(np.real(ref.conj() @ self._reduced(q) @ ref))
 
@@ -359,43 +332,39 @@ class StateRegistry:
         self._require_live(q1)
         self._require_live(q2)
         ref = as_state(reference, n_qubits=2)
-        cid1 = self._cluster_of[q1]
-        cid2 = self._cluster_of[q2]
-        if cid1 == cid2:
-            cluster = self._clusters[cid1]
-            k = len(cluster.qubits)
-            p1 = cluster.qubits.index(q1)
-            p2 = cluster.qubits.index(q2)
-            state = np.moveaxis(cluster.amps.reshape([2] * k), (p1, p2), (0, 1))
-            psi = np.ascontiguousarray(state).reshape(4, -1)
-            rho = psi @ psi.conj().T
+        if self._cluster_of[q1] is self._cluster_of[q2]:
+            rho = self._reduced(q1, q2)
         else:
             rho = np.kron(self._reduced(q1), self._reduced(q2))
         return float(np.real(ref.conj() @ rho @ ref))
 
-    def _reduced(self, q: QubitId) -> np.ndarray:
-        cluster = self._clusters[self._cluster_of[q]]
-        k = len(cluster.qubits)
-        pos = cluster.qubits.index(q)
-        psi = np.moveaxis(cluster.amps.reshape([2] * k), pos, 0).reshape(2, -1)
+    def _reduced(self, *qs: QubitId) -> np.ndarray:
+        # Density matrix of the qubits qs of one cluster, qs[0] the high bit.
+        cluster = self._cluster_of[qs[0]]
+        axes = [cluster.qubits.index(q) for q in qs]
+        state = np.moveaxis(cluster.tensor(), axes, range(len(qs)))
+        psi = state.reshape(2 ** len(qs), -1)
         return psi @ psi.conj().T
 
     def cluster_state(self, q: QubitId) -> tuple[tuple[QubitId, ...], np.ndarray]:
         """Qubit ordering and a copy of the amplitude vector of q's cluster."""
         self._require_live(q)
-        cluster = self._clusters[self._cluster_of[q]]
+        cluster = self._cluster_of[q]
         return tuple(cluster.qubits), cluster.amps.copy()
 
+    def _distinct_clusters(self) -> list[_Cluster]:
+        return list({id(c): c for c in self._cluster_of.values()}.values())
+
     def cluster_dims(self) -> list[int]:
-        return sorted(c.dim for c in self._clusters.values())
+        return sorted(c.dim for c in self._distinct_clusters())
 
     @property
     def cluster_count(self) -> int:
-        return len(self._clusters)
+        return len(self._distinct_clusters())
 
     @property
     def total_amplitudes(self) -> int:
-        return sum(c.dim for c in self._clusters.values())
+        return sum(c.dim for c in self._distinct_clusters())
 
     # -- internals -----------------------------------------------------------
 
@@ -403,9 +372,9 @@ class StateRegistry:
         if q not in self._cluster_of:
             raise DeadQubitError(f"qubit {q} is not live (consumed or never allocated)")
 
-    def _note(self, cid: int) -> None:
+    def _note(self, cluster: _Cluster) -> None:
         # Called at the end of each operation on the one cluster it can have
         # grown; measurement and release only shrink clusters.
-        dim = self._clusters[cid].dim
+        dim = cluster.dim
         self.peak_cluster_dim = max(self.peak_cluster_dim, dim)
         self.peak_resident_cluster_dim = max(self.peak_resident_cluster_dim, dim)

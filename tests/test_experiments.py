@@ -185,6 +185,9 @@ def test_parse_float_range():
     levels = parse_float_range("0.01:0.10:0.01")
     assert len(levels) == 10
     assert levels[-1] == 0.1
+    # a step that does not divide the range stops at the last point before stop
+    assert parse_float_range("0:0.1:0.06") == (0.0, 0.06)
+    assert parse_float_range("0.9:1.0:0.06") == (0.9, 0.96)
     with pytest.raises(ValueError):
         parse_float_range("0.5:0.1")
     with pytest.raises(ValueError):

@@ -225,7 +225,8 @@ def test_round_input_validation():
         run_round(net, reg, [[1.0, 0.0]])  # one state for two pairs
     with pytest.raises(ValueError):
         run_round(net, reg, [[1.0, 0.0], [1.0, 0.0]], rotations=[None])
-    for bad in ([5.0, 0.0], [1.0, 0.0, 0.0]):  # unnormalized, three amplitudes
+    # unnormalized, three amplitudes, NaN
+    for bad in ([5.0, 0.0], [1.0, 0.0, 0.0], [float("nan"), 0.0]):
         with pytest.raises(ValueError):
             run_round(net, reg, [[1.0, 0.0], bad])
         assert reg.live_count == 0

@@ -227,6 +227,44 @@ def test_pair_fidelity_joint_and_cross_cluster():
         reg.pair_fidelity(a, a, BELL)
 
 
+def partial_trace(psi, keep):
+    """Density matrix of the qubits `keep` of the dense state psi (qubit 0 =
+    most significant), keep[0] the high bit, by an explicit einsum trace."""
+    n = int(round(math.log2(psi.size)))
+    t = psi.reshape([2] * n)
+    rows, cols = "abcdefgh"[:n], "ijklmnop"[:n]
+    traced = "".join(cols[i] if i in keep else rows[i] for i in range(n))
+    out = "".join(rows[i] for i in keep) + "".join(cols[i] for i in keep)
+    rho = np.einsum(f"{rows},{traced}->{out}", t, t.conj())
+    return rho.reshape(2 ** len(keep), 2 ** len(keep))
+
+
+def test_reduced_states_match_dense_oracle():
+    # Unequal, non-maximally-mixed marginals, so a swapped or misplaced axis
+    # in the reduced-state code changes the overlaps.
+    reg = StateRegistry()
+    rng = np.random.default_rng(23)
+    qs = [reg.alloc_qubit(random_state(rng)) for _ in range(3)]
+    reg.apply_gate(H, [qs[0]])
+    reg.apply_gate(CNOT, [qs[0], qs[1]])
+    reg.apply_gate(rx(0.9), [qs[2]])
+    reg.apply_gate(CNOT, [qs[2], qs[1]])
+    reg.apply_gate(ry(-0.4), [qs[0]])
+    assert reg.cluster_dims() == [8]
+    psi = registry_vector(reg, qs)
+    for i, q in enumerate(qs):
+        ref = random_state(rng)
+        want = np.real(ref.conj() @ partial_trace(psi, [i]) @ ref)
+        assert reg.fidelity(q, ref) == pytest.approx(want, abs=1e-12)
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            ref = np.kron(random_state(rng), random_state(rng))
+            want = np.real(ref.conj() @ partial_trace(psi, [i, j]) @ ref)
+            assert reg.pair_fidelity(qs[i], qs[j], ref) == pytest.approx(want, abs=1e-12)
+
+
 def test_cluster_factoring_keeps_pairs_independent():
     reg = StateRegistry()
     pairs = [reg.create_bell_pair() for _ in range(5)]
@@ -298,6 +336,16 @@ def test_peaks_match_brute_force_reference():
             transient = max(transient, top, merge)
             assert reg.peak_resident_cluster_dim == resident
             assert reg.peak_cluster_dim == transient
+            # The distinct clusters partition the live qubits, each normalized.
+            clusters = {}
+            for q in live:
+                order, amps = reg.cluster_state(q)
+                assert q in order
+                assert abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL
+                clusters[order] = amps.size
+            assert sum(len(order) for order in clusters) == reg.live_count == len(live)
+            assert reg.cluster_count == len(clusters)
+            assert reg.total_amplitudes == sum(clusters.values())
 
 
 def test_chain_entanglement_grows_and_collapses():
@@ -342,6 +390,8 @@ def test_alloc_validates_shape_and_norm():
         reg.alloc_qubit([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         reg.alloc_qubit([1.0, 1.0])
+    with pytest.raises(ValueError):
+        reg.alloc_qubit([float("nan"), 0.0])
     # within the norm tolerance is fine
     reg.alloc_qubit([1.0 + 0.5 * NORM_ATOL, 0.0])
 
