@@ -23,7 +23,7 @@ from .experiments import (
     write_resource_csv,
     write_sweep_csv,
 )
-from .qsre import SignConvention, load_key_file
+from .qsre import load_key_file
 from .qstate import NOISE_ALL_GATES, NOISE_ENTANGLING
 from .topology import build_butterfly, serialize_topology
 
@@ -40,8 +40,14 @@ def parse_float_range(text: str) -> tuple[float, ...]:
         raise ValueError(f"bad range {text!r}; expected START:STOP[:STEP]")
     if step <= 0 or stop < start:
         raise ValueError(f"bad range {text!r}; needs stop >= start and step > 0")
-    count = math.floor((stop - start) / step + 1e-9) + 1  # never past stop
-    return tuple(round(start + i * step, 10) for i in range(count))
+    span = (stop - start) / step
+    if not all(math.isfinite(v) for v in (start, stop, step, span)):
+        raise ValueError(f"bad range {text!r}; needs finite bounds, step and point count")
+    count = math.floor(span + 1e-9) + 1  # never past stop
+    points = tuple(round(start + i * step, 10) for i in range(count))
+    if len(set(points)) != count:
+        raise ValueError(f"bad range {text!r}; STEP is below the 1e-10 point resolution")
+    return points
 
 
 def parse_int_range(text: str) -> tuple[int, ...]:
@@ -84,8 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     eve.add_argument("--seed", type=int, default=42)
     eve.add_argument("--key-file", default=None,
                      help="file of 0/1 characters used as the shared key")
-    eve.add_argument("--sign-convention", choices=[c.value for c in SignConvention],
-                     default=SignConvention.FORMULA.value)
     eve.add_argument("--out", default="eavesdrop.csv", help="CSV output path")
     eve.add_argument("--json-manifest", default=None)
 
@@ -119,9 +123,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = ExperimentConfig(
                 experiment="eavesdrop", n_pairs=args.n,
                 bits_range=parse_int_range(args.bits),
-                trials=args.trials, seed=args.seed,
-                sign_convention=SignConvention(args.sign_convention),
-                key_bits=key_bits)
+                trials=args.trials, seed=args.seed, key_bits=key_bits)
             rows = run_eavesdrop_sweep(cfg)
             write_sweep_csv(rows, args.out)
             for row in rows:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .iedtc import run_round
-from .qsre import PrivateKey, SignConvention, run_attack
+from .qsre import PrivateKey, run_attack
 from .qstate import NOISE_ENTANGLING, NOISE_MODELS, StateRegistry, random_state
 from .simnet import QNetwork
 from .topology import build_butterfly, link_counts, reference_resources
@@ -55,7 +55,6 @@ class ExperimentConfig:
     n_range: tuple[int, ...] = ()
     seed: int = 42
     noise_model: str = NOISE_ENTANGLING
-    sign_convention: SignConvention = SignConvention.FORMULA
     key_bits: str | None = None
 
     def __post_init__(self) -> None:
@@ -137,8 +136,7 @@ def run_eavesdrop_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
             key = PrivateKey(cfg.key_bits, magnitude_bits)
         reg = StateRegistry(0.0, seed=_derived_seed(cfg.seed, bits, 0))
         stats = run_attack(net, reg, magnitude_bits, True, cfg.trials,
-                           _derived_seed(cfg.seed, bits, 1),
-                           key=key, convention=cfg.sign_convention)
+                           _derived_seed(cfg.seed, bits, 1), key=key)
         estimate, half = binomial_ci(stats.eavesdrop_successes, stats.trials)
         rows.append(SweepRow(bits, estimate, half, stats.trials, stats.eavesdrop_successes))
     return rows
@@ -224,7 +222,6 @@ def write_manifest(cfg: ExperimentConfig, outputs: Sequence[str], elapsed: float
             "n_range": list(cfg.n_range),
             "seed": cfg.seed,
             "noise_model": cfg.noise_model,
-            "sign_convention": cfg.sign_convention.value,
             "key_file_used": cfg.key_bits is not None,
         },
         "outputs": list(outputs),

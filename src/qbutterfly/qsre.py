@@ -2,11 +2,11 @@
 eavesdropping attack it defends against.
 
 A key chunk of 2+D bits picks a rotation: bit 0 chooses the axis (0 -> X,
-1 -> Y), bit 1 the direction, and the remaining D bits (MSB first) a
-magnitude d, giving angle pi / (sign * (1 + d)).  The transmitter rotates
-the payload before teleporting; the intended receiver, holding the same
-key, applies the inverse.  An eavesdropper who captured the raw teleported
-state must guess among 2 * 2 * 2**D rotations.
+1 -> Y), bit 1 the sign (1 -> negative), and the remaining D bits (MSB
+first) a magnitude d, giving angle pi / (sign * (1 + d)).  The transmitter
+rotates the payload before teleporting; the intended receiver, holding the
+same key, applies the inverse.  An eavesdropper who captured the raw
+teleported state must guess among 2 * 2 * 2**D rotations.
 """
 from __future__ import annotations
 
@@ -36,27 +36,12 @@ class Axis(enum.Enum):
     Y = "y"
 
 
-class SignConvention(enum.Enum):
-    """How the direction bit maps to the rotation sign.
-
-    FORMULA: direction bit 1 means negative (sign = (-1)**bit).
-    EXAMPLE: the opposite reading (direction bit 0 means negative); kept
-    selectable because the two readings are both defensible and differ only
-    in sign, which has no effect on guessing difficulty.
-    """
-
-    FORMULA = "formula"
-    EXAMPLE = "example"
-
-
-def rotation_angle(sign_bit: int, magnitude: int,
-                   convention: SignConvention = SignConvention.FORMULA) -> float:
+def rotation_angle(sign_bit: int, magnitude: int) -> float:
     if sign_bit not in (0, 1):
         raise ValueError(f"sign bit must be 0/1, got {sign_bit}")
     if magnitude < 0:
         raise ValueError(f"magnitude must be non-negative, got {magnitude}")
-    negative = (sign_bit == 1) if convention is SignConvention.FORMULA else (sign_bit == 0)
-    sign = -1.0 if negative else 1.0
+    sign = -1.0 if sign_bit else 1.0
     return sign * math.pi / (1 + magnitude)
 
 
@@ -68,28 +53,23 @@ class RotationSpec:
     angle: float
 
     @classmethod
-    def from_parts(cls, axis: Axis, sign_bit: int, magnitude: int,
-                   convention: SignConvention = SignConvention.FORMULA) -> "RotationSpec":
-        return cls(axis, sign_bit, magnitude, rotation_angle(sign_bit, magnitude, convention))
+    def from_parts(cls, axis: Axis, sign_bit: int, magnitude: int) -> "RotationSpec":
+        return cls(axis, sign_bit, magnitude, rotation_angle(sign_bit, magnitude))
 
     @classmethod
-    def from_bits(cls, chunk: str, convention: SignConvention = SignConvention.FORMULA) -> "RotationSpec":
+    def from_bits(cls, chunk: str) -> "RotationSpec":
         if len(chunk) < 3 or any(c not in "01" for c in chunk):
             raise ValueError(f"rotation chunk needs >= 3 bits of 0/1, got {chunk!r}")
         axis = Axis.Y if chunk[0] == "1" else Axis.X
         sign_bit = int(chunk[1])
         magnitude = int(chunk[2:], 2)
-        return cls.from_parts(axis, sign_bit, magnitude, convention)
+        return cls.from_parts(axis, sign_bit, magnitude)
 
     def gate(self) -> Gate:
         return rx(self.angle) if self.axis is Axis.X else ry(self.angle)
 
     def inverse_gate(self) -> Gate:
         return rx(-self.angle) if self.axis is Axis.X else ry(-self.angle)
-
-    def same_rotation(self, other: "RotationSpec") -> bool:
-        return (self.axis is other.axis and self.sign_bit == other.sign_bit
-                and self.magnitude == other.magnitude)
 
 
 @dataclass(frozen=True)
@@ -122,21 +102,19 @@ class PrivateKey:
         return self.bits[i * w:(i + 1) * w]
 
 
-def derive_rotation(key: PrivateKey, i: int,
-                    convention: SignConvention = SignConvention.FORMULA) -> RotationSpec:
+def derive_rotation(key: PrivateKey, i: int) -> RotationSpec:
     """Rotation for the i-th message under this key."""
-    return RotationSpec.from_bits(key.chunk(i), convention)
+    return RotationSpec.from_bits(key.chunk(i))
 
 
-def random_guess(magnitude_bits: int, rng: np.random.Generator,
-                 convention: SignConvention = SignConvention.FORMULA) -> RotationSpec:
+def random_guess(magnitude_bits: int, rng: np.random.Generator) -> RotationSpec:
     """Uniform draw over the 2 * 2 * 2**magnitude_bits possible rotations."""
     if magnitude_bits < 1:
         raise ValueError("magnitude_bits must be >= 1")
     axis = Axis.Y if int(rng.integers(2)) else Axis.X
     sign_bit = int(rng.integers(2))
     magnitude = int(rng.integers(2 ** magnitude_bits))
-    return RotationSpec.from_parts(axis, sign_bit, magnitude, convention)
+    return RotationSpec.from_parts(axis, sign_bit, magnitude)
 
 
 def load_key_file(path: str) -> str:
@@ -187,9 +165,7 @@ def substituting_swap(net: QNetwork, reg: StateRegistry, k: int, assister: NodeI
 
 def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
                use_qsre: bool, trials: int, seed: int, *,
-               key: PrivateKey | None = None,
-               convention: SignConvention = SignConvention.FORMULA,
-               threshold: float = EAVESDROP_THRESHOLD) -> AttackStats:
+               key: PrivateKey | None = None) -> AttackStats:
     """Insider attack on pair 1: the assisting receiver swaps in its own pair.
 
     Each trial is an ordinary protocol round run with ``substituting_swap``
@@ -197,9 +173,9 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
     carry |0>.  After the broadcast the attacker applies the teleport
     corrections it can read directly and, when rotation encoding is on, a
     uniformly guessed counter-rotation.  Eavesdrop success means fidelity >=
-    threshold against the original payload; legitimate success keeps the
-    protocol's own exactness bar.  A round that fails inside the simulator
-    raises RuntimeError rather than counting as a decoy.
+    EAVESDROP_THRESHOLD against the original payload; legitimate success
+    keeps the protocol's own exactness bar.  A round that fails inside the
+    simulator raises RuntimeError rather than counting as a decoy.
     """
     n = net.topology.n_pairs
     if n < 2:
@@ -221,10 +197,10 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
         payload_ref = random_state(rng)
         if use_qsre:
             if key is not None:
-                spec = derive_rotation(key, t % key.num_chunks, convention)
+                spec = derive_rotation(key, t % key.num_chunks)
             else:
                 bits = "".join(str(b) for b in rng.integers(0, 2, size=chunk_width))
-                spec = derive_rotation(PrivateKey(bits, magnitude_bits), 0, convention)
+                spec = RotationSpec.from_bits(bits)
         else:
             spec = None
         result = run_round(net, reg, [payload_ref] + idle, [spec] + [None] * (n - 1),
@@ -238,9 +214,9 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
         broadcast = TeleportMessage.from_bits(net.inventories[eve].message(_tag("B", 1)))
         eve_qubit = teleport_decode(reg, net.take(eve, _tag("psi", 1, "swap")), broadcast)
         if use_qsre:
-            guess = random_guess(magnitude_bits, rng, convention)
+            guess = random_guess(magnitude_bits, rng)
             reg.apply_gate(guess.inverse_gate(), [eve_qubit])
-        if reg.fidelity(eve_qubit, payload_ref) >= threshold:
+        if reg.fidelity(eve_qubit, payload_ref) >= EAVESDROP_THRESHOLD:
             eve_hits += 1
         reg.release(eve_qubit)
     return AttackStats(trials, eve_hits, legit_hits)

@@ -117,12 +117,6 @@ def as_state(amplitudes: Sequence[complex], n_qubits: int = 1) -> np.ndarray:
     return amps
 
 
-def states_equal(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:
-    """True if two state vectors match up to a global phase."""
-    inner = np.vdot(a, b)
-    return bool(abs(abs(inner) - 1.0) < atol)
-
-
 class _Cluster:
     __slots__ = ("qubits", "amps")
 

@@ -206,7 +206,7 @@ def test_07_exact_guess_probability(capfd):
         target = random_guess(magnitude_bits, np.random.default_rng(1000 + magnitude_bits))
         rng = np.random.default_rng(42)
         draws = 10_000
-        hits = sum(random_guess(magnitude_bits, rng).same_rotation(target)
+        hits = sum(random_guess(magnitude_bits, rng) == target
                    for _ in range(draws))
         p = 1.0 / 2 ** (magnitude_bits + 2)
         ci = 1.96 * math.sqrt(p * (1.0 - p) / draws)

@@ -171,7 +171,6 @@ def test_manifest_contents(tmp_path):
     assert doc["experiment"] == "accuracy"
     assert doc["config"]["seed"] == 42
     assert doc["config"]["noise_levels"] == [0.01]
-    assert doc["config"]["sign_convention"] == "formula"
     assert doc["config"]["key_file_used"] is False
     assert doc["outputs"] == ["acc.csv"]
     assert doc["elapsed_seconds"] == 1.234  # stored at millisecond precision
@@ -194,6 +193,11 @@ def test_parse_float_range():
         parse_float_range("0.1:0.5:0")
     with pytest.raises(ValueError):
         parse_float_range("1:2:3:4")
+    for text in ("0:inf:0.01", "nan:1:0.1", "0:1:inf", "-1e308:1e308:1"):
+        with pytest.raises(ValueError):
+            parse_float_range(text)
+    with pytest.raises(ValueError):  # rounding to 10 decimals would repeat 0.0
+        parse_float_range("0:1e-12:1e-13")
 
 
 def test_parse_int_range():
@@ -266,6 +270,7 @@ def test_cli_error_exits(tmp_path, capsys):
     assert main(["eavesdrop", "--bits", "2", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["eavesdrop", "--key-file", str(tmp_path / "nope.txt")]) == 2
     assert main(["accuracy", "--n", "1", "--noise", "0.01"]) == 2
+    assert main(["accuracy", "--noise", "0:inf:0.01", "--out", str(tmp_path / "y.csv")]) == 2
 
 
 def test_cli_requires_a_command():

@@ -18,7 +18,6 @@ from qbutterfly.qsre import (
     Axis,
     PrivateKey,
     RotationSpec,
-    SignConvention,
     derive_rotation,
     load_key_file,
     random_guess,
@@ -48,8 +47,8 @@ def _clear_probability(u, tau):
     return 1.0 - math.sqrt(1.0 - (1.0 - tau) / s2)
 
 
-def _all_specs(magnitude_bits, convention=SignConvention.FORMULA):
-    return [RotationSpec.from_parts(axis, sign, mag, convention)
+def _all_specs(magnitude_bits):
+    return [RotationSpec.from_parts(axis, sign, mag)
             for axis, sign, mag in itertools.product(
                 (Axis.X, Axis.Y), (0, 1), range(2 ** magnitude_bits))]
 
@@ -75,11 +74,6 @@ def test_rotation_angle_formula_convention():
     assert rotation_angle(1, 0) == pytest.approx(-math.pi)
     assert rotation_angle(0, 3) == pytest.approx(math.pi / 4)
     assert rotation_angle(1, 7) == pytest.approx(-math.pi / 8)
-
-
-def test_rotation_angle_example_convention():
-    assert rotation_angle(0, 1, SignConvention.EXAMPLE) == pytest.approx(-math.pi / 2)
-    assert rotation_angle(1, 1, SignConvention.EXAMPLE) == pytest.approx(math.pi / 2)
 
 
 def test_rotation_angle_validation():
@@ -110,8 +104,8 @@ def test_spec_gates():
     assert xspec.gate().kind is GateKind.RX
     assert yspec.gate().kind is GateKind.RY
     assert xspec.inverse_gate().theta == pytest.approx(-xspec.angle)
-    assert xspec.same_rotation(RotationSpec.from_bits("0011"))
-    assert not xspec.same_rotation(yspec)
+    assert xspec == RotationSpec.from_bits("0011")
+    assert xspec != yspec
 
 
 def test_private_key_chunking():
@@ -137,21 +131,30 @@ def test_private_key_validation():
 
 def test_derive_rotation_reads_chunks():
     key = PrivateKey("10110100", magnitude_bits=2)
-    assert derive_rotation(key, 0).same_rotation(RotationSpec.from_bits("1011"))
-    assert derive_rotation(key, 1).same_rotation(RotationSpec.from_bits("0100"))
+    assert derive_rotation(key, 0) == RotationSpec.from_bits("1011")
+    assert derive_rotation(key, 1) == RotationSpec.from_bits("0100")
 
 
 def test_encode_decode_roundtrip_is_exact():
     rng = np.random.default_rng(31)
     for chunk in ("000", "101", "0111", "110101"):
-        for convention in SignConvention:
-            reg = StateRegistry()
-            ref = random_state(rng)
-            q = reg.alloc_qubit(ref)
-            spec = RotationSpec.from_bits(chunk, convention)
-            reg.apply_gate(spec.gate(), [q])
-            reg.apply_gate(spec.inverse_gate(), [q])
-            assert reg.fidelity(q, ref) == pytest.approx(1.0, abs=1e-12)
+        reg = StateRegistry()
+        ref = random_state(rng)
+        q = reg.alloc_qubit(ref)
+        spec = RotationSpec.from_bits(chunk)
+        reg.apply_gate(spec.gate(), [q])
+        reg.apply_gate(spec.inverse_gate(), [q])
+        assert reg.fidelity(q, ref) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("magnitude_bits", [1, 2, 3])
+def test_attack_rate_is_sign_symmetric(magnitude_bits):
+    # The rotation set is closed under inversion and a fidelity depends only
+    # on |angle|, so flipping a key's sign bit never changes its exact rate.
+    for spec in _all_specs(magnitude_bits):
+        flipped = RotationSpec.from_parts(spec.axis, 1 - spec.sign_bit, spec.magnitude)
+        assert expected_attack_rate(magnitude_bits, [spec]) == pytest.approx(
+            expected_attack_rate(magnitude_bits, [flipped]), abs=1e-12)
 
 
 def test_wrong_sign_is_invisible_at_magnitude_zero():

@@ -24,7 +24,6 @@ from qbutterfly.qstate import (
     random_state,
     rx,
     ry,
-    states_equal,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -37,6 +36,11 @@ MX = np.array([[0, 1], [1, 0]], dtype=complex)
 MY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 MZ = np.array([[1, 0], [0, -1]], dtype=complex)
 MH = np.array([[SQ2, SQ2], [SQ2, -SQ2]], dtype=complex)
+
+
+def states_equal(a, b, atol=1e-9):
+    """True if two state vectors match up to a global phase."""
+    return bool(abs(abs(np.vdot(a, b)) - 1.0) < atol)
 
 
 def mrx(theta):
