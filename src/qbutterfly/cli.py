@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eve = sub.add_parser("eavesdrop", help="attack success rate versus key bits per message")
     eve.add_argument("--n", type=int, default=2, help="number of transceiver pairs")
     eve.add_argument("--bits", default="3:8",
-                     help="total key bits per message (>= 3), START:STOP[:STEP]")
+                     help="total key bits per message (3..65), START:STOP[:STEP]")
     eve.add_argument("--trials", type=int, default=500)
     eve.add_argument("--seed", type=int, default=42)
     eve.add_argument("--key-file", default=None,
@@ -95,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     res = sub.add_parser("resources", help="measured versus closed-form resource usage")
     res.add_argument("--n", default="2:10", help="network sizes, START:STOP[:STEP]")
-    res.add_argument("--seed", type=int, default=42)
     res.add_argument("--out", default="resources.csv", help="CSV output path")
     res.add_argument("--dump-topology", action="store_true",
                      help="print each network's node and link list")
@@ -132,11 +131,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             n_range = parse_int_range(args.n)
             cfg = ExperimentConfig(
-                experiment="resources", n_range=n_range, trials=1, seed=args.seed)
+                experiment="resources", n_range=n_range, trials=1)
             if args.dump_topology:
                 for n in n_range:
                     print(serialize_topology(build_butterfly(n)), end="")
-            rows = run_resource_report(n_range, seed=args.seed)
+            rows = run_resource_report(n_range)
             write_resource_csv(rows, args.out)
             for row in rows:
                 print(f"n={row.n_pairs}  links={row.total_links}/{row.ref_total_links}  "

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .iedtc import run_round
-from .qsre import PrivateKey, run_attack
+from .qsre import run_attack
 from .qstate import NOISE_ENTANGLING, NOISE_MODELS, StateRegistry, random_state
 from .simnet import QNetwork
 from .topology import build_butterfly, link_counts, reference_resources
@@ -76,8 +76,8 @@ class ExperimentConfig:
             if not self.bits_range:
                 raise ValueError("eavesdrop sweep needs at least one bits value")
             for b in self.bits_range:
-                if b < 3:
-                    raise ValueError(f"total bits must be >= 3, got {b}")
+                if not (3 <= b <= 65):
+                    raise ValueError(f"total bits must be in 3..65, got {b}")
             if self.n_pairs < 2:
                 raise ValueError("n_pairs must be >= 2")
         else:
@@ -130,13 +130,9 @@ def run_eavesdrop_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     net = QNetwork(topology)
     rows = []
     for bits in cfg.bits_range:
-        magnitude_bits = bits - 2
-        key = None
-        if cfg.key_bits is not None:
-            key = PrivateKey(cfg.key_bits, magnitude_bits)
         reg = StateRegistry(0.0, seed=_derived_seed(cfg.seed, bits, 0))
-        stats = run_attack(net, reg, magnitude_bits, True, cfg.trials,
-                           _derived_seed(cfg.seed, bits, 1), key=key)
+        stats = run_attack(net, reg, bits - 2, True, cfg.trials,
+                           _derived_seed(cfg.seed, bits, 1), key=cfg.key_bits)
         estimate, half = binomial_ci(stats.eavesdrop_successes, stats.trials)
         rows.append(SweepRow(bits, estimate, half, stats.trials, stats.eavesdrop_successes))
     return rows
@@ -158,16 +154,17 @@ class ResourceRow:
     within_reference: bool
 
 
-def run_resource_report(n_range: Sequence[int], seed: int = 42) -> list[ResourceRow]:
-    """Measured link/qubit usage of one noiseless round against the closed forms."""
+def run_resource_report(n_range: Sequence[int]) -> list[ResourceRow]:
+    """Measured link/qubit usage of one noiseless round against the closed forms.
+
+    Usage does not depend on the payloads or the measurement outcomes, so the
+    round sends |0> on every pair through a default registry.
+    """
     rows = []
     for n in n_range:
         topology = build_butterfly(n)
         total, quantum = link_counts(topology)
-        reg = StateRegistry(0.0, seed=_derived_seed(seed, n, 0))
-        input_rng = np.random.default_rng(_derived_seed(seed, n, 1))
-        net = QNetwork(topology)
-        result = run_round(net, reg, [random_state(input_rng) for _ in range(n)])
+        result = run_round(QNetwork(topology), StateRegistry(), [[1.0, 0.0]] * n)
         if result.error is not None:
             raise RuntimeError(f"resource round failed at n={n}: {result.error}")
         ref = reference_resources("iedtc", n)

@@ -10,7 +10,6 @@ a single XOR-combined message that every receiver can invert locally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .qstate import QubitId, StateRegistry, X, Z, as_state
@@ -23,41 +22,19 @@ if TYPE_CHECKING:
 SUCCESS_FIDELITY = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
-class TeleportMessage:
-    """The two classical bits of a Bell measurement (b1 from the H side)."""
-
-    b1: int
-    b2: int
-
-    def __post_init__(self) -> None:
-        if self.b1 not in (0, 1) or self.b2 not in (0, 1):
-            raise ValueError(f"teleport bits must be 0/1, got ({self.b1}, {self.b2})")
-
-    @property
-    def bits(self) -> str:
-        return f"{self.b1}{self.b2}"
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "TeleportMessage":
-        if len(bits) != 2:
-            raise ValueError(f"teleport message is exactly 2 bits, got {bits!r}")
-        return cls(int(bits[0]), int(bits[1]))
-
-    def __xor__(self, other: "TeleportMessage") -> "TeleportMessage":
-        return TeleportMessage(self.b1 ^ other.b1, self.b2 ^ other.b2)
-
-
-def xor_combine(messages: Sequence[TeleportMessage]) -> TeleportMessage:
-    """Bitwise XOR of all messages; this is what crosses the bottleneck."""
+def xor_combine(messages: Sequence[str]) -> str:
+    """Bitwise XOR of all 2-bit messages; this is what crosses the bottleneck."""
     if not messages:
         raise ValueError("cannot combine zero messages")
-    return reduce(lambda a, b: a ^ b, messages)
+    return xor_recover(messages[0], messages[1:])
 
 
-def xor_recover(combined: TeleportMessage, others: Sequence[TeleportMessage]) -> TeleportMessage:
+def xor_recover(combined: str, others: Sequence[str]) -> str:
     """Invert the combination: XOR out every message that is not yours."""
-    return reduce(lambda a, b: a ^ b, others, combined)
+    v = int(combined, 2)
+    for bits in others:
+        v ^= int(bits, 2)
+    return f"{v:02b}"
 
 
 def assign_swappers(n_pairs: int) -> dict[int, NodeId]:
@@ -71,36 +48,39 @@ def assign_swappers(n_pairs: int) -> dict[int, NodeId]:
     return {k: NodeId.receiver(k - 1 if k > 1 else n_pairs) for k in range(1, n_pairs + 1)}
 
 
-def entanglement_swap(reg: StateRegistry, phi_half: QubitId, psi_half: QubitId) -> TeleportMessage:
+def entanglement_swap(reg: StateRegistry, phi_half: QubitId, psi_half: QubitId) -> str:
     """Bell-measure the source half against the transmitter-pair half.
 
     Teleports psi_half's entanglement onto the transmitter's kept qubit;
-    the returned bits must be applied there as corrections.
+    the returned "b1b2" (b1 from the H side) must be applied there.
     """
     b1, b2 = reg.bell_measure(psi_half, phi_half)
-    return TeleportMessage(b1, b2)
+    return f"{b1}{b2}"
 
 
-SwapPolicy = Callable[[QNetwork, StateRegistry, int, NodeId, QubitId, QubitId], TeleportMessage]
+SwapPolicy = Callable[[QNetwork, StateRegistry, int, NodeId, QubitId, QubitId], str]
 
 
 def honest_swap(net: QNetwork, reg: StateRegistry, k: int, assister: NodeId,
-                phi_half: QubitId, psi_half: QubitId) -> TeleportMessage:
+                phi_half: QubitId, psi_half: QubitId) -> str:
     """Swap policy of a faithful assister: Bell-measure the two halves it was sent."""
     return entanglement_swap(reg, phi_half, psi_half)
 
 
-def teleport_encode(reg: StateRegistry, state: QubitId, half: QubitId) -> TeleportMessage:
-    """Bell-measure payload against the local pair half; consumes both."""
+def teleport_encode(reg: StateRegistry, state: QubitId, half: QubitId) -> str:
+    """Bell-measure payload against the local pair half; consumes both.
+
+    Returns "b1b2", b1 from the H side, like entanglement_swap.
+    """
     b1, b2 = reg.bell_measure(state, half)
-    return TeleportMessage(b1, b2)
+    return f"{b1}{b2}"
 
 
-def teleport_decode(reg: StateRegistry, half: QubitId, msg: TeleportMessage) -> QubitId:
+def teleport_decode(reg: StateRegistry, half: QubitId, bits: str) -> QubitId:
     """Apply the conditional corrections (X if b2, then Z if b1) to the held half."""
-    if msg.b2:
+    if bits[1] == "1":
         reg.apply_gate(X, [half])
-    if msg.b1:
+    if bits[0] == "1":
         reg.apply_gate(Z, [half])
     return half
 
@@ -141,15 +121,14 @@ def distribute_entanglements(net: QNetwork, reg: StateRegistry,
         phi_half = net.take(assister, _tag("phi", k, "swap"))
         psi_half = net.take(assister, _tag("psi", k, "swap"))
         msg = swap(net, reg, k, assister, phi_half, psi_half)
-        net.send_classical(assister, NodeId.transmitter(k), msg.bits, _tag("swap", k))
+        net.send_classical(assister, NodeId.transmitter(k), msg, _tag("swap", k))
     net.run_until_idle()
 
     pairs: dict[int, tuple[QubitId, QubitId]] = {}
     for k in range(1, n + 1):
         t = NodeId.transmitter(k)
-        msg = TeleportMessage.from_bits(net.inventories[t].message(_tag("swap", k)))
         kept = net.holdings(t)[_tag("phi", k, "keep")]
-        teleport_decode(reg, kept, msg)
+        teleport_decode(reg, kept, net.inventories[t].message(_tag("swap", k)))
         pairs[k] = (kept, net.holdings(NodeId.receiver(k))[_tag("psi", k, "own")])
     return pairs
 
@@ -197,23 +176,20 @@ def run_round(net: QNetwork, reg: StateRegistry,
             state_q = net.take(t, _tag("eta", k))
             kept = net.take(t, _tag("phi", k, "keep"))
             msg = teleport_encode(reg, state_q, kept)
-            net.broadcast_classical(t, msg.bits, _tag("B", k))
+            net.broadcast_classical(t, msg, _tag("B", k))
         net.run_until_idle()
 
-        tele_msgs = net.inventories[relay].messages_tagged("B")
-        combined = xor_combine([TeleportMessage.from_bits(b) for b in tele_msgs])
-        net.send_classical(relay, source, combined.bits, "combined")
+        combined = xor_combine(net.inventories[relay].messages_tagged("B"))
+        net.send_classical(relay, source, combined, "combined")
         net.run_until_idle()
 
-        net.broadcast_classical(source, combined.bits, "combined", exclude=[relay])
+        net.broadcast_classical(source, combined, "combined", exclude=[relay])
         net.run_until_idle()
 
         for k in range(1, n + 1):
             r = NodeId.receiver(k)
             inbox = net.inventories[r]
-            others = [TeleportMessage.from_bits(b) for b in inbox.messages_tagged("B")]
-            total = TeleportMessage.from_bits(inbox.message("combined"))
-            own = xor_recover(total, others)
+            own = xor_recover(inbox.message("combined"), inbox.messages_tagged("B"))
             half = net.take(r, _tag("psi", k, "own"))
             teleport_decode(reg, half, own)
             if rotations is not None and rotations[k - 1] is not None:

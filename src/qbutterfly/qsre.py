@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .iedtc import (
-    TeleportMessage,
     _tag,
     assign_swappers,
     entanglement_swap,
@@ -72,39 +71,18 @@ class RotationSpec:
         return rx(-self.angle) if self.axis is Axis.X else ry(-self.angle)
 
 
-@dataclass(frozen=True)
-class PrivateKey:
-    """Shared secret bit string, consumed in chunks of 2 + magnitude_bits."""
+def derive_rotation(key: str, magnitude_bits: int, i: int) -> RotationSpec:
+    """Rotation for the i-th message under this key.
 
-    bits: str
-    magnitude_bits: int
-
-    def __post_init__(self) -> None:
-        if self.magnitude_bits < 1:
-            raise ValueError("magnitude_bits must be >= 1")
-        if any(c not in "01" for c in self.bits):
-            raise ValueError("key must consist of 0/1 characters")
-        if len(self.bits) < self.chunk_width:
-            raise ValueError(f"key holds no complete chunk of width {self.chunk_width}")
-
-    @property
-    def chunk_width(self) -> int:
-        return 2 + self.magnitude_bits
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.bits) // self.chunk_width
-
-    def chunk(self, i: int) -> str:
-        if not (0 <= i < self.num_chunks):
-            raise ValueError(f"chunk index {i} out of range (key holds {self.num_chunks})")
-        w = self.chunk_width
-        return self.bits[i * w:(i + 1) * w]
-
-
-def derive_rotation(key: PrivateKey, i: int) -> RotationSpec:
-    """Rotation for the i-th message under this key."""
-    return RotationSpec.from_bits(key.chunk(i))
+    The key is read as complete chunks of 2 + magnitude_bits bits, used
+    cyclically; a trailing partial chunk is never used.
+    """
+    w = 2 + magnitude_bits
+    num_chunks = len(key) // w
+    if num_chunks == 0:
+        raise ValueError(f"key holds no complete chunk of width {w}")
+    j = i % num_chunks
+    return RotationSpec.from_bits(key[j * w:(j + 1) * w])
 
 
 def random_guess(magnitude_bits: int, rng: np.random.Generator) -> RotationSpec:
@@ -144,7 +122,7 @@ class AttackStats:
 
 
 def substituting_swap(net: QNetwork, reg: StateRegistry, k: int, assister: NodeId,
-                      phi_half: QubitId, psi_half: QubitId) -> TeleportMessage:
+                      phi_half: QubitId, psi_half: QubitId) -> str:
     """Swap policy of a malicious assister on pair 1; honest on every other pair.
 
     It Bell-measures a half of its own fresh pair against the transmitter's
@@ -165,7 +143,7 @@ def substituting_swap(net: QNetwork, reg: StateRegistry, k: int, assister: NodeI
 
 def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
                use_qsre: bool, trials: int, seed: int, *,
-               key: PrivateKey | None = None) -> AttackStats:
+               key: str | None = None) -> AttackStats:
     """Insider attack on pair 1: the assisting receiver swaps in its own pair.
 
     Each trial is an ordinary protocol round run with ``substituting_swap``
@@ -182,10 +160,10 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
         raise ValueError("the attack needs at least 2 transceiver pairs")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if magnitude_bits < 1:
-        raise ValueError("magnitude_bits must be >= 1")
-    if key is not None and key.magnitude_bits != magnitude_bits:
-        raise ValueError("key chunk width does not match magnitude_bits")
+    if not (1 <= magnitude_bits <= 63):
+        raise ValueError(f"magnitude_bits must be in 1..63, got {magnitude_bits}")
+    if key is not None and any(c not in "01" for c in key):
+        raise ValueError("key must consist of 0/1 characters")
     rng = np.random.default_rng(seed)
     chunk_width = 2 + magnitude_bits
     eve = assign_swappers(n)[1]
@@ -197,7 +175,7 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
         payload_ref = random_state(rng)
         if use_qsre:
             if key is not None:
-                spec = derive_rotation(key, t % key.num_chunks)
+                spec = derive_rotation(key, magnitude_bits, t)
             else:
                 bits = "".join(str(b) for b in rng.integers(0, 2, size=chunk_width))
                 spec = RotationSpec.from_bits(bits)
@@ -211,7 +189,7 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
             legit_hits += 1
 
         # Eve reads the pair-1 broadcast directly: she is a connected receiver.
-        broadcast = TeleportMessage.from_bits(net.inventories[eve].message(_tag("B", 1)))
+        broadcast = net.inventories[eve].message(_tag("B", 1))
         eve_qubit = teleport_decode(reg, net.take(eve, _tag("psi", 1, "swap")), broadcast)
         if use_qsre:
             guess = random_guess(magnitude_bits, rng)

@@ -17,7 +17,7 @@ from qbutterfly.experiments import (
     run_accuracy_sweep,
     run_eavesdrop_sweep,
 )
-from qbutterfly.iedtc import TeleportMessage, run_round, teleport_decode, teleport_encode, xor_combine, xor_recover
+from qbutterfly.iedtc import run_round, teleport_decode, teleport_encode, xor_combine, xor_recover
 from qbutterfly.iedtc import entanglement_swap
 from qbutterfly.qsre import random_guess, run_attack
 from qbutterfly.qstate import StateRegistry, random_state
@@ -125,7 +125,7 @@ def test_04_xor_recovery_exhaustive(capfd):
     checked = 0
     for n in range(2, 7):
         for values in itertools.product(range(4), repeat=n):
-            msgs = [TeleportMessage(v >> 1, v & 1) for v in values]
+            msgs = [f"{v:02b}" for v in values]
             combined = xor_combine(msgs)
             for k, msg in enumerate(msgs):
                 assert xor_recover(combined, msgs[:k] + msgs[k + 1:]) == msg
@@ -146,7 +146,7 @@ def test_05_every_measurement_branch_is_exact(capfd):
         teleport_decode(reg, keep, msg)
         fid = reg.pair_fidelity(keep, own, BELL)
         assert fid == pytest.approx(1.0, abs=1e-9), (msg, fid)
-        swap_seen[(msg.b1, msg.b2)] = fid
+        swap_seen[(int(msg[0]), int(msg[1]))] = fid
 
     tele_seen = {}
     rng = np.random.default_rng(424242)
@@ -161,7 +161,7 @@ def test_05_every_measurement_branch_is_exact(capfd):
         teleport_decode(reg, there, msg)
         fid = reg.fidelity(there, ref)
         assert fid == pytest.approx(1.0, abs=1e-9), (msg, fid)
-        tele_seen[(msg.b1, msg.b2)] = fid
+        tele_seen[(int(msg[0]), int(msg[1]))] = fid
 
     passed = len(swap_seen) == 4 and len(tele_seen) == 4
     report(capfd, 5, "all-bell-outcomes-exact", passed,

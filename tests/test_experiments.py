@@ -112,7 +112,7 @@ def test_eavesdrop_sweep_accepts_fixed_key():
 
 
 def test_resource_report_matches_closed_forms():
-    rows = run_resource_report((2, 3), seed=42)
+    rows = run_resource_report((2, 3))
     assert [r.n_pairs for r in rows] == [2, 3]
     first = rows[0]
     assert (first.total_links, first.quantum_links) == (7, 4)
@@ -154,7 +154,7 @@ def test_sweep_csv_bytes_are_reproducible(tmp_path):
 
 def test_resource_csv_layout(tmp_path):
     path = tmp_path / "res.csv"
-    write_resource_csv(run_resource_report((2,), seed=1), str(path))
+    write_resource_csv(run_resource_report((2,)), str(path))
     with open(path, newline="") as fh:
         records = list(csv.DictReader(fh))
     assert records[0]["n_pairs"] == "2"
@@ -271,6 +271,12 @@ def test_cli_error_exits(tmp_path, capsys):
     assert main(["eavesdrop", "--key-file", str(tmp_path / "nope.txt")]) == 2
     assert main(["accuracy", "--n", "1", "--noise", "0.01"]) == 2
     assert main(["accuracy", "--noise", "0:inf:0.01", "--out", str(tmp_path / "y.csv")]) == 2
+    capsys.readouterr()
+    assert main(["eavesdrop", "--bits", "66", "--out", str(tmp_path / "z.csv")]) == 2
+    assert "3..65" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # the resource report takes no seed
+        main(["resources", "--seed", "1", "--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
 
 
 def test_cli_requires_a_command():
@@ -279,7 +285,7 @@ def test_cli_requires_a_command():
 
 
 def test_resource_row_is_frozen():
-    row = run_resource_report((2,), seed=0)[0]
+    row = run_resource_report((2,))[0]
     assert isinstance(row, ResourceRow)
     with pytest.raises(AttributeError):
         row.n_pairs = 3

@@ -10,7 +10,6 @@ import pytest
 import qbutterfly.iedtc
 from qbutterfly.iedtc import (
     SUCCESS_FIDELITY,
-    TeleportMessage,
     assign_swappers,
     distribute_entanglements,
     entanglement_swap,
@@ -37,21 +36,10 @@ def fresh(n):
 
 # -- classical message coding --------------------------------------------------
 
-def test_teleport_message_basics():
-    msg = TeleportMessage(1, 0)
-    assert msg.bits == "10"
-    assert TeleportMessage.from_bits("10") == msg
-    assert (msg ^ TeleportMessage(1, 1)) == TeleportMessage(0, 1)
-    with pytest.raises(ValueError):
-        TeleportMessage(2, 0)
-    with pytest.raises(ValueError):
-        TeleportMessage.from_bits("101")
-
-
 def test_xor_combine_and_recover_roundtrip():
-    msgs = [TeleportMessage(0, 1), TeleportMessage(1, 1), TeleportMessage(1, 0)]
+    msgs = ["01", "11", "10"]
     combined = xor_combine(msgs)
-    assert combined == TeleportMessage(0, 0)
+    assert combined == "00"
     for k, msg in enumerate(msgs):
         others = msgs[:k] + msgs[k + 1:]
         assert xor_recover(combined, others) == msg
@@ -62,7 +50,7 @@ def test_xor_combine_and_recover_roundtrip():
 def test_xor_recovery_exhaustive_small():
     # every assignment of 2-bit messages to 3 pairs survives the shared-link trip
     for values in itertools.product(range(4), repeat=3):
-        msgs = [TeleportMessage(v >> 1, v & 1) for v in values]
+        msgs = [f"{v:02b}" for v in values]
         combined = xor_combine(msgs)
         for k, msg in enumerate(msgs):
             assert xor_recover(combined, msgs[:k] + msgs[k + 1:]) == msg
@@ -98,9 +86,9 @@ def test_entanglement_swap_exact_for_every_outcome():
         msg = entanglement_swap(reg, phi_half=give, psi_half=assist)
         teleport_decode(reg, keep, msg)
         fid = reg.pair_fidelity(keep, own, BELL)
-        seen.setdefault((msg.b1, msg.b2), fid)
+        seen.setdefault(msg, fid)
         assert fid == pytest.approx(1.0, abs=1e-9)
-    assert set(seen) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert set(seen) == {"00", "01", "10", "11"}
 
 
 def test_swap_without_corrections_gives_wrong_pair():
@@ -109,7 +97,7 @@ def test_swap_without_corrections_gives_wrong_pair():
         keep, give = reg.create_bell_pair()
         assist, own = reg.create_bell_pair()
         msg = entanglement_swap(reg, phi_half=give, psi_half=assist)
-        if (msg.b1, msg.b2) != (0, 0):
+        if msg != "00":
             # uncorrected state is a different Bell state, orthogonal to phi+
             assert reg.pair_fidelity(keep, own, BELL) == pytest.approx(0.0, abs=1e-9)
             break
@@ -135,8 +123,8 @@ def test_teleport_exact_for_every_outcome():
         msg = teleport_encode(reg, payload, here)
         teleport_decode(reg, there, msg)
         assert reg.fidelity(there, ref) == pytest.approx(1.0, abs=1e-9)
-        seen.add((msg.b1, msg.b2))
-    assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        seen.add(msg)
+    assert seen == {"00", "01", "10", "11"}
 
 
 def test_teleport_with_flipped_corrections_fails():
@@ -145,7 +133,7 @@ def test_teleport_with_flipped_corrections_fails():
     payload = reg.alloc_qubit(ref)
     here, there = reg.create_bell_pair()
     msg = teleport_encode(reg, payload, here)
-    wrong = TeleportMessage(1 - msg.b1, 1 - msg.b2)
+    wrong = xor_recover(msg, ["11"])
     teleport_decode(reg, there, wrong)
     # off by X*Z, and <psi|XZ|psi> = 0 for this state
     assert reg.fidelity(there, ref) == pytest.approx(0.0, abs=1e-9)
@@ -265,7 +253,7 @@ def test_round_captures_internal_failures(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_honest_round_leaves_nothing_behind(n):
+def test_honest_round_leaves_nothing_behind(n, assert_nothing_left):
     net = fresh(n)
     rng = np.random.default_rng(n)
     for noise, model in [(0.0, NOISE_ENTANGLING), (0.05, NOISE_ENTANGLING),
@@ -275,9 +263,7 @@ def test_honest_round_leaves_nothing_behind(n):
             reg = StateRegistry(noise, seed=seed, noise_model=model)
             result = run_round(net, reg, [random_state(rng) for _ in range(n)])
             assert result.error is None
-            assert reg.live_count == 0
-            assert all(net.node_usage(node) == 0 for node in net.topology.nodes)
-            assert net.pending == 0
+            assert_nothing_left(net, reg)
 
 
 def test_noisy_rounds_mostly_fail_at_full_noise():

@@ -16,7 +16,6 @@ from qbutterfly.qsre import (
     EAVESDROP_THRESHOLD,
     AttackStats,
     Axis,
-    PrivateKey,
     RotationSpec,
     derive_rotation,
     load_key_file,
@@ -108,31 +107,25 @@ def test_spec_gates():
     assert xspec != yspec
 
 
-def test_private_key_chunking():
-    key = PrivateKey("10110100", magnitude_bits=2)
-    assert key.chunk_width == 4
-    assert key.num_chunks == 2
-    assert key.chunk(0) == "1011"
-    assert key.chunk(1) == "0100"
-    with pytest.raises(ValueError):
-        key.chunk(2)
-    # a trailing partial chunk is simply never used
-    assert PrivateKey("10110", magnitude_bits=1).num_chunks == 1
-
-
-def test_private_key_validation():
-    with pytest.raises(ValueError):
-        PrivateKey("10x1", magnitude_bits=1)
-    with pytest.raises(ValueError):
-        PrivateKey("1011", magnitude_bits=0)
-    with pytest.raises(ValueError):
-        PrivateKey("10", magnitude_bits=1)  # shorter than one chunk
-
-
 def test_derive_rotation_reads_chunks():
-    key = PrivateKey("10110100", magnitude_bits=2)
-    assert derive_rotation(key, 0) == RotationSpec.from_bits("1011")
-    assert derive_rotation(key, 1) == RotationSpec.from_bits("0100")
+    key = "10110100"
+    assert derive_rotation(key, 2, 0) == RotationSpec.from_bits("1011")
+    assert derive_rotation(key, 2, 1) == RotationSpec.from_bits("0100")
+
+
+def test_derive_rotation_cycles_and_skips_the_partial_chunk():
+    key = "1011010001"  # two chunks of 4 bits, then "01" that is never used
+    assert derive_rotation(key, 2, 2) == derive_rotation(key, 2, 0)
+    assert derive_rotation(key, 2, 3) == RotationSpec.from_bits("0100")
+    assert [derive_rotation("10110", 1, i) for i in range(3)] == [
+        RotationSpec.from_bits("101")] * 3
+
+
+def test_derive_rotation_needs_a_complete_chunk():
+    with pytest.raises(ValueError, match="no complete chunk"):
+        derive_rotation("10", 1, 0)
+    with pytest.raises(ValueError, match="no complete chunk"):
+        derive_rotation("", 1, 0)
 
 
 def test_encode_decode_roundtrip_is_exact():
@@ -213,23 +206,20 @@ def test_attack_validation():
     with pytest.raises(ValueError):
         run_attack(net, reg, 0, True, trials=1, seed=1)
     with pytest.raises(ValueError):
-        run_attack(net, reg, 2, True, trials=1, seed=1,
-                   key=PrivateKey("000", magnitude_bits=1))
+        run_attack(net, reg, 64, True, trials=1, seed=1)
+    with pytest.raises(ValueError):  # "000" holds no complete 4-bit chunk
+        run_attack(net, reg, 2, True, trials=1, seed=1, key="000")
+    with pytest.raises(ValueError, match="0/1"):  # checked even when no trial reads it
+        run_attack(net, reg, 1, False, trials=1, seed=1, key="10x1")
 
 
-def test_attack_without_defense_always_wins():
+def test_attack_without_defense_always_wins(assert_nothing_left):
     net = QNetwork(build_butterfly(2))
     reg = StateRegistry(seed=9)
     stats = run_attack(net, reg, 1, use_qsre=False, trials=100, seed=10)
     assert stats.eavesdrop_rate == 1.0
     assert stats.legit_rate == 0.0
     assert_nothing_left(net, reg)  # every trial cleans up after itself
-
-
-def assert_nothing_left(net, reg):
-    assert reg.live_count == 0
-    assert all(not net.holdings(node) for node in net.topology.nodes)
-    assert net.pending == 0
 
 
 def test_attack_raises_when_the_round_fails(monkeypatch):
@@ -243,7 +233,7 @@ def test_attack_raises_when_the_round_fails(monkeypatch):
 
 
 @pytest.mark.parametrize("magnitude_bits,mc_trials", [(1, 800), (2, 800)])
-def test_attack_rate_matches_analytic_oracle(magnitude_bits, mc_trials):
+def test_attack_rate_matches_analytic_oracle(magnitude_bits, mc_trials, assert_nothing_left):
     expected = expected_attack_rate(magnitude_bits)
     net = QNetwork(build_butterfly(2))
     reg = StateRegistry(seed=20 + magnitude_bits)
@@ -252,21 +242,23 @@ def test_attack_rate_matches_analytic_oracle(magnitude_bits, mc_trials):
     sigma = math.sqrt(expected * (1 - expected) / mc_trials)
     assert abs(stats.eavesdrop_rate - expected) < 4 * sigma
     assert stats.legit_rate == 0.0  # the real receiver is left with a decoy
+    assert_nothing_left(net, reg)
 
 
-def test_attack_with_fixed_key_cycles_chunks():
+def test_attack_with_fixed_key_cycles_chunks(assert_nothing_left):
     # key of two chunks: (X,0,0) and (Y,0,1); trials alternate between them
-    key = PrivateKey("000101", magnitude_bits=1)
-    targets = [derive_rotation(key, 0), derive_rotation(key, 1)]
+    key = "000101"
+    targets = [derive_rotation(key, 1, 0), derive_rotation(key, 1, 1)]
     expected = expected_attack_rate(1, targets=targets)
     net = QNetwork(build_butterfly(2))
     reg = StateRegistry(seed=51)
     stats = run_attack(net, reg, 1, use_qsre=True, trials=600, seed=52, key=key)
     sigma = math.sqrt(expected * (1 - expected) / 600)
     assert abs(stats.eavesdrop_rate - expected) < 4 * sigma
+    assert_nothing_left(net, reg)
 
 
-def test_attack_works_on_larger_networks():
+def test_attack_works_on_larger_networks(assert_nothing_left):
     net = QNetwork(build_butterfly(3))
     reg = StateRegistry(seed=61)
     stats = run_attack(net, reg, 1, use_qsre=False, trials=30, seed=62)
