@@ -112,6 +112,7 @@ def main(argv: list[str] | None = None) -> int:
                 experiment="accuracy", n_pairs=args.n,
                 noise_levels=parse_float_range(args.noise),
                 trials=args.trials, seed=args.seed, noise_model=args.noise_model)
+            settings = cfg.settings()
             rows = run_accuracy_sweep(cfg)
             write_sweep_csv(rows, args.out)
             for row in rows:
@@ -123,6 +124,7 @@ def main(argv: list[str] | None = None) -> int:
                 experiment="eavesdrop", n_pairs=args.n,
                 bits_range=parse_int_range(args.bits),
                 trials=args.trials, seed=args.seed, key_bits=key_bits)
+            settings = cfg.settings()
             rows = run_eavesdrop_sweep(cfg)
             write_sweep_csv(rows, args.out)
             for row in rows:
@@ -130,8 +132,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"+/- {row.ci_half_width:.3f}  ({row.successes}/{row.trials})")
         else:
             n_range = parse_int_range(args.n)
-            cfg = ExperimentConfig(
-                experiment="resources", n_range=n_range, trials=1)
+            settings = {"n_range": list(n_range)}
             if args.dump_topology:
                 for n in n_range:
                     print(serialize_topology(build_butterfly(n)), end="")
@@ -144,7 +145,8 @@ def main(argv: list[str] | None = None) -> int:
                       f"within_reference={str(row.within_reference).lower()}")
         print(f"wrote {args.out}")
         if args.json_manifest:
-            write_manifest(cfg, [args.out], time.perf_counter() - started, args.json_manifest)
+            write_manifest(args.command, settings, [args.out], time.perf_counter() - started,
+                           args.json_manifest)
             print(f"wrote {args.json_manifest}")
     except (ValueError, OSError) as exc:
         print(f"qbutterfly: error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from .topology import build_butterfly, link_counts, reference_resources
 
 Z_95 = 1.96
 
-EXPERIMENTS = ("accuracy", "eavesdrop", "resources")
+EXPERIMENTS = ("accuracy", "eavesdrop")
 
 
 def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
@@ -52,7 +52,6 @@ class ExperimentConfig:
     noise_levels: tuple[float, ...] = ()
     trials: int = 1000
     bits_range: tuple[int, ...] = ()
-    n_range: tuple[int, ...] = ()
     seed: int = 42
     noise_model: str = NOISE_ENTANGLING
     key_bits: str | None = None
@@ -72,7 +71,7 @@ class ExperimentConfig:
                     raise ValueError(f"noise level {level} outside [0, 1]")
             if self.n_pairs < 2:
                 raise ValueError("n_pairs must be >= 2")
-        elif self.experiment == "eavesdrop":
+        else:
             if not self.bits_range:
                 raise ValueError("eavesdrop sweep needs at least one bits value")
             for b in self.bits_range:
@@ -80,12 +79,15 @@ class ExperimentConfig:
                     raise ValueError(f"total bits must be in 3..65, got {b}")
             if self.n_pairs < 2:
                 raise ValueError("n_pairs must be >= 2")
-        else:
-            if not self.n_range:
-                raise ValueError("resource report needs at least one network size")
-            for n in self.n_range:
-                if n < 2:
-                    raise ValueError(f"network size must be >= 2, got {n}")
+
+    def settings(self) -> dict:
+        """The settings this experiment's sweep reads, as its manifest records them."""
+        read = {"n_pairs": self.n_pairs, "trials": self.trials, "seed": self.seed}
+        if self.experiment == "accuracy":
+            return {**read, "noise_levels": list(self.noise_levels),
+                    "noise_model": self.noise_model}
+        return {**read, "bits_range": list(self.bits_range),
+                "key_file_used": self.key_bits is not None}
 
 
 def _derived_seed(master_seed: int, salt: int, t: int) -> int:
@@ -207,20 +209,13 @@ def write_resource_csv(rows: Sequence[ResourceRow], path: str) -> None:
             writer.writerow([_fmt(getattr(row, name)) for name in header])
 
 
-def write_manifest(cfg: ExperimentConfig, outputs: Sequence[str], elapsed: float, path: str) -> None:
+def write_manifest(experiment: str, settings: dict, outputs: Sequence[str], elapsed: float,
+                   path: str) -> None:
+    """JSON run record: version, the settings the experiment read, outputs and wall time."""
     doc = {
         "version": f"qbutterfly-{__version__}",
-        "experiment": cfg.experiment,
-        "config": {
-            "n_pairs": cfg.n_pairs,
-            "noise_levels": list(cfg.noise_levels),
-            "trials": cfg.trials,
-            "bits_range": list(cfg.bits_range),
-            "n_range": list(cfg.n_range),
-            "seed": cfg.seed,
-            "noise_model": cfg.noise_model,
-            "key_file_used": cfg.key_bits is not None,
-        },
+        "experiment": experiment,
+        "config": settings,
         "outputs": list(outputs),
         "elapsed_seconds": round(elapsed, 3),
     }

@@ -10,14 +10,11 @@ a single XOR-combined message that every receiver can invert locally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-from .qstate import QubitId, StateRegistry, X, Z, as_state
+from .qstate import Gate, QubitId, StateRegistry, X, Z, as_state
 from .simnet import QNetwork, TraceEntry
 from .topology import NodeId
-
-if TYPE_CHECKING:
-    from .qsre import RotationSpec
 
 SUCCESS_FIDELITY = 1.0 - 1e-9
 
@@ -108,12 +105,12 @@ def distribute_entanglements(net: QNetwork, reg: StateRegistry,
         keep, give = reg.create_bell_pair()
         net.deposit(t, _tag("phi", k, "keep"), keep)
         net.deposit(t, _tag("phi", k, "give"), give)
-        net.send_qubit(t, swappers[k], give, _tag("phi", k, "swap"))
+        net.send_qubit(t, swappers[k], _tag("phi", k, "give"), _tag("phi", k, "swap"))
         left, right = reg.create_bell_pair()
         net.deposit(source, _tag("psi", k, "assist"), left)
         net.deposit(source, _tag("psi", k, "own"), right)
-        net.send_qubit(source, swappers[k], left, _tag("psi", k, "swap"))
-        net.send_qubit(source, NodeId.receiver(k), right, _tag("psi", k, "own"))
+        net.send_qubit(source, swappers[k], _tag("psi", k, "assist"), _tag("psi", k, "swap"))
+        net.send_qubit(source, NodeId.receiver(k), _tag("psi", k, "own"), _tag("psi", k, "own"))
     net.run_until_idle()
 
     for k in range(1, n + 1):
@@ -146,14 +143,14 @@ class RoundResult:
 
 def run_round(net: QNetwork, reg: StateRegistry,
               input_states: Sequence[Sequence[complex]],
-              rotations: Sequence[RotationSpec | None] | None = None,
+              rotations: Sequence[Gate | None] | None = None,
               swap: SwapPolicy = honest_swap) -> RoundResult:
     """One full protocol round on a fresh/reset network.
 
     input_states: one payload state per pair.  rotations: optional per-pair
-    rotation applied at the transmitter and inverted at the receiver.  swap:
-    the assisters' policy during distribution.  A pair succeeds when the
-    receiver-side fidelity reaches 1 within 1e-9.
+    rotation gate, applied at the transmitter and inverted at the receiver.
+    swap: the assisters' policy during distribution.  A pair succeeds when
+    the receiver-side fidelity reaches 1 within 1e-9.
     """
     n = net.topology.n_pairs
     if len(input_states) != n:
@@ -172,7 +169,7 @@ def run_round(net: QNetwork, reg: StateRegistry,
             payload = reg.alloc_qubit(states[k - 1])
             net.deposit(t, _tag("eta", k), payload)
             if rotations is not None and rotations[k - 1] is not None:
-                reg.apply_gate(rotations[k - 1].gate(), [payload])
+                reg.apply_gate(rotations[k - 1], [payload])
             state_q = net.take(t, _tag("eta", k))
             kept = net.take(t, _tag("phi", k, "keep"))
             msg = teleport_encode(reg, state_q, kept)
@@ -193,7 +190,7 @@ def run_round(net: QNetwork, reg: StateRegistry,
             half = net.take(r, _tag("psi", k, "own"))
             teleport_decode(reg, half, own)
             if rotations is not None and rotations[k - 1] is not None:
-                reg.apply_gate(rotations[k - 1].inverse_gate(), [half])
+                reg.apply_gate(rotations[k - 1].inverse(), [half])
             fid = reg.fidelity(half, states[k - 1])
             result.fidelities.append(fid)
             result.successes.append(fid >= SUCCESS_FIDELITY)

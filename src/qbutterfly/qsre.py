@@ -1,16 +1,16 @@
 """Key-driven rotation encoding of teleported states, and the insider
 eavesdropping attack it defends against.
 
-A key chunk of 2+D bits picks a rotation: bit 0 chooses the axis (0 -> X,
-1 -> Y), bit 1 the sign (1 -> negative), and the remaining D bits (MSB
-first) a magnitude d, giving angle pi / (sign * (1 + d)).  The transmitter
-rotates the payload before teleporting; the intended receiver, holding the
-same key, applies the inverse.  An eavesdropper who captured the raw
-teleported state must guess among 2 * 2 * 2**D rotations.
+A key chunk of 2+D bits picks a rotation gate, and ``rotation_gate`` is the
+one place that reads a chunk: bit 0 chooses the axis (0 -> rx, 1 -> ry),
+bit 1 the sign (1 -> negative), and the remaining D bits (MSB first) a
+magnitude d, giving angle sign * pi / (1 + d).  The transmitter rotates the
+payload before teleporting; the intended receiver, holding the same key,
+applies the gate's inverse.  An eavesdropper who captured the raw teleported
+state must guess among 2 * 2 * 2**D rotations.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -30,48 +30,16 @@ from .topology import NodeId
 EAVESDROP_THRESHOLD = 0.99
 
 
-class Axis(enum.Enum):
-    X = "x"
-    Y = "y"
+def rotation_gate(chunk: str) -> Gate:
+    """The rx or ry gate a key chunk of 2 + D bits names."""
+    if len(chunk) < 3 or any(c not in "01" for c in chunk):
+        raise ValueError(f"rotation chunk needs >= 3 bits of 0/1, got {chunk!r}")
+    sign = -1.0 if chunk[1] == "1" else 1.0
+    angle = sign * math.pi / (1 + int(chunk[2:], 2))
+    return ry(angle) if chunk[0] == "1" else rx(angle)
 
 
-def rotation_angle(sign_bit: int, magnitude: int) -> float:
-    if sign_bit not in (0, 1):
-        raise ValueError(f"sign bit must be 0/1, got {sign_bit}")
-    if magnitude < 0:
-        raise ValueError(f"magnitude must be non-negative, got {magnitude}")
-    sign = -1.0 if sign_bit else 1.0
-    return sign * math.pi / (1 + magnitude)
-
-
-@dataclass(frozen=True)
-class RotationSpec:
-    axis: Axis
-    sign_bit: int
-    magnitude: int
-    angle: float
-
-    @classmethod
-    def from_parts(cls, axis: Axis, sign_bit: int, magnitude: int) -> "RotationSpec":
-        return cls(axis, sign_bit, magnitude, rotation_angle(sign_bit, magnitude))
-
-    @classmethod
-    def from_bits(cls, chunk: str) -> "RotationSpec":
-        if len(chunk) < 3 or any(c not in "01" for c in chunk):
-            raise ValueError(f"rotation chunk needs >= 3 bits of 0/1, got {chunk!r}")
-        axis = Axis.Y if chunk[0] == "1" else Axis.X
-        sign_bit = int(chunk[1])
-        magnitude = int(chunk[2:], 2)
-        return cls.from_parts(axis, sign_bit, magnitude)
-
-    def gate(self) -> Gate:
-        return rx(self.angle) if self.axis is Axis.X else ry(self.angle)
-
-    def inverse_gate(self) -> Gate:
-        return rx(-self.angle) if self.axis is Axis.X else ry(-self.angle)
-
-
-def derive_rotation(key: str, magnitude_bits: int, i: int) -> RotationSpec:
+def derive_rotation(key: str, magnitude_bits: int, i: int) -> Gate:
     """Rotation for the i-th message under this key.
 
     The key is read as complete chunks of 2 + magnitude_bits bits, used
@@ -82,17 +50,17 @@ def derive_rotation(key: str, magnitude_bits: int, i: int) -> RotationSpec:
     if num_chunks == 0:
         raise ValueError(f"key holds no complete chunk of width {w}")
     j = i % num_chunks
-    return RotationSpec.from_bits(key[j * w:(j + 1) * w])
+    return rotation_gate(key[j * w:(j + 1) * w])
 
 
-def random_guess(magnitude_bits: int, rng: np.random.Generator) -> RotationSpec:
+def random_guess(magnitude_bits: int, rng: np.random.Generator) -> Gate:
     """Uniform draw over the 2 * 2 * 2**magnitude_bits possible rotations."""
     if magnitude_bits < 1:
         raise ValueError("magnitude_bits must be >= 1")
-    axis = Axis.Y if int(rng.integers(2)) else Axis.X
-    sign_bit = int(rng.integers(2))
+    axis = int(rng.integers(2))
+    sign = int(rng.integers(2))
     magnitude = int(rng.integers(2 ** magnitude_bits))
-    return RotationSpec.from_parts(axis, sign_bit, magnitude)
+    return rotation_gate(f"{axis}{sign}{magnitude:0{magnitude_bits}b}")
 
 
 def load_key_file(path: str) -> str:
@@ -175,13 +143,13 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
         payload_ref = random_state(rng)
         if use_qsre:
             if key is not None:
-                spec = derive_rotation(key, magnitude_bits, t)
+                rotation = derive_rotation(key, magnitude_bits, t)
             else:
                 bits = "".join(str(b) for b in rng.integers(0, 2, size=chunk_width))
-                spec = RotationSpec.from_bits(bits)
+                rotation = rotation_gate(bits)
         else:
-            spec = None
-        result = run_round(net, reg, [payload_ref] + idle, [spec] + [None] * (n - 1),
+            rotation = None
+        result = run_round(net, reg, [payload_ref] + idle, [rotation] + [None] * (n - 1),
                            swap=substituting_swap)
         if result.error is not None:
             raise RuntimeError(f"attacked round {t} failed: {result.error}")
@@ -193,7 +161,7 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
         eve_qubit = teleport_decode(reg, net.take(eve, _tag("psi", 1, "swap")), broadcast)
         if use_qsre:
             guess = random_guess(magnitude_bits, rng)
-            reg.apply_gate(guess.inverse_gate(), [eve_qubit])
+            reg.apply_gate(guess.inverse(), [eve_qubit])
         if reg.fidelity(eve_qubit, payload_ref) >= EAVESDROP_THRESHOLD:
             eve_hits += 1
         reg.release(eve_qubit)

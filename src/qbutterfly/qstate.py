@@ -60,6 +60,10 @@ class Gate:
     def arity(self) -> int:
         return 2 if self.kind is GateKind.CNOT else 1
 
+    def inverse(self) -> "Gate":
+        """The same rotation with -theta; X, Y, Z, H and CNOT are their own inverses."""
+        return self if self.theta is None else Gate(self.kind, -self.theta)
+
 
 X = Gate(GateKind.X)
 Y = Gate(GateKind.Y)

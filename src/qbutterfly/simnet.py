@@ -114,21 +114,14 @@ class QNetwork:
             raise ValueError(f"classical payload must be a bit string, got {bits!r}")
         self._queue.append((src, dst, tag, bits))
 
-    def send_qubit(self, src: NodeId, dst: NodeId, q: QubitId, tag: str) -> None:
+    def send_qubit(self, src: NodeId, dst: NodeId, held_tag: str, tag: str) -> None:
+        """Send the qubit src holds under held_tag; it arrives at dst under tag."""
         kind = self.topology.find_link(src, dst)
         if kind is None:
             raise NetworkError(f"no link between {src} and {dst}")
         if kind is not LinkKind.QUANTUM:
             raise NetworkError(f"link {src}--{dst} is classical; it cannot carry a qubit")
-        inv = self._inventory(src)
-        held_tag = None
-        for t, held in inv.qubits.items():
-            if held == q:
-                held_tag = t
-                break
-        if held_tag is None:
-            raise NetworkError(f"{src} does not hold qubit {q}")
-        del inv.qubits[held_tag]
+        q = self.take(src, held_tag)
         self._in_flight[src] += 1  # custody stays with sender until delivery
         self._queue.append((src, dst, tag, q))
 

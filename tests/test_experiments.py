@@ -56,8 +56,8 @@ def test_config_validation():
         ExperimentConfig("eavesdrop", bits_range=(2,))
     with pytest.raises(ValueError):
         ExperimentConfig("eavesdrop", bits_range=())
-    with pytest.raises(ValueError):
-        ExperimentConfig("resources", n_range=(1,))
+    with pytest.raises(ValueError):  # the resource report takes no config
+        ExperimentConfig("resources")
     with pytest.raises(ValueError):
         ExperimentConfig("accuracy", noise_levels=(0.1,), noise_model="thermal")
 
@@ -89,7 +89,7 @@ def test_accuracy_sweep_raises_when_a_round_fails(monkeypatch):
 
 
 def test_accuracy_sweep_rejects_wrong_config():
-    cfg = ExperimentConfig("resources", n_range=(2,))
+    cfg = ExperimentConfig("eavesdrop", bits_range=(3,))
     with pytest.raises(ValueError):
         run_accuracy_sweep(cfg)
 
@@ -165,13 +165,16 @@ def test_resource_csv_layout(tmp_path):
 def test_manifest_contents(tmp_path):
     cfg = ExperimentConfig("accuracy", noise_levels=(0.01,), trials=10, seed=42)
     path = tmp_path / "run.json"
-    write_manifest(cfg, ["acc.csv"], 1.2345, str(path))
+    write_manifest("accuracy", cfg.settings(), ["acc.csv"], 1.2345, str(path))
     doc = json.loads(path.read_text())
     assert doc["version"] == "qbutterfly-0.1.0"
     assert doc["experiment"] == "accuracy"
-    assert doc["config"]["seed"] == 42
-    assert doc["config"]["noise_levels"] == [0.01]
-    assert doc["config"]["key_file_used"] is False
+    # the config records exactly the settings the sweep read
+    assert doc["config"] == {"n_pairs": 2, "noise_levels": [0.01], "trials": 10, "seed": 42,
+                             "noise_model": "entangling"}
+    eve = ExperimentConfig("eavesdrop", bits_range=(3, 4), trials=5, seed=7)
+    assert eve.settings() == {"n_pairs": 2, "bits_range": [3, 4], "trials": 5, "seed": 7,
+                              "key_file_used": False}
     assert doc["outputs"] == ["acc.csv"]
     assert doc["elapsed_seconds"] == 1.234  # stored at millisecond precision
 
@@ -233,8 +236,11 @@ def test_cli_eavesdrop_with_key_file(tmp_path, capsys):
 
 def test_cli_resources_with_topology_dump(tmp_path, capsys):
     out = tmp_path / "res.csv"
-    code = main(["resources", "--n", "2:3", "--out", str(out), "--dump-topology"])
+    manifest = tmp_path / "res.json"
+    code = main(["resources", "--n", "2:3", "--out", str(out), "--dump-topology",
+                 "--json-manifest", str(manifest)])
     assert code == 0
+    assert json.loads(manifest.read_text())["config"] == {"n_range": [2, 3]}
     stdout = capsys.readouterr().out
     assert "node M1" in stdout
     assert "link M1 M2 classical" in stdout
@@ -274,6 +280,7 @@ def test_cli_error_exits(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eavesdrop", "--bits", "66", "--out", str(tmp_path / "z.csv")]) == 2
     assert "3..65" in capsys.readouterr().err
+    assert main(["resources", "--n", "1:3", "--out", str(tmp_path / "n.csv")]) == 2
     with pytest.raises(SystemExit) as exc:  # the resource report takes no seed
         main(["resources", "--seed", "1", "--out", str(tmp_path / "r.csv")])
     assert exc.value.code == 2

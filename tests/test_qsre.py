@@ -5,7 +5,6 @@ here independently: for a Haar-random state and a net rotation U, the
 fidelity is c^2 + s^2*z^2 with z uniform on [-1, 1], so the probability of
 clearing a threshold tau has the closed form used in `expected_attack_rate`.
 """
-import itertools
 import math
 
 import numpy as np
@@ -15,12 +14,10 @@ from qbutterfly import qsre
 from qbutterfly.qsre import (
     EAVESDROP_THRESHOLD,
     AttackStats,
-    Axis,
-    RotationSpec,
     derive_rotation,
     load_key_file,
     random_guess,
-    rotation_angle,
+    rotation_gate,
     run_attack,
 )
 from qbutterfly.qstate import GateKind, StateRegistry, random_state
@@ -33,8 +30,8 @@ _OX = np.array([[0, 1], [1, 0]], dtype=complex)
 _OY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
-def _oracle_rotation(axis, theta):
-    pauli = _OX if axis is Axis.X else _OY
+def _oracle_rotation(kind, theta):
+    pauli = {GateKind.RX: _OX, GateKind.RY: _OY}[kind]
     return math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * pauli
 
 
@@ -47,9 +44,8 @@ def _clear_probability(u, tau):
 
 
 def _all_specs(magnitude_bits):
-    return [RotationSpec.from_parts(axis, sign, mag)
-            for axis, sign, mag in itertools.product(
-                (Axis.X, Axis.Y), (0, 1), range(2 ** magnitude_bits))]
+    width = 2 + magnitude_bits
+    return [rotation_gate(f"{v:0{width}b}") for v in range(2 ** width)]
 
 
 def expected_attack_rate(magnitude_bits, targets=None, tau=EAVESDROP_THRESHOLD):
@@ -59,66 +55,56 @@ def expected_attack_rate(magnitude_bits, targets=None, tau=EAVESDROP_THRESHOLD):
         targets = guesses
     total = 0.0
     for t in targets:
-        rt = _oracle_rotation(t.axis, t.angle)
+        rt = _oracle_rotation(t.kind, t.theta)
         for g in guesses:
-            rg_inv = _oracle_rotation(g.axis, -g.angle)
+            rg_inv = _oracle_rotation(g.kind, -g.theta)
             total += _clear_probability(rg_inv @ rt, tau)
     return total / (len(targets) * len(guesses))
 
 
 # -- rotation derivation ---------------------------------------------------------
 
-def test_rotation_angle_formula_convention():
-    assert rotation_angle(0, 0) == pytest.approx(math.pi)
-    assert rotation_angle(1, 0) == pytest.approx(-math.pi)
-    assert rotation_angle(0, 3) == pytest.approx(math.pi / 4)
-    assert rotation_angle(1, 7) == pytest.approx(-math.pi / 8)
-
-
-def test_rotation_angle_validation():
-    with pytest.raises(ValueError):
-        rotation_angle(2, 0)
-    with pytest.raises(ValueError):
-        rotation_angle(0, -1)
+def test_rotation_gate_angle_convention():
+    assert rotation_gate("000").theta == pytest.approx(math.pi)
+    assert rotation_gate("010").theta == pytest.approx(-math.pi)
+    assert rotation_gate("0011").theta == pytest.approx(math.pi / 4)
+    assert rotation_gate("01111").theta == pytest.approx(-math.pi / 8)
 
 
 def test_spec_from_bits():
-    spec = RotationSpec.from_bits("1011")
-    assert spec.axis is Axis.Y
-    assert spec.sign_bit == 0
-    assert spec.magnitude == 3
-    assert spec.angle == pytest.approx(math.pi / 4)
-    spec = RotationSpec.from_bits("0100")
-    assert (spec.axis, spec.sign_bit, spec.magnitude) == (Axis.X, 1, 0)
-    assert spec.angle == pytest.approx(-math.pi)
+    gate = rotation_gate("1011")
+    assert gate.kind is GateKind.RY
+    assert gate.theta == pytest.approx(math.pi / 4)
+    gate = rotation_gate("0100")
+    assert gate.kind is GateKind.RX
+    assert gate.theta == pytest.approx(-math.pi)
     with pytest.raises(ValueError):
-        RotationSpec.from_bits("01")
+        rotation_gate("01")
     with pytest.raises(ValueError):
-        RotationSpec.from_bits("01a1")
+        rotation_gate("01a1")
 
 
 def test_spec_gates():
-    xspec = RotationSpec.from_bits("0011")
-    yspec = RotationSpec.from_bits("1011")
-    assert xspec.gate().kind is GateKind.RX
-    assert yspec.gate().kind is GateKind.RY
-    assert xspec.inverse_gate().theta == pytest.approx(-xspec.angle)
-    assert xspec == RotationSpec.from_bits("0011")
-    assert xspec != yspec
+    xgate = rotation_gate("0011")
+    ygate = rotation_gate("1011")
+    assert xgate.kind is GateKind.RX
+    assert ygate.kind is GateKind.RY
+    assert xgate.inverse().theta == pytest.approx(-xgate.theta)
+    assert xgate == rotation_gate("0011")
+    assert xgate != ygate
 
 
 def test_derive_rotation_reads_chunks():
     key = "10110100"
-    assert derive_rotation(key, 2, 0) == RotationSpec.from_bits("1011")
-    assert derive_rotation(key, 2, 1) == RotationSpec.from_bits("0100")
+    assert derive_rotation(key, 2, 0) == rotation_gate("1011")
+    assert derive_rotation(key, 2, 1) == rotation_gate("0100")
 
 
 def test_derive_rotation_cycles_and_skips_the_partial_chunk():
     key = "1011010001"  # two chunks of 4 bits, then "01" that is never used
     assert derive_rotation(key, 2, 2) == derive_rotation(key, 2, 0)
-    assert derive_rotation(key, 2, 3) == RotationSpec.from_bits("0100")
-    assert [derive_rotation("10110", 1, i) for i in range(3)] == [
-        RotationSpec.from_bits("101")] * 3
+    assert derive_rotation(key, 2, 3) == rotation_gate("0100")
+    assert [derive_rotation("10110", 1, i) for i in range(3)] == [rotation_gate("101")] * 3
 
 
 def test_derive_rotation_needs_a_complete_chunk():
@@ -134,9 +120,9 @@ def test_encode_decode_roundtrip_is_exact():
         reg = StateRegistry()
         ref = random_state(rng)
         q = reg.alloc_qubit(ref)
-        spec = RotationSpec.from_bits(chunk)
-        reg.apply_gate(spec.gate(), [q])
-        reg.apply_gate(spec.inverse_gate(), [q])
+        gate = rotation_gate(chunk)
+        reg.apply_gate(gate, [q])
+        reg.apply_gate(gate.inverse(), [q])
         assert reg.fidelity(q, ref) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -144,10 +130,12 @@ def test_encode_decode_roundtrip_is_exact():
 def test_attack_rate_is_sign_symmetric(magnitude_bits):
     # The rotation set is closed under inversion and a fidelity depends only
     # on |angle|, so flipping a key's sign bit never changes its exact rate.
-    for spec in _all_specs(magnitude_bits):
-        flipped = RotationSpec.from_parts(spec.axis, 1 - spec.sign_bit, spec.magnitude)
-        assert expected_attack_rate(magnitude_bits, [spec]) == pytest.approx(
-            expected_attack_rate(magnitude_bits, [flipped]), abs=1e-12)
+    width = 2 + magnitude_bits
+    for v in range(2 ** width):
+        chunk = f"{v:0{width}b}"
+        flipped = chunk[0] + str(1 - int(chunk[1])) + chunk[2:]
+        assert expected_attack_rate(magnitude_bits, [rotation_gate(chunk)]) == pytest.approx(
+            expected_attack_rate(magnitude_bits, [rotation_gate(flipped)]), abs=1e-12)
 
 
 def test_wrong_sign_is_invisible_at_magnitude_zero():
@@ -156,8 +144,8 @@ def test_wrong_sign_is_invisible_at_magnitude_zero():
     reg = StateRegistry()
     ref = random_state(np.random.default_rng(12))
     q = reg.alloc_qubit(ref)
-    reg.apply_gate(RotationSpec.from_parts(Axis.X, 0, 0).gate(), [q])
-    reg.apply_gate(RotationSpec.from_parts(Axis.X, 1, 0).inverse_gate(), [q])
+    reg.apply_gate(rotation_gate("000"), [q])
+    reg.apply_gate(rotation_gate("010").inverse(), [q])
     assert reg.fidelity(q, ref) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -167,8 +155,7 @@ def test_random_guess_covers_space_uniformly():
     draws = 4000
     for _ in range(draws):
         g = random_guess(1, rng)
-        counts[(g.axis, g.sign_bit, g.magnitude)] = counts.get(
-            (g.axis, g.sign_bit, g.magnitude), 0) + 1
+        counts[(g.kind, g.theta)] = counts.get((g.kind, g.theta), 0) + 1
     assert len(counts) == 8
     for c in counts.values():
         assert abs(c / draws - 0.125) < 0.04
@@ -246,7 +233,7 @@ def test_attack_rate_matches_analytic_oracle(magnitude_bits, mc_trials, assert_n
 
 
 def test_attack_with_fixed_key_cycles_chunks(assert_nothing_left):
-    # key of two chunks: (X,0,0) and (Y,0,1); trials alternate between them
+    # key of two chunks: "000" -> rx(pi) and "101" -> ry(pi/2); trials alternate
     key = "000101"
     targets = [derive_rotation(key, 1, 0), derive_rotation(key, 1, 1)]
     expected = expected_attack_rate(1, targets=targets)

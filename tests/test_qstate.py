@@ -193,6 +193,22 @@ def test_rotation_inverses_cancel():
     assert np.allclose(amps, init, atol=1e-12)
 
 
+def oracle_matrix(gate):
+    """The dense oracle's matrix of a gate on its own qubits."""
+    if gate.kind is GateKind.RX:
+        return mrx(gate.theta)
+    if gate.kind is GateKind.RY:
+        return mry(gate.theta)
+    return {GateKind.X: MX, GateKind.Y: MY, GateKind.Z: MZ, GateKind.H: MH,
+            GateKind.CNOT: embed_cnot(2, 0, 1)}[gate.kind]
+
+
+@pytest.mark.parametrize("gate", [X, Y, Z, H, rx(0.7), ry(-2.1), CNOT])
+def test_gate_inverse_undoes_the_gate(gate):
+    m = oracle_matrix(gate)
+    assert np.allclose(oracle_matrix(gate.inverse()) @ m, np.eye(len(m)), atol=1e-12)
+
+
 def test_full_turn_is_global_phase_only():
     reg = StateRegistry()
     init = random_state(np.random.default_rng(21))

@@ -29,15 +29,17 @@ def test_qubit_send_requires_quantum_link(net):
     q = reg.alloc_qubit([1.0, 0.0])
     net.deposit(T1, "payload", q)
     with pytest.raises(NetworkError):
-        net.send_qubit(T1, M1, q, "payload")  # classical-only link
-    net.send_qubit(T1, R2, q, "payload")
+        net.send_qubit(T1, M1, "payload", "payload")  # classical-only link
+    assert net.holdings(T1) == {"payload": q}  # a refused send leaves the qubit held
+    net.send_qubit(T1, R2, "payload", "payload")
 
 
 def test_qubit_send_requires_possession(net):
-    reg = StateRegistry()
-    q = reg.alloc_qubit([1.0, 0.0])
+    q = StateRegistry().alloc_qubit([1.0, 0.0])
+    net.deposit(R2, "payload", q)  # held under that tag, but not by the sender
     with pytest.raises(NetworkError):
-        net.send_qubit(T1, R2, q, "payload")
+        net.send_qubit(T1, R2, "payload", "payload")
+    assert net.holdings(R2) == {"payload": q}
 
 
 def test_deposit_take_and_collisions(net):
@@ -80,7 +82,7 @@ def test_qubit_custody_moves_on_delivery(net):
     q = reg.alloc_qubit([1.0, 0.0])
     net.deposit(T1, "h", q)
     assert net.node_usage(T1) == 1
-    net.send_qubit(T1, R2, q, "h")
+    net.send_qubit(T1, R2, "h", "h")
     # in flight: still the sender's hardware problem
     assert net.node_usage(T1) == 1
     assert net.node_usage(R2) == 0
@@ -98,7 +100,7 @@ def test_qubit_tag_collision_on_delivery(net):
     qb = reg.alloc_qubit([1.0, 0.0])
     net.deposit(R2, "h", qa)
     net.deposit(T1, "x", qb)
-    net.send_qubit(T1, R2, qb, "h")
+    net.send_qubit(T1, R2, "x", "h")
     with pytest.raises(NetworkError):
         net.run_until_idle()
 
