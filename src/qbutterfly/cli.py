@@ -19,9 +19,8 @@ from .experiments import (
     run_accuracy_sweep,
     run_eavesdrop_sweep,
     run_resource_report,
+    write_csv,
     write_manifest,
-    write_resource_csv,
-    write_sweep_csv,
 )
 from .qsre import load_key_file
 from .qstate import NOISE_ALL_GATES, NOISE_ENTANGLING
@@ -43,11 +42,13 @@ def parse_float_range(text: str) -> tuple[float, ...]:
     span = (stop - start) / step
     if not all(math.isfinite(v) for v in (start, stop, step, span)):
         raise ValueError(f"bad range {text!r}; needs finite bounds, step and point count")
-    count = math.floor(span + 1e-9) + 1  # never past stop
-    points = tuple(round(start + i * step, 10) for i in range(count))
-    if len(set(points)) != count:
-        raise ValueError(f"bad range {text!r}; STEP is below the 1e-10 point resolution")
-    return points
+    points: list[float] = []
+    for i in range(math.floor(span + 1e-9) + 1):  # never past stop
+        point = round(start + i * step, 10)
+        if points and point == points[-1]:  # points never decrease: a repeat is adjacent
+            raise ValueError(f"bad range {text!r}; STEP is below the 1e-10 point resolution")
+        points.append(point)
+    return tuple(points)
 
 
 def parse_int_range(text: str) -> tuple[int, ...]:
@@ -114,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
                 trials=args.trials, seed=args.seed, noise_model=args.noise_model)
             settings = cfg.settings()
             rows = run_accuracy_sweep(cfg)
-            write_sweep_csv(rows, args.out)
+            write_csv(rows, args.out)
             for row in rows:
                 print(f"noise={row.x:.4f}  accuracy={row.estimate:.3f} "
                       f"+/- {row.ci_half_width:.3f}  ({row.successes}/{row.trials})")
@@ -126,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
                 trials=args.trials, seed=args.seed, key_bits=key_bits)
             settings = cfg.settings()
             rows = run_eavesdrop_sweep(cfg)
-            write_sweep_csv(rows, args.out)
+            write_csv(rows, args.out)
             for row in rows:
                 print(f"bits={int(row.x)}  eavesdrop_rate={row.estimate:.3f} "
                       f"+/- {row.ci_half_width:.3f}  ({row.successes}/{row.trials})")
@@ -137,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
                 for n in n_range:
                     print(serialize_topology(build_butterfly(n)), end="")
             rows = run_resource_report(n_range)
-            write_resource_csv(rows, args.out)
+            write_csv(rows, args.out)
             for row in rows:
                 print(f"n={row.n_pairs}  links={row.total_links}/{row.ref_total_links}  "
                       f"quantum={row.quantum_links}/{row.ref_quantum_links}  "

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -63,22 +63,25 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"unknown noise model {self.noise_model!r}")
+        if self.n_pairs < 2:
+            raise ValueError("n_pairs must be >= 2")
         if self.experiment == "accuracy":
+            if self.bits_range or self.key_bits is not None:
+                raise ValueError("an accuracy sweep reads no bits_range or key_bits")
             if not self.noise_levels:
                 raise ValueError("accuracy sweep needs at least one noise level")
             for level in self.noise_levels:
                 if not (0.0 <= level <= 1.0):
                     raise ValueError(f"noise level {level} outside [0, 1]")
-            if self.n_pairs < 2:
-                raise ValueError("n_pairs must be >= 2")
         else:
+            if self.noise_levels or self.noise_model != NOISE_ENTANGLING:
+                raise ValueError("an eavesdrop sweep runs noise-free; it reads no noise "
+                                 "levels or noise model")
             if not self.bits_range:
                 raise ValueError("eavesdrop sweep needs at least one bits value")
             for b in self.bits_range:
                 if not (3 <= b <= 65):
                     raise ValueError(f"total bits must be in 3..65, got {b}")
-            if self.n_pairs < 2:
-                raise ValueError("n_pairs must be >= 2")
 
     def settings(self) -> dict:
         """The settings this experiment's sweep reads, as its manifest records them."""
@@ -188,20 +191,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "estimate", "ci_half_width", "trials", "successes"])
-        for row in rows:
-            writer.writerow([_fmt(row.x), _fmt(row.estimate), _fmt(row.ci_half_width),
-                             row.trials, row.successes])
-
-
-def write_resource_csv(rows: Sequence[ResourceRow], path: str) -> None:
-    header = ["n_pairs", "total_links", "quantum_links", "qubit_usage", "peak_live_qubits",
-              "ref_total_links", "ref_quantum_links", "ref_qubits",
-              "benchmark_total_links", "benchmark_quantum_links", "benchmark_qubits",
-              "within_reference"]
+def write_csv(rows: Sequence[SweepRow] | Sequence[ResourceRow], path: str) -> None:
+    """One CSV line per row, headed by the row type's field names."""
+    if not rows:
+        raise ValueError("no rows to write")
+    header = [f.name for f in fields(rows[0])]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -124,16 +124,15 @@ def distribute_entanglements(net: QNetwork, reg: StateRegistry,
     pairs: dict[int, tuple[QubitId, QubitId]] = {}
     for k in range(1, n + 1):
         t = NodeId.transmitter(k)
-        kept = net.holdings(t)[_tag("phi", k, "keep")]
-        teleport_decode(reg, kept, net.inventories[t].message(_tag("swap", k)))
-        pairs[k] = (kept, net.holdings(NodeId.receiver(k))[_tag("psi", k, "own")])
+        kept = net.qubits[t][_tag("phi", k, "keep")]
+        teleport_decode(reg, kept, net.message(t, _tag("swap", k)))
+        pairs[k] = (kept, net.qubits[NodeId.receiver(k)][_tag("psi", k, "own")])
     return pairs
 
 
 @dataclass
 class RoundResult:
     fidelities: list[float] = field(default_factory=list)
-    successes: list[bool] = field(default_factory=list)
     all_success: bool = False
     peak_usage: int = 0        # sum over nodes of per-node peak holdings
     peak_alloc: int = 0        # network-wide simultaneous live qubits
@@ -176,7 +175,7 @@ def run_round(net: QNetwork, reg: StateRegistry,
             net.broadcast_classical(t, msg, _tag("B", k))
         net.run_until_idle()
 
-        combined = xor_combine(net.inventories[relay].messages_tagged("B"))
+        combined = xor_combine(net.messages_tagged(relay, "B"))
         net.send_classical(relay, source, combined, "combined")
         net.run_until_idle()
 
@@ -185,17 +184,14 @@ def run_round(net: QNetwork, reg: StateRegistry,
 
         for k in range(1, n + 1):
             r = NodeId.receiver(k)
-            inbox = net.inventories[r]
-            own = xor_recover(inbox.message("combined"), inbox.messages_tagged("B"))
+            own = xor_recover(net.message(r, "combined"), net.messages_tagged(r, "B"))
             half = net.take(r, _tag("psi", k, "own"))
             teleport_decode(reg, half, own)
             if rotations is not None and rotations[k - 1] is not None:
                 reg.apply_gate(rotations[k - 1].inverse(), [half])
-            fid = reg.fidelity(half, states[k - 1])
-            result.fidelities.append(fid)
-            result.successes.append(fid >= SUCCESS_FIDELITY)
+            result.fidelities.append(reg.fidelity(half, states[k - 1]))
             reg.release(half)
-        result.all_success = all(result.successes)
+        result.all_success = all(f >= SUCCESS_FIDELITY for f in result.fidelities)
     except Exception as exc:  # a failed round is a failed trial, with diagnostic
         result.error = f"{type(exc).__name__}: {exc}"
         result.all_success = False

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .iedtc import (
+    SUCCESS_FIDELITY,
     _tag,
     assign_swappers,
     entanglement_swap,
@@ -153,11 +154,11 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
                            swap=substituting_swap)
         if result.error is not None:
             raise RuntimeError(f"attacked round {t} failed: {result.error}")
-        if result.successes[0]:
+        if result.fidelities[0] >= SUCCESS_FIDELITY:
             legit_hits += 1
 
         # Eve reads the pair-1 broadcast directly: she is a connected receiver.
-        broadcast = net.inventories[eve].message(_tag("B", 1))
+        broadcast = net.message(eve, _tag("B", 1))
         eve_qubit = teleport_decode(reg, net.take(eve, _tag("psi", 1, "swap")), broadcast)
         if use_qsre:
             guess = random_guess(magnitude_bits, rng)

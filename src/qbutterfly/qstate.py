@@ -169,7 +169,6 @@ class StateRegistry:
         self.rng = np.random.default_rng(seed)
         self._cluster_of: dict[QubitId, _Cluster] = {}
         self._next_qubit = 0
-        self.live_count = 0
         self.peak_alloc = 0              # max simultaneous live qubits, any instant
         self.peak_cluster_dim = 0        # max amplitudes in one cluster, any instant
         self.peak_resident_cluster_dim = 0  # same, sampled between operations only
@@ -185,8 +184,7 @@ class StateRegistry:
         self._next_qubit += 1
         cluster = _Cluster([q], amps.copy())
         self._cluster_of[q] = cluster
-        self.live_count += 1
-        self.peak_alloc = max(self.peak_alloc, self.live_count)
+        self.peak_alloc = max(self.peak_alloc, len(self._cluster_of))
         self._note(cluster)
         return q
 
@@ -281,7 +279,6 @@ class StateRegistry:
         collapsed = moved[outcome]
         norm = np.linalg.norm(collapsed)
         del self._cluster_of[q]
-        self.live_count -= 1
         cluster.qubits.pop(pos)
         if cluster.qubits:  # an emptied cluster is dropped with its last qubit
             cluster.amps = np.ascontiguousarray(collapsed).reshape(-1) / norm
@@ -310,6 +307,10 @@ class StateRegistry:
         self.measure(q)
 
     # -- inspection ----------------------------------------------------------
+
+    @property
+    def live_count(self) -> int:
+        return len(self._cluster_of)
 
     def is_live(self, q: QubitId) -> bool:
         return q in self._cluster_of
@@ -350,19 +351,9 @@ class StateRegistry:
         cluster = self._cluster_of[q]
         return tuple(cluster.qubits), cluster.amps.copy()
 
-    def _distinct_clusters(self) -> list[_Cluster]:
-        return list({id(c): c for c in self._cluster_of.values()}.values())
-
     def cluster_dims(self) -> list[int]:
-        return sorted(c.dim for c in self._distinct_clusters())
-
-    @property
-    def cluster_count(self) -> int:
-        return len(self._distinct_clusters())
-
-    @property
-    def total_amplitudes(self) -> int:
-        return sum(c.dim for c in self._distinct_clusters())
+        """Amplitude count of each live cluster, ascending."""
+        return sorted(c.dim for c in {id(c): c for c in self._cluster_of.values()}.values())
 
     # -- internals -----------------------------------------------------------
 

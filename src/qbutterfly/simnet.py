@@ -5,9 +5,11 @@ bit string of a classical message or the QubitId of a qubit.  Nothing is
 delivered until run_until_idle drains the queue, so a protocol phase is
 written as "enqueue everything, then run"; each drain is one tick, and one
 pass empties the queue (delivery never sends), so no event cap is needed.
-Qubit payloads move a QubitId between node inventories; a qubit in
-flight stays in the custody of its sender for capacity accounting (the
-fiber port is the sender's hardware until the photon is absorbed).
+Each node holds tagged qubits (``qubits``) and a classical inbox
+(``inbox``).  A delivered qubit enters its receiver's holdings through
+``deposit``, as a qubit created there does; a qubit in flight stays in the
+custody of its sender for capacity accounting (the fiber port is the
+sender's hardware until the photon is absorbed).
 """
 from __future__ import annotations
 
@@ -36,43 +38,28 @@ class TraceEntry:
         return f"{self.time} {self.src} {self.dst} {self.kind} {self.tag} {self.size}"
 
 
-class NodeInventory:
-    """What one node currently holds: tagged qubits and its classical inbox."""
-
-    def __init__(self) -> None:
-        self.qubits: dict[str, QubitId] = {}
-        self.messages: dict[str, str] = {}  # tag -> bits, in arrival order
-
-    def message(self, tag: str) -> str:
-        try:
-            return self.messages[tag]
-        except KeyError:
-            raise NetworkError(f"no message tagged {tag!r} in inbox") from None
-
-    def messages_tagged(self, prefix: str) -> list[str]:
-        return [bits for tag, bits in self.messages.items() if tag.startswith(prefix)]
-
-
 class QNetwork:
-    """Event queue, per-node inventories, and the delivery trace."""
+    """Event queue, per-node holdings and inboxes, and the delivery trace."""
 
     def __init__(self, topology: Topology):
         self.topology = topology
         self.now = 0
         self._queue: deque[tuple[NodeId, NodeId, str, str | QubitId]] = deque()
         self.trace: list[TraceEntry] = []
-        self.inventories: dict[NodeId, NodeInventory] = {n: NodeInventory() for n in topology.nodes}
+        self.qubits: dict[NodeId, dict[str, QubitId]] = {n: {} for n in topology.nodes}
+        self.inbox: dict[NodeId, dict[str, str]] = {n: {} for n in topology.nodes}  # arrival order
         self._in_flight: dict[NodeId, int] = {n: 0 for n in topology.nodes}
         self.node_peaks: dict[NodeId, int] = {n: 0 for n in topology.nodes}
 
     def reset(self) -> None:
-        """Clear queue, trace, inventories and accounting; topology stays."""
+        """Clear queue, trace, holdings, inboxes and accounting; topology stays."""
         self.now = 0
         self._queue.clear()
         self.trace.clear()
-        for inv in self.inventories.values():
-            inv.qubits.clear()
-            inv.messages.clear()
+        for held in self.qubits.values():
+            held.clear()
+        for inbox in self.inbox.values():
+            inbox.clear()
         for n in self._in_flight:
             self._in_flight[n] = 0
         for n in self.node_peaks:
@@ -81,29 +68,37 @@ class QNetwork:
     # -- qubit custody --------------------------------------------------------
 
     def deposit(self, node: NodeId, tag: str, q: QubitId) -> None:
-        """A qubit created at this node enters its inventory under tag."""
-        inv = self._inventory(node)
-        if tag in inv.qubits:
+        """A qubit created at, or delivered to, this node is held under tag."""
+        held = self._held(node)
+        if tag in held:
             raise NetworkError(f"{node} already holds a qubit tagged {tag!r}")
-        inv.qubits[tag] = q
+        held[tag] = q
         self._bump(node)
 
     def take(self, node: NodeId, tag: str) -> QubitId:
         """The node consumes a held qubit (to gate/measure it locally)."""
-        inv = self._inventory(node)
-        if tag not in inv.qubits:
+        held = self._held(node)
+        if tag not in held:
             raise NetworkError(f"{node} holds no qubit tagged {tag!r}")
-        return inv.qubits.pop(tag)
-
-    def holdings(self, node: NodeId) -> dict[str, QubitId]:
-        return dict(self._inventory(node).qubits)
+        return held.pop(tag)
 
     def node_usage(self, node: NodeId) -> int:
-        return len(self._inventory(node).qubits) + self._in_flight[node]
+        return len(self._held(node)) + self._in_flight[node]
 
     def peak_usage_total(self) -> int:
         """Sum over nodes of each node's own peak qubit holding (incl. in-flight)."""
         return sum(self.node_peaks.values())
+
+    # -- classical inbox -----------------------------------------------------
+
+    def message(self, node: NodeId, tag: str) -> str:
+        try:
+            return self.inbox[node][tag]
+        except KeyError:
+            raise NetworkError(f"{node} has no message tagged {tag!r}") from None
+
+    def messages_tagged(self, node: NodeId, prefix: str) -> list[str]:
+        return [bits for tag, bits in self.inbox[node].items() if tag.startswith(prefix)]
 
     # -- sending ---------------------------------------------------------------
 
@@ -156,26 +151,23 @@ class QNetwork:
         return len(self._queue)
 
     def _deliver(self, src: NodeId, dst: NodeId, tag: str, payload: str | QubitId) -> TraceEntry:
-        inv = self._inventory(dst)
         if isinstance(payload, str):
-            if tag in inv.messages:
+            inbox = self.inbox[dst]
+            if tag in inbox:
                 raise NetworkError(f"{dst} already holds a message tagged {tag!r}")
-            inv.messages[tag] = payload
+            inbox[tag] = payload
             entry = TraceEntry(self.now, src, dst, "classical", tag, len(payload))
         else:
-            if tag in inv.qubits:
-                raise NetworkError(f"{dst} already holds a qubit tagged {tag!r}")
+            self.deposit(dst, tag, payload)  # a collision leaves custody with src
             self._in_flight[src] -= 1
-            inv.qubits[tag] = payload
-            self._bump(dst)
             entry = TraceEntry(self.now, src, dst, "quantum", tag, 1)
         self.trace.append(entry)
         return entry
 
-    def _inventory(self, node: NodeId) -> NodeInventory:
-        if node not in self.inventories:
+    def _held(self, node: NodeId) -> dict[str, QubitId]:
+        if node not in self.qubits:
             raise NetworkError(f"{node} is not part of this network")
-        return self.inventories[node]
+        return self.qubits[node]
 
     def _bump(self, node: NodeId) -> None:
         usage = self.node_usage(node)

@@ -15,9 +15,8 @@ from qbutterfly.experiments import (
     run_accuracy_sweep,
     run_eavesdrop_sweep,
     run_resource_report,
+    write_csv,
     write_manifest,
-    write_resource_csv,
-    write_sweep_csv,
 )
 
 
@@ -58,6 +57,14 @@ def test_config_validation():
         ExperimentConfig("eavesdrop", bits_range=())
     with pytest.raises(ValueError):  # the resource report takes no config
         ExperimentConfig("resources")
+    # settings the experiment never reads are refused, not silently ignored
+    with pytest.raises(ValueError):  # the attack runs noise-free
+        ExperimentConfig("eavesdrop", bits_range=(3,), trials=20, seed=5,
+                         noise_model="all-gates", noise_levels=(0.5,))
+    with pytest.raises(ValueError):
+        ExperimentConfig("accuracy", noise_levels=(0.1,), key_bits="0101")
+    with pytest.raises(ValueError):
+        ExperimentConfig("accuracy", noise_levels=(0.1,), bits_range=(9,))
     with pytest.raises(ValueError):
         ExperimentConfig("accuracy", noise_levels=(0.1,), noise_model="thermal")
 
@@ -130,7 +137,7 @@ def test_resource_report_matches_closed_forms():
 def test_sweep_csv_roundtrip(tmp_path):
     rows = [SweepRow(0.01, 0.925, 0.0163252, 1000, 925)]
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, str(path))
+    write_csv(rows, str(path))
     with open(path, newline="") as fh:
         records = list(csv.DictReader(fh))
     assert len(records) == 1
@@ -147,19 +154,21 @@ def test_sweep_csv_bytes_are_reproducible(tmp_path):
     paths = []
     for name in ("a.csv", "b.csv"):
         path = tmp_path / name
-        write_sweep_csv(run_accuracy_sweep(cfg), str(path))
+        write_csv(run_accuracy_sweep(cfg), str(path))
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_resource_csv_layout(tmp_path):
     path = tmp_path / "res.csv"
-    write_resource_csv(run_resource_report((2,)), str(path))
+    write_csv(run_resource_report((2,)), str(path))
     with open(path, newline="") as fh:
         records = list(csv.DictReader(fh))
     assert records[0]["n_pairs"] == "2"
     assert records[0]["qubit_usage"] == "14"
     assert records[0]["within_reference"] == "true"
+    with pytest.raises(ValueError):  # no row type, so no header
+        write_csv([], str(tmp_path / "empty.csv"))
 
 
 def test_manifest_contents(tmp_path):
@@ -201,6 +210,8 @@ def test_parse_float_range():
             parse_float_range(text)
     with pytest.raises(ValueError):  # rounding to 10 decimals would repeat 0.0
         parse_float_range("0:1e-12:1e-13")
+    with pytest.raises(ValueError):  # 1e12 points: rejected at the first repeat
+        parse_float_range("0:1:1e-12")
 
 
 def test_parse_int_range():

@@ -175,7 +175,6 @@ def test_round_delivers_every_state_exactly():
     result = run_round(net, reg, states)
     assert result.error is None
     assert result.all_success
-    assert result.successes == [True, True]
     for fid in result.fidelities:
         assert fid == pytest.approx(1.0, abs=1e-9)
     assert result.peak_usage == 14
@@ -219,7 +218,7 @@ def test_round_input_validation():
             run_round(net, reg, [[1.0, 0.0], bad])
         assert reg.live_count == 0
         assert net.pending == 0
-        assert all(net.holdings(node) == {} for node in net.topology.nodes)
+        assert all(net.qubits[node] == {} for node in net.topology.nodes)
 
 
 @pytest.mark.parametrize("n", [2, 3])

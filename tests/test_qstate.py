@@ -288,9 +288,9 @@ def test_reduced_states_match_dense_oracle():
 def test_cluster_factoring_keeps_pairs_independent():
     reg = StateRegistry()
     pairs = [reg.create_bell_pair() for _ in range(5)]
-    assert reg.cluster_count == 5
+    assert len(reg.cluster_dims()) == 5
     assert reg.cluster_dims() == [4] * 5
-    assert reg.total_amplitudes == 20  # not 4**5
+    assert sum(reg.cluster_dims()) == 20  # not 4**5
     assert reg.peak_cluster_dim == 4
     assert reg.live_count == 10
     assert reg.peak_alloc == 10
@@ -308,7 +308,7 @@ def test_transient_merge_tracked_separately_from_resident():
     reg.bell_measure(b, c)  # merges two 4-dim clusters mid-measurement
     assert reg.peak_cluster_dim == 16
     assert reg.peak_resident_cluster_dim == 4
-    assert reg.cluster_count == 1  # a and d now share one cluster
+    assert len(reg.cluster_dims()) == 1  # a and d now share one cluster
     assert reg.cluster_dims() == [4]
 
 
@@ -364,8 +364,8 @@ def test_peaks_match_brute_force_reference():
                 assert abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL
                 clusters[order] = amps.size
             assert sum(len(order) for order in clusters) == reg.live_count == len(live)
-            assert reg.cluster_count == len(clusters)
-            assert reg.total_amplitudes == sum(clusters.values())
+            assert len(reg.cluster_dims()) == len(clusters)
+            assert sum(reg.cluster_dims()) == sum(clusters.values())
 
 
 def test_chain_entanglement_grows_and_collapses():

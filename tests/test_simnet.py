@@ -30,7 +30,7 @@ def test_qubit_send_requires_quantum_link(net):
     net.deposit(T1, "payload", q)
     with pytest.raises(NetworkError):
         net.send_qubit(T1, M1, "payload", "payload")  # classical-only link
-    assert net.holdings(T1) == {"payload": q}  # a refused send leaves the qubit held
+    assert net.qubits[T1] == {"payload": q}  # a refused send leaves the qubit held
     net.send_qubit(T1, R2, "payload", "payload")
 
 
@@ -39,7 +39,7 @@ def test_qubit_send_requires_possession(net):
     net.deposit(R2, "payload", q)  # held under that tag, but not by the sender
     with pytest.raises(NetworkError):
         net.send_qubit(T1, R2, "payload", "payload")
-    assert net.holdings(R2) == {"payload": q}
+    assert net.qubits[R2] == {"payload": q}
 
 
 def test_deposit_take_and_collisions(net):
@@ -57,11 +57,11 @@ def test_deposit_take_and_collisions(net):
 def test_nothing_delivered_until_run(net):
     net.send_classical(T1, M1, "10", "msg")
     assert net.pending == 1
-    assert net.inventories[M1].messages == {}
+    assert net.inbox[M1] == {}
     (entry,) = net.run_until_idle()
     assert net.pending == 0
     assert (entry.src, entry.dst, entry.tag) == (T1, M1, "msg")
-    assert net.inventories[M1].message("msg") == "10"
+    assert net.message(M1, "msg") == "10"
 
 
 def test_fifo_order_and_times(net):
@@ -89,7 +89,7 @@ def test_qubit_custody_moves_on_delivery(net):
     net.run_until_idle()
     assert net.node_usage(T1) == 0
     assert net.node_usage(R2) == 1
-    assert net.holdings(R2) == {"h": q}
+    assert net.qubits[R2] == {"h": q}
     assert net.node_peaks[T1] == 1 and net.node_peaks[R2] == 1
     assert net.peak_usage_total() == sum(net.node_peaks.values())
 
@@ -103,6 +103,8 @@ def test_qubit_tag_collision_on_delivery(net):
     net.send_qubit(T1, R2, "x", "h")
     with pytest.raises(NetworkError):
         net.run_until_idle()
+    assert net.qubits[R2] == {"h": qa}
+    assert net.node_usage(T1) == 1  # the refused qubit stays in the sender's custody
 
 
 def test_message_tag_collision_on_delivery(net):
@@ -111,15 +113,15 @@ def test_message_tag_collision_on_delivery(net):
     net.send_classical(T2, M1, "10", "h")
     with pytest.raises(NetworkError):
         net.run_until_idle()
-    assert net.inventories[M1].message("h") == "01"
+    assert net.message(M1, "h") == "01"
 
 
 def test_broadcast_reaches_all_neighbors(net):
     targets = net.broadcast_classical(T1, "01", "b")
     assert targets == [M1, R2]
     net.run_until_idle()
-    assert net.inventories[M1].message("b") == "01"
-    assert net.inventories[R2].message("b") == "01"
+    assert net.message(M1, "b") == "01"
+    assert net.message(R2, "b") == "01"
 
 
 def test_broadcast_exclusion():
@@ -134,11 +136,10 @@ def test_inbox_queries(net):
     net.send_classical(T1, M1, "00", "B1")
     net.send_classical(T2, M1, "01", "B2")
     net.run_until_idle()
-    inbox = net.inventories[M1]
-    assert inbox.messages_tagged("B") == ["00", "01"]
-    assert inbox.messages_tagged("zzz") == []
+    assert net.messages_tagged(M1, "B") == ["00", "01"]
+    assert net.messages_tagged(M1, "zzz") == []
     with pytest.raises(NetworkError):
-        inbox.message("missing")
+        net.message(M1, "missing")
 
 
 def test_reset_clears_state(net):
@@ -151,8 +152,8 @@ def test_reset_clears_state(net):
     assert net.now == 0
     assert net.pending == 0
     assert net.trace == []
-    assert net.holdings(T1) == {}
-    assert net.inventories[M1].messages == {}
+    assert net.qubits[T1] == {}
+    assert net.inbox[M1] == {}
     assert net.peak_usage_total() == 0
 
 
