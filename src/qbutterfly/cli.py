@@ -5,7 +5,8 @@
     qbutterfly resources --n 2:10 --out res.csv
 
 Range arguments are inclusive: START:STOP[:STEP].  A bare number is a
-single-point range.
+single-point range.  Each --noise and --bits point is checked as it is built,
+so an out-of-bounds range fails at its first bad point however long it is.
 """
 from __future__ import annotations
 
@@ -13,9 +14,12 @@ import argparse
 import math
 import sys
 import time
+from typing import Callable
 
 from .experiments import (
     ExperimentConfig,
+    check_noise_level,
+    check_total_bits,
     run_accuracy_sweep,
     run_eavesdrop_sweep,
     run_resource_report,
@@ -28,6 +32,7 @@ from .topology import build_butterfly, serialize_topology
 
 
 def parse_float_range(text: str) -> tuple[float, ...]:
+    """The --noise range; each point is checked as a noise level as it is built."""
     parts = text.split(":")
     if len(parts) == 1:
         return (float(parts[0]),)
@@ -47,11 +52,13 @@ def parse_float_range(text: str) -> tuple[float, ...]:
         point = round(start + i * step, 10)
         if points and point == points[-1]:  # points never decrease: a repeat is adjacent
             raise ValueError(f"bad range {text!r}; STEP is below the 1e-10 point resolution")
+        check_noise_level(point)
         points.append(point)
     return tuple(points)
 
 
-def parse_int_range(text: str) -> tuple[int, ...]:
+def parse_int_range(text: str,
+                    check: Callable[[int], None] = lambda point: None) -> tuple[int, ...]:
     parts = text.split(":")
     if len(parts) == 1:
         return (int(parts[0]),)
@@ -63,7 +70,10 @@ def parse_int_range(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad range {text!r}; expected START:STOP[:STEP]")
     if step <= 0 or stop < start:
         raise ValueError(f"bad range {text!r}; needs stop >= start and step > 0")
-    return tuple(range(start, stop + 1, step))
+    points = range(start, stop + 1, step)
+    for point in points:
+        check(point)
+    return tuple(points)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
             key_bits = load_key_file(args.key_file) if args.key_file else None
             cfg = ExperimentConfig(
                 experiment="eavesdrop", n_pairs=args.n,
-                bits_range=parse_int_range(args.bits),
+                bits_range=parse_int_range(args.bits, check_total_bits),
                 trials=args.trials, seed=args.seed, key_bits=key_bits)
             settings = cfg.settings()
             rows = run_eavesdrop_sweep(cfg)

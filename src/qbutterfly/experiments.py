@@ -45,6 +45,16 @@ class SweepRow:
     successes: int
 
 
+def check_noise_level(level: float) -> None:
+    if not (0.0 <= level <= 1.0):
+        raise ValueError(f"noise level {level} outside [0, 1]")
+
+
+def check_total_bits(bits: int) -> None:
+    if not (3 <= bits <= 65):
+        raise ValueError(f"total bits must be in 3..65, got {bits}")
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -71,8 +81,7 @@ class ExperimentConfig:
             if not self.noise_levels:
                 raise ValueError("accuracy sweep needs at least one noise level")
             for level in self.noise_levels:
-                if not (0.0 <= level <= 1.0):
-                    raise ValueError(f"noise level {level} outside [0, 1]")
+                check_noise_level(level)
         else:
             if self.noise_levels or self.noise_model != NOISE_ENTANGLING:
                 raise ValueError("an eavesdrop sweep runs noise-free; it reads no noise "
@@ -80,8 +89,7 @@ class ExperimentConfig:
             if not self.bits_range:
                 raise ValueError("eavesdrop sweep needs at least one bits value")
             for b in self.bits_range:
-                if not (3 <= b <= 65):
-                    raise ValueError(f"total bits must be in 3..65, got {b}")
+                check_total_bits(b)
 
     def settings(self) -> dict:
         """The settings this experiment's sweep reads, as its manifest records them."""

@@ -5,10 +5,17 @@ Only a two-qubit gate can merge clusters, so K Bell pairs cost K
 4-amplitude vectors rather than one 4**K-amplitude vector.  This keeps the
 qubit memory of a simulated round linear in the number of transceiver
 pairs; the round itself still delivers Theta(n**2) messages.
+
+A cluster's first qubit is the high bit of its amplitude index.  Gates,
+merges and measurements read one strided view per qubit q: with stride
+2**(qubits after q in cluster order), ``amps.reshape(-1, 2, stride)``
+puts q's bit on the middle axis, so ``view[:, b, :]`` holds the
+amplitudes with q = b.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NewType, Sequence
@@ -116,7 +123,7 @@ def as_state(amplitudes: Sequence[complex], n_qubits: int = 1) -> np.ndarray:
     if amps.shape != (2 ** n_qubits,):
         raise ValueError(f"a {n_qubits}-qubit state needs {2 ** n_qubits} amplitudes, "
                          f"got shape {amps.shape}")
-    if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:  # NaN fails too
+    if not abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) <= NORM_ATOL:  # NaN fails too
         raise ValueError("state vector is not normalized")
     return amps
 
@@ -132,9 +139,22 @@ class _Cluster:
     def dim(self) -> int:
         return self.amps.size
 
-    def tensor(self) -> np.ndarray:
-        """The amplitudes with one axis per qubit, in ``qubits`` order."""
-        return self.amps.reshape([2] * len(self.qubits))
+    def stride(self, q: QubitId) -> int:
+        """2**(qubits after q): the index step that flips q's bit."""
+        return 1 << (len(self.qubits) - 1 - self.qubits.index(q))
+
+    def view(self, q: QubitId) -> np.ndarray:
+        """The amplitudes as (high, q's bit, low); ``view[:, b, :]`` is q = b."""
+        return self.amps.reshape(-1, 2, self.stride(q))
+
+
+@functools.lru_cache(maxsize=None)
+def _cnot_permutation(dim: int, control_stride: int, target_stride: int) -> np.ndarray:
+    # Gather indices that swap the target's 0 and 1 halves where the control is 1.
+    idx = np.arange(dim)
+    perm = np.where(idx & control_stride, idx ^ target_stride, idx)
+    perm.flags.writeable = False  # the cache hands this one array to every caller
+    return perm
 
 
 class StateRegistry:
@@ -142,6 +162,9 @@ class StateRegistry:
 
     Each live qubit maps straight to the cluster object that holds it;
     clusters carry no ids, and a cluster lives as long as a qubit maps to it.
+    A gate on q is ``matrix @ view`` on the (high, q, low) view of the module
+    docstring; CNOT swaps the target halves where the control bit is 1, and
+    a merge appends the second cluster's qubits as the low bits.
 
     Measurement and release consume the QubitId; a consumed id can never be
     used again (no-cloning is enforced by handle death, ids are never reused).
@@ -223,25 +246,17 @@ class StateRegistry:
 
     def _apply_single(self, matrix: np.ndarray, q: QubitId) -> None:
         cluster = self._cluster_of[q]
-        pos = cluster.qubits.index(q)
-        state = np.tensordot(matrix, cluster.tensor(), axes=([1], [pos]))
-        state = np.moveaxis(state, 0, pos)
-        cluster.amps = np.ascontiguousarray(state).reshape(-1)
+        cluster.amps = (matrix @ cluster.view(q)).reshape(-1)
 
     def _apply_cnot(self, control: QubitId, target: QubitId) -> None:
         cluster = self._cluster_of[control]
         if cluster is not self._cluster_of[target]:
             cluster = self._merge(cluster, self._cluster_of[target])
-        pc = cluster.qubits.index(control)
-        pt = cluster.qubits.index(target)
-        state = cluster.tensor()
-        # Where the control is 1, swap the target's 0 and 1 halves.
-        half = state[(slice(None),) * pc + (1,)]
-        half[...] = np.flip(half, axis=pt - (pt > pc))
-        cluster.amps = state.reshape(-1)
+        perm = _cnot_permutation(cluster.dim, cluster.stride(control), cluster.stride(target))
+        cluster.amps = cluster.amps[perm]
 
     def _merge(self, a: _Cluster, b: _Cluster) -> _Cluster:
-        merged = _Cluster(a.qubits + b.qubits, np.kron(a.amps, b.amps))
+        merged = _Cluster(a.qubits + b.qubits, np.multiply.outer(a.amps, b.amps).reshape(-1))
         for q in merged.qubits:
             self._cluster_of[q] = merged
         self.peak_cluster_dim = max(self.peak_cluster_dim, merged.dim)
@@ -271,17 +286,17 @@ class StateRegistry:
         """Computational-basis measurement; collapses and consumes the qubit."""
         self._require_live(q)
         cluster = self._cluster_of[q]
-        pos = cluster.qubits.index(q)
-        moved = np.moveaxis(cluster.tensor(), pos, 0)
-        p1 = float(np.sum(np.abs(moved[1]) ** 2))
+        view = cluster.view(q)
+        ones = view[:, 1, :]
+        p1 = float(np.vdot(ones, ones).real)
         p1 = min(max(p1, 0.0), 1.0)
         outcome = 1 if self.rng.random() < p1 else 0
-        collapsed = moved[outcome]
-        norm = np.linalg.norm(collapsed)
+        collapsed = view[:, outcome, :]
         del self._cluster_of[q]
-        cluster.qubits.pop(pos)
+        cluster.qubits.remove(q)
         if cluster.qubits:  # an emptied cluster is dropped with its last qubit
-            cluster.amps = np.ascontiguousarray(collapsed).reshape(-1) / norm
+            norm = math.sqrt(np.vdot(collapsed, collapsed).real)
+            cluster.amps = (collapsed / norm).reshape(-1)
         return outcome
 
     def bell_measure(self, q1: QubitId, q2: QubitId) -> tuple[int, int]:
@@ -339,10 +354,14 @@ class StateRegistry:
 
     def _reduced(self, *qs: QubitId) -> np.ndarray:
         # Density matrix of the qubits qs of one cluster, qs[0] the high bit.
+        # Each step moves one qubit's bit from the columns to the rows; a bit
+        # already moved halves the stride of every bit above it.
         cluster = self._cluster_of[qs[0]]
-        axes = [cluster.qubits.index(q) for q in qs]
-        state = np.moveaxis(cluster.tensor(), axes, range(len(qs)))
-        psi = state.reshape(2 ** len(qs), -1)
+        strides = [cluster.stride(q) for q in qs]
+        psi = cluster.amps.reshape(1, -1)
+        for i, s in enumerate(strides):
+            s >>= sum(t < s for t in strides[:i])
+            psi = psi.reshape(len(psi), -1, 2, s).transpose(0, 2, 1, 3).reshape(2 * len(psi), -1)
         return psi @ psi.conj().T
 
     def cluster_state(self, q: QubitId) -> tuple[tuple[QubitId, ...], np.ndarray]:

@@ -105,8 +105,7 @@ class QNetwork:
     def send_classical(self, src: NodeId, dst: NodeId, bits: str, tag: str) -> None:
         if self.topology.find_link(src, dst) is None:
             raise NetworkError(f"no link between {src} and {dst}")
-        if any(c not in "01" for c in bits):
-            raise ValueError(f"classical payload must be a bit string, got {bits!r}")
+        _check_bits(bits)
         self._queue.append((src, dst, tag, bits))
 
     def send_qubit(self, src: NodeId, dst: NodeId, held_tag: str, tag: str) -> None:
@@ -127,8 +126,8 @@ class QNetwork:
         targets = [n for n in self.topology.neighbors(src) if n not in skip]
         if not targets:
             raise NetworkError(f"{src} has no neighbors to broadcast to")
-        for dst in targets:
-            self.send_classical(src, dst, bits, tag)
+        _check_bits(bits)  # once: every target is a neighbour, so linked
+        self._queue.extend([(src, dst, tag, bits) for dst in targets])
         return targets
 
     # -- delivery ----------------------------------------------------------------
@@ -173,6 +172,11 @@ class QNetwork:
         usage = self.node_usage(node)
         if usage > self.node_peaks[node]:
             self.node_peaks[node] = usage
+
+
+def _check_bits(bits: str) -> None:
+    if any(c not in "01" for c in bits):
+        raise ValueError(f"classical payload must be a bit string, got {bits!r}")
 
 
 def serialize_trace(trace: Iterable[TraceEntry]) -> str:

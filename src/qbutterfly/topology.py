@@ -8,7 +8,8 @@ Classical-only links: Tn--M1 for every n, plus the single M1--M2 bottleneck.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class NodeKind(enum.Enum):
@@ -18,33 +19,41 @@ class NodeKind(enum.Enum):
     SOURCE = "M2"
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    kind: NodeKind = field(compare=False)
-    index: int
-    label: str = field(default="", compare=True)
+_KIND_OF_LABEL = {kind.value: kind for kind in NodeKind}
 
-    def __post_init__(self) -> None:
-        if self.kind in (NodeKind.TRANSMITTER, NodeKind.RECEIVER) and self.index < 1:
-            raise ValueError("transceiver indices start at 1")
-        label = self.kind.value if self.index == 0 else f"{self.kind.value}{self.index}"
-        object.__setattr__(self, "label", label)
+
+class NodeId(NamedTuple):
+    """A node key; as a plain tuple it hashes and compares in C and sorts by
+    (index, label): M1, M2, R1, T1, R2, T2, ..."""
+
+    index: int
+    label: str
+
+    @property
+    def kind(self) -> NodeKind:
+        return _KIND_OF_LABEL[self.label[0] if self.index else self.label]
 
     @classmethod
     def transmitter(cls, n: int) -> "NodeId":
-        return cls(NodeKind.TRANSMITTER, n)
+        return cls._transceiver(NodeKind.TRANSMITTER, n)
 
     @classmethod
     def receiver(cls, n: int) -> "NodeId":
-        return cls(NodeKind.RECEIVER, n)
+        return cls._transceiver(NodeKind.RECEIVER, n)
+
+    @classmethod
+    def _transceiver(cls, kind: NodeKind, n: int) -> "NodeId":
+        if n < 1:
+            raise ValueError("transceiver indices start at 1")
+        return cls(n, f"{kind.value}{n}")
 
     @classmethod
     def relay(cls) -> "NodeId":
-        return cls(NodeKind.RELAY, 0)
+        return cls(0, NodeKind.RELAY.value)
 
     @classmethod
     def source(cls) -> "NodeId":
-        return cls(NodeKind.SOURCE, 0)
+        return cls(0, NodeKind.SOURCE.value)
 
     def __str__(self) -> str:
         return self.label

@@ -222,6 +222,17 @@ def test_parse_int_range():
         parse_int_range("5:2")
 
 
+def test_cli_rejects_an_out_of_bounds_range_before_building_it(tmp_path, capsys):
+    # Neither range could ever be built (1e15 points); each fails at its first
+    # out-of-bounds point, with the message ExperimentConfig gives that value.
+    out = tmp_path / "x.csv"
+    assert main(["accuracy", "--noise", "0:1e15:1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "qbutterfly: error: noise level 2.0 outside [0, 1]\n"
+    assert main(["eavesdrop", "--bits", f"3:{10**15}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "qbutterfly: error: total bits must be in 3..65, got 66\n"
+    assert not out.exists()
+
+
 def test_cli_accuracy_and_manifest(tmp_path, capsys):
     out = tmp_path / "acc.csv"
     manifest = tmp_path / "acc.json"
