@@ -149,7 +149,10 @@ def run_round(net: QNetwork, reg: StateRegistry,
     input_states: one payload state per pair.  rotations: optional per-pair
     rotation gate, applied at the transmitter and inverted at the receiver.
     swap: the assisters' policy during distribution.  A pair succeeds when
-    the receiver-side fidelity reaches 1 within 1e-9.
+    the receiver-side fidelity reaches 1 within 1e-9.  A round that ends
+    with a message queued, a qubit in flight, or a live qubit no node holds
+    fails with an error starting "round end".  ``trace`` is the network's
+    own list, which the next ``reset`` replaces rather than clears.
     """
     n = net.topology.n_pairs
     if len(input_states) != n:
@@ -191,11 +194,23 @@ def run_round(net: QNetwork, reg: StateRegistry,
                 reg.apply_gate(rotations[k - 1].inverse(), [half])
             result.fidelities.append(reg.fidelity(half, states[k - 1]))
             reg.release(half)
-        result.all_success = all(f >= SUCCESS_FIDELITY for f in result.fidelities)
+        result.error = _custody_error(net, reg)
+        result.all_success = (result.error is None
+                              and all(f >= SUCCESS_FIDELITY for f in result.fidelities))
     except Exception as exc:  # a failed round is a failed trial, with diagnostic
         result.error = f"{type(exc).__name__}: {exc}"
         result.all_success = False
     result.peak_usage = net.peak_usage_total()
     result.peak_alloc = reg.peak_alloc
-    result.trace = list(net.trace)
+    result.trace = net.trace  # reset() starts a new list, so this one stays as is
     return result
+
+
+def _custody_error(net: QNetwork, reg: StateRegistry) -> str | None:
+    """Round-end invariant: nothing queued or in flight, and every live qubit
+    is held by a node (an attacker's retained qubit is held at its node)."""
+    held, in_flight = sum(map(len, net.qubits.values())), net.in_flight
+    if net.pending or in_flight or reg.live_count != held:
+        return (f"round end: {reg.live_count} live qubits, {held} held, "
+                f"{in_flight} in flight, {net.pending} queued")
+    return None

@@ -169,6 +169,13 @@ class StateRegistry:
     Measurement and release consume the QubitId; a consumed id can never be
     used again (no-cloning is enforced by handle death, ids are never reused).
 
+    Each operation is checked once, where it enters: the public methods
+    (``alloc_qubit``, ``apply_gate``, ``measure``, ``bell_measure``,
+    ``release``, ``fidelity``, ``pair_fidelity``) validate states, arity,
+    distinct targets and liveness.  The steps they are built from
+    (``_apply_gate``, ``_measure``, the kernels and the noise Paulis), and
+    ``create_bell_pair``, whose qubits are fresh, run unchecked.
+
     Noise hook: after each gate the configured channel may inject Pauli
     errors, drawn from this registry's RNG so runs are seed-deterministic.
 
@@ -214,22 +221,23 @@ class StateRegistry:
     def create_bell_pair(self) -> tuple[QubitId, QubitId]:
         """Allocate two qubits and entangle them into (|00>+|11>)/sqrt(2).
 
-        Built from H and CNOT so the noise hook sees both gates.
+        The pair starts as one |00> cluster; H and CNOT then run as gates so
+        the noise hook sees both, drawing as for two allocations and two
+        ``apply_gate`` calls.
         """
-        a = self.alloc_qubit([1.0, 0.0])
-        b = self.alloc_qubit([1.0, 0.0])
-        self._apply_gate(H, [a])
-        self._apply_gate(CNOT, [a, b])
-        self._note(self._cluster_of[a])
+        a, b = QubitId(self._next_qubit), QubitId(self._next_qubit + 1)
+        self._next_qubit += 2
+        cluster = _Cluster([a, b], np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+        self._cluster_of[a] = self._cluster_of[b] = cluster
+        self.peak_alloc = max(self.peak_alloc, len(self._cluster_of))
+        self._apply_gate(H, (a,))
+        self._apply_gate(CNOT, (a, b))
+        self._note(cluster)
         return a, b
 
     # -- gates --------------------------------------------------------------
 
     def apply_gate(self, gate: Gate, targets: Sequence[QubitId]) -> None:
-        self._apply_gate(gate, targets)
-        self._note(self._cluster_of[targets[0]])
-
-    def _apply_gate(self, gate: Gate, targets: Sequence[QubitId]) -> None:
         targets = list(targets)
         if len(targets) != gate.arity:
             raise ValueError(f"{gate.kind.value} takes {gate.arity} target(s), got {len(targets)}")
@@ -237,6 +245,11 @@ class StateRegistry:
             raise ValueError("duplicate target qubit")
         for q in targets:
             self._require_live(q)
+        self._apply_gate(gate, targets)
+        self._note(self._cluster_of[targets[0]])
+
+    def _apply_gate(self, gate: Gate, targets: Sequence[QubitId]) -> None:
+        # Unchecked: the caller has made sure of arity, distinctness and liveness.
         if gate.kind is GateKind.CNOT:
             self._apply_cnot(targets[0], targets[1])
         else:
@@ -262,7 +275,7 @@ class StateRegistry:
         self.peak_cluster_dim = max(self.peak_cluster_dim, merged.dim)
         return merged
 
-    def _inject_noise(self, gate: Gate, targets: list[QubitId]) -> None:
+    def _inject_noise(self, gate: Gate, targets: Sequence[QubitId]) -> None:
         p = self.noise_prob
         if p == 0.0:
             return
@@ -285,6 +298,10 @@ class StateRegistry:
     def measure(self, q: QubitId) -> int:
         """Computational-basis measurement; collapses and consumes the qubit."""
         self._require_live(q)
+        return self._measure(q)
+
+    def _measure(self, q: QubitId) -> int:
+        # Unchecked: q is live.
         cluster = self._cluster_of[q]
         view = cluster.view(q)
         ones = view[:, 1, :]
@@ -308,11 +325,11 @@ class StateRegistry:
             raise ValueError("bell_measure needs two distinct qubits")
         self._require_live(q1)
         self._require_live(q2)
-        self._apply_gate(CNOT, [q1, q2])
-        self._apply_gate(H, [q1])
+        self._apply_gate(CNOT, (q1, q2))
+        self._apply_gate(H, (q1,))
         merged = self._cluster_of[q1]
-        b1 = self.measure(q1)
-        b2 = self.measure(q2)
+        b1 = self._measure(q1)
+        b2 = self._measure(q2)
         if merged.qubits:  # other qubits shared the merged cluster
             self._note(merged)
         return b1, b2

@@ -14,8 +14,7 @@ sender's hardware until the photon is absorbed).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .qstate import QubitId
 from .topology import LinkKind, NodeId, Topology
@@ -25,8 +24,7 @@ class NetworkError(ValueError):
     """Illegal network operation: missing link, wrong link kind, bad ownership."""
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     time: int
     src: NodeId
     dst: NodeId
@@ -52,10 +50,14 @@ class QNetwork:
         self.node_peaks: dict[NodeId, int] = {n: 0 for n in topology.nodes}
 
     def reset(self) -> None:
-        """Clear queue, trace, holdings, inboxes and accounting; topology stays."""
+        """Clear queue, holdings, inboxes and accounting; topology stays.
+
+        The trace is replaced, not cleared, so a list handed out by an
+        earlier round (``RoundResult.trace``) keeps its entries.
+        """
         self.now = 0
         self._queue.clear()
-        self.trace.clear()
+        self.trace = []
         for held in self.qubits.values():
             held.clear()
         for inbox in self.inbox.values():
@@ -73,7 +75,9 @@ class QNetwork:
         if tag in held:
             raise NetworkError(f"{node} already holds a qubit tagged {tag!r}")
         held[tag] = q
-        self._bump(node)
+        usage = len(held) + self._in_flight[node]
+        if usage > self.node_peaks[node]:
+            self.node_peaks[node] = usage
 
     def take(self, node: NodeId, tag: str) -> QubitId:
         """The node consumes a held qubit (to gate/measure it locally)."""
@@ -135,43 +139,42 @@ class QNetwork:
     def run_until_idle(self) -> list[TraceEntry]:
         """Deliver all queued messages in FIFO order; returns this call's deliveries.
 
-        One drain is one tick, stamped on all its deliveries.  Delivery never
-        sends, so the queue cannot refill during a drain: no event cap needed.
+        One drain is one tick, stamped on all its deliveries, which are the
+        tail of ``trace`` from this call on.  Delivery never sends, so the
+        queue cannot refill during a drain: no event cap needed.
         """
-        if self._queue:
+        queue, trace, inbox = self._queue, self.trace, self.inbox
+        start = len(trace)
+        if queue:
             self.now += 1
-        delivered: list[TraceEntry] = []
-        while self._queue:
-            delivered.append(self._deliver(*self._queue.popleft()))
-        return delivered
+        now = self.now
+        while queue:
+            src, dst, tag, payload = queue.popleft()
+            if isinstance(payload, str):
+                box = inbox[dst]
+                if tag in box:
+                    raise NetworkError(f"{dst} already holds a message tagged {tag!r}")
+                box[tag] = payload
+                trace.append(TraceEntry(now, src, dst, "classical", tag, len(payload)))
+            else:
+                self.deposit(dst, tag, payload)  # a collision leaves custody with src
+                self._in_flight[src] -= 1
+                trace.append(TraceEntry(now, src, dst, "quantum", tag, 1))
+        return trace[start:]
 
     @property
     def pending(self) -> int:
         return len(self._queue)
 
-    def _deliver(self, src: NodeId, dst: NodeId, tag: str, payload: str | QubitId) -> TraceEntry:
-        if isinstance(payload, str):
-            inbox = self.inbox[dst]
-            if tag in inbox:
-                raise NetworkError(f"{dst} already holds a message tagged {tag!r}")
-            inbox[tag] = payload
-            entry = TraceEntry(self.now, src, dst, "classical", tag, len(payload))
-        else:
-            self.deposit(dst, tag, payload)  # a collision leaves custody with src
-            self._in_flight[src] -= 1
-            entry = TraceEntry(self.now, src, dst, "quantum", tag, 1)
-        self.trace.append(entry)
-        return entry
+    @property
+    def in_flight(self) -> int:
+        """Qubits sent and not yet delivered, over all nodes."""
+        return sum(self._in_flight.values())
 
     def _held(self, node: NodeId) -> dict[str, QubitId]:
         if node not in self.qubits:
             raise NetworkError(f"{node} is not part of this network")
         return self.qubits[node]
-
-    def _bump(self, node: NodeId) -> None:
-        usage = self.node_usage(node)
-        if usage > self.node_peaks[node]:
-            self.node_peaks[node] = usage
 
 
 def _check_bits(bits: str) -> None:

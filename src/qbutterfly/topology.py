@@ -8,6 +8,7 @@ Classical-only links: Tn--M1 for every n, plus the single M1--M2 bottleneck.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,11 +34,16 @@ class NodeId(NamedTuple):
     def kind(self) -> NodeKind:
         return _KIND_OF_LABEL[self.label[0] if self.index else self.label]
 
+    # Cached: a round asks for each pair's nodes several times, and building
+    # one goes through the enum and an f-string.  Each cache holds one
+    # immutable key per index ever requested.
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def transmitter(cls, n: int) -> "NodeId":
         return cls._transceiver(NodeKind.TRANSMITTER, n)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def receiver(cls, n: int) -> "NodeId":
         return cls._transceiver(NodeKind.RECEIVER, n)
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import qbutterfly.experiments
 import qbutterfly.iedtc
 from qbutterfly.cli import main, parse_float_range, parse_int_range
 from qbutterfly.experiments import (
@@ -18,6 +19,7 @@ from qbutterfly.experiments import (
     write_csv,
     write_manifest,
 )
+from test_iedtc import KeepOnRelease
 
 
 def test_binomial_ci_values():
@@ -92,6 +94,13 @@ def test_accuracy_sweep_raises_when_a_round_fails(monkeypatch):
     monkeypatch.setattr(qbutterfly.iedtc, "entanglement_swap", broken_swap)
     cfg = ExperimentConfig("accuracy", noise_levels=(0.0,), trials=20, seed=7)
     with pytest.raises(RuntimeError, match=r"noise 0\.0, trial 0: IndexError"):
+        run_accuracy_sweep(cfg)
+
+
+def test_accuracy_sweep_raises_when_a_round_leaks_a_qubit(monkeypatch):
+    monkeypatch.setattr(qbutterfly.experiments, "StateRegistry", KeepOnRelease)
+    cfg = ExperimentConfig("accuracy", noise_levels=(0.0,), trials=5, seed=7)
+    with pytest.raises(RuntimeError, match=r"noise 0\.0, trial 0: round end: 2 live qubits"):
         run_accuracy_sweep(cfg)
 
 

@@ -1,4 +1,5 @@
 """Tests for the distribution/teleportation protocol round."""
+import hashlib
 import itertools
 import math
 import re
@@ -21,7 +22,7 @@ from qbutterfly.iedtc import (
 )
 from qbutterfly.qsre import random_guess
 from qbutterfly.qstate import NOISE_ALL_GATES, NOISE_ENTANGLING, StateRegistry, random_state
-from qbutterfly.simnet import QNetwork
+from qbutterfly.simnet import QNetwork, serialize_trace
 from qbutterfly.topology import NodeId, build_butterfly
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -249,6 +250,43 @@ def test_round_captures_internal_failures(monkeypatch):
     result = run_round(net, reg, [[1.0, 0.0], [0.0, 1.0]])
     assert not result.all_success
     assert result.error == "IndexError: simulated fault in the swap"
+
+
+class KeepOnRelease(StateRegistry):
+    """A registry whose release forgets to consume the qubit."""
+
+    def release(self, q):
+        pass
+
+
+def test_round_end_check_catches_a_leaked_qubit():
+    net = fresh(3)
+    result = run_round(net, KeepOnRelease(seed=1), [[1.0, 0.0]] * 3)
+    assert result.error == "round end: 3 live qubits, 0 held, 0 in flight, 0 queued"
+    assert not result.all_success
+    assert result.fidelities == pytest.approx([1.0] * 3, abs=1e-9)
+
+
+def test_kept_trace_survives_reset_and_the_next_round():
+    net = fresh(3)
+    rng = np.random.default_rng(2)
+    first = run_round(net, StateRegistry(seed=1), [random_state(rng) for _ in range(3)])
+    kept = list(first.trace)
+    net.reset()
+    second = run_round(net, StateRegistry(seed=2), [random_state(rng) for _ in range(3)])
+    assert first.trace == kept
+    assert second.trace is net.trace and second.trace is not first.trace
+    assert len(second.trace) == len(kept) == 3 * 3 + 5 * 3 + 1
+
+
+def test_round_trace_is_pinned():
+    # Any change to delivery or to the trace entry type must keep these bytes.
+    net = fresh(3)
+    rng = np.random.default_rng(8)
+    result = run_round(net, StateRegistry(seed=7), [random_state(rng) for _ in range(3)])
+    text = serialize_trace(result.trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cb20c14d0e1648806cbe7f115a2359d5a982effb36ade05b30e15cffd19c45a1")
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

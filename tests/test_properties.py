@@ -115,6 +115,8 @@ def registry_vector(reg, order):
 
 
 THETAS = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
+KET0 = np.array([1.0, 0.0], dtype=complex)
+MAX_LIVE = 6
 
 
 @settings(max_examples=300, deadline=None)
@@ -147,6 +149,13 @@ def test_cluster_kernels_match_dense_oracle(data, n, seed):
         oracle.measure(q1, b1, u1)
         oracle.measure(q2, b2, u2)
 
+    def bell_pair():
+        a, b = reg.create_bell_pair()
+        oracle.alloc(a, KET0)
+        oracle.alloc(b, KET0)
+        oracle.gate(H, a)
+        oracle.cnot(a, b)
+
     for _ in range(n):
         amps = random_state(rng)
         oracle.alloc(reg.alloc_qubit(amps), amps)
@@ -164,15 +173,19 @@ def test_cluster_kernels_match_dense_oracle(data, n, seed):
             reg.apply_gate(gate, [q])
             oracle.gate(gate, q)
             check()
-    # Then CNOTs either way round (merging clusters of any sizes), and
-    # measurements and Bell measurements at any position.
+    # Then new Bell pairs, CNOTs either way round (merging clusters of any
+    # sizes), and measurements and Bell measurements at any position.  At
+    # most MAX_LIVE qubits keep the oracle's dense matrices small.
     for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
         live = oracle.qubits
-        if not live:
-            break
-        if len(live) == 1 or data.draw(st.booleans()):
+        ops = (["bell_pair"] if len(live) + 2 <= MAX_LIVE else []) + (["measure"] if live else [])
+        ops += ["cnot", "bell_measure"] if len(live) > 1 else []
+        op = data.draw(st.sampled_from(ops))
+        if op == "bell_pair":
+            bell_pair()
+        elif op == "measure":
             measure(data.draw(st.sampled_from(live)))
         else:
             q1, q2 = data.draw(st.permutations(live))[:2]
-            (cnot if data.draw(st.booleans()) else bell_measure)(q1, q2)
+            (cnot if op == "cnot" else bell_measure)(q1, q2)
         check()

@@ -13,6 +13,7 @@ from qbutterfly.qstate import (
     CNOT,
     H,
     NOISE_ALL_GATES,
+    NOISE_ENTANGLING,
     NORM_ATOL,
     DeadQubitError,
     Gate,
@@ -127,6 +128,27 @@ def test_bell_pair_is_phi_plus():
     assert order == (a, b)
     assert np.allclose(amps, BELL, atol=1e-12)
     assert reg.cluster_dims() == [4]
+
+
+@pytest.mark.parametrize("model", [NOISE_ALL_GATES, NOISE_ENTANGLING])
+def test_bell_pair_draws_like_its_gates(model):
+    # create_bell_pair builds its |00> cluster directly; under noise it must
+    # still match two allocations and two checked gates, draw for draw.
+    for seed in range(50):
+        pair = StateRegistry(0.5, seed=seed, noise_model=model)
+        gates = StateRegistry(0.5, seed=seed, noise_model=model)
+        a, _ = pair.create_bell_pair()
+        c, d = gates.alloc_qubit([1.0, 0.0]), gates.alloc_qubit([1.0, 0.0])
+        gates.apply_gate(H, [c])
+        gates.apply_gate(CNOT, [c, d])
+        (order, amps), (ref_order, ref_amps) = pair.cluster_state(a), gates.cluster_state(c)
+        assert order == ref_order
+        np.testing.assert_allclose(amps, ref_amps, rtol=0, atol=1e-12)
+        assert pair.noise_events == gates.noise_events
+        assert pair.gate_count == gates.gate_count == 2
+        assert (pair.peak_alloc, pair.peak_cluster_dim, pair.peak_resident_cluster_dim) == (
+            gates.peak_alloc, gates.peak_cluster_dim, gates.peak_resident_cluster_dim)
+        assert pair.rng.random() == gates.rng.random()
 
 
 def test_bell_measure_distinguishes_all_bell_states():

@@ -157,6 +157,20 @@ def test_reset_clears_state(net):
     assert net.peak_usage_total() == 0
 
 
+def test_each_drain_returns_its_own_tail_of_the_trace(net):
+    net.send_classical(T1, M1, "10", "a")
+    net.send_classical(T2, M1, "01", "b")
+    first = net.run_until_idle()
+    net.send_classical(M1, M2, "11", "c")
+    second = net.run_until_idle()
+    assert net.run_until_idle() == []
+    assert first == net.trace[:2] and second == net.trace[2:]
+    assert [str(e) for e in first + second] == [
+        "1 T1 M1 classical a 2", "1 T2 M1 classical b 2", "2 M1 M2 classical c 2"]
+    first.clear()  # a returned list is a copy; the trace keeps its entries
+    assert len(net.trace) == 3
+
+
 def test_payload_validation(net):
     with pytest.raises(ValueError):
         net.send_classical(T1, M1, "0a1", "t")
