@@ -9,7 +9,10 @@ a single XOR-combined message that every receiver can invert locally.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import xor
 from typing import Callable, Sequence
 
 from .qstate import Gate, QubitId, StateRegistry, X, Z, as_state
@@ -28,10 +31,7 @@ def xor_combine(messages: Sequence[str]) -> str:
 
 def xor_recover(combined: str, others: Sequence[str]) -> str:
     """Invert the combination: XOR out every message that is not yours."""
-    v = int(combined, 2)
-    for bits in others:
-        v ^= int(bits, 2)
-    return f"{v:02b}"
+    return f"{functools.reduce(xor, map(int, others, repeat(2)), int(combined, 2)):02b}"
 
 
 def assign_swappers(n_pairs: int) -> dict[int, NodeId]:
@@ -82,6 +82,7 @@ def teleport_decode(reg: StateRegistry, half: QubitId, bits: str) -> QubitId:
     return half
 
 
+@functools.lru_cache(maxsize=None)  # a round asks for 21 tags per pair
 def _tag(prefix: str, k: int, role: str = "") -> str:
     return f"{prefix}{k}.{role}" if role else f"{prefix}{k}"
 

@@ -6,18 +6,19 @@ Only a two-qubit gate can merge clusters, so K Bell pairs cost K
 qubit memory of a simulated round linear in the number of transceiver
 pairs; the round itself still delivers Theta(n**2) messages.
 
-A cluster's first qubit is the high bit of its amplitude index.  Gates,
-merges and measurements read one strided view per qubit q: with stride
-2**(qubits after q in cluster order), ``amps.reshape(-1, 2, stride)``
-puts q's bit on the middle axis, so ``view[:, b, :]`` holds the
-amplitudes with q = b.
+A cluster's first qubit is the high bit of its amplitude index, so qubit q
+at position i of a k-qubit cluster has stride 2**(k - 1 - i): the index
+step that flips its bit.  A single-qubit gate multiplies its 2x2 matrix,
+built once with the Gate, into ``amps.reshape(-1, 2, stride)``, which puts
+q's bit on the middle axis; CNOT and measurement gather through index
+orders cached per (dimension, strides).
 """
 from __future__ import annotations
 
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NewType, Sequence
 
 import numpy as np
@@ -47,6 +48,17 @@ class GateKind(enum.Enum):
 
 
 _ROTATIONS = (GateKind.RX, GateKind.RY)
+_SQ2 = 1.0 / math.sqrt(2.0)
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_HADAMARD = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
+_PAULIS = (_PAULI_X, _PAULI_Y, _PAULI_Z)
+_FIXED = {GateKind.X: _PAULI_X, GateKind.Y: _PAULI_Y, GateKind.Z: _PAULI_Z,
+          GateKind.H: _HADAMARD, GateKind.CNOT: None}
+# H|0>|0> from the single-qubit kernel's own product, signed zeros included.
+_H_ON_00 = (_HADAMARD @ np.eye(4, dtype=complex)[0].reshape(1, 2, 2)).reshape(-1)
+_H_ON_00.flags.writeable = False  # shared by every Bell pair; kernels never write amps in place
 
 
 @dataclass(frozen=True)
@@ -55,13 +67,24 @@ class Gate:
 
     kind: GateKind
     theta: float | None = None
+    # The 2x2 unitary (None for CNOT), built once here; equality, hash and
+    # repr see only kind and theta.
+    matrix: np.ndarray | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind in _ROTATIONS:
             if self.theta is None or not math.isfinite(self.theta):
                 raise ValueError(f"{self.kind.value} requires a finite angle, got {self.theta!r}")
+            c, s = math.cos(self.theta / 2.0), math.sin(self.theta / 2.0)
+            matrix = np.array([[c, -1j * s], [-1j * s, c]] if self.kind is GateKind.RX
+                              else [[c, -s], [s, c]], dtype=complex)
         elif self.theta is not None:
             raise ValueError(f"{self.kind.value} takes no angle")
+        else:
+            matrix = _FIXED[self.kind]
+        if matrix is not None:
+            matrix.flags.writeable = False  # the gate is frozen, and so is what it applies
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def arity(self) -> int:
@@ -87,26 +110,6 @@ def rx(theta: float) -> Gate:
 def ry(theta: float) -> Gate:
     """Rotation exp(-i*theta*Y/2)."""
     return Gate(GateKind.RY, float(theta))
-
-
-_SQ2 = 1.0 / math.sqrt(2.0)
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_HADAMARD = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
-_PAULIS = (_PAULI_X, _PAULI_Y, _PAULI_Z)
-_FIXED = {GateKind.X: _PAULI_X, GateKind.Y: _PAULI_Y, GateKind.Z: _PAULI_Z,
-          GateKind.H: _HADAMARD}
-
-
-def _single_qubit_matrix(gate: Gate) -> np.ndarray:
-    if gate.theta is None:
-        return _FIXED[gate.kind]
-    half = gate.theta / 2.0
-    c, s = math.cos(half), math.sin(half)
-    if gate.kind is GateKind.RX:
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def random_state(rng: np.random.Generator) -> np.ndarray:
@@ -135,18 +138,6 @@ class _Cluster:
         self.qubits = qubits
         self.amps = amps
 
-    @property
-    def dim(self) -> int:
-        return self.amps.size
-
-    def stride(self, q: QubitId) -> int:
-        """2**(qubits after q): the index step that flips q's bit."""
-        return 1 << (len(self.qubits) - 1 - self.qubits.index(q))
-
-    def view(self, q: QubitId) -> np.ndarray:
-        """The amplitudes as (high, q's bit, low); ``view[:, b, :]`` is q = b."""
-        return self.amps.reshape(-1, 2, self.stride(q))
-
 
 @functools.lru_cache(maxsize=None)
 def _cnot_permutation(dim: int, control_stride: int, target_stride: int) -> np.ndarray:
@@ -157,14 +148,27 @@ def _cnot_permutation(dim: int, control_stride: int, target_stride: int) -> np.n
     return perm
 
 
+@functools.lru_cache(maxsize=None)
+def _halves_order(dim: int, stride: int) -> np.ndarray:
+    # Gather indices that put the qubit's 0 half first and its 1 half last,
+    # each in amplitude order.
+    idx = np.arange(dim).reshape(-1, 2, stride)
+    order = np.concatenate([idx[:, 0, :].reshape(-1), idx[:, 1, :].reshape(-1)])
+    order.flags.writeable = False
+    return order
+
+
 class StateRegistry:
     """Owns every live qubit and its cluster state.
 
     Each live qubit maps straight to the cluster object that holds it;
     clusters carry no ids, and a cluster lives as long as a qubit maps to it.
-    A gate on q is ``matrix @ view`` on the (high, q, low) view of the module
-    docstring; CNOT swaps the target halves where the control bit is 1, and
-    a merge appends the second cluster's qubits as the low bits.
+    A single-qubit gate on q is ``gate.matrix @ view`` on the (high, q, low)
+    view of the module docstring.  CNOT gathers the amplitudes through a
+    cached order that swaps the target halves where the control bit is 1,
+    after a merge that appends the second cluster's qubits as the low bits.
+    Measuring q gathers q's 0 half then its 1 half, draws the outcome from
+    the 1 half's weight and keeps the chosen half, renormalized.
 
     Measurement and release consume the QubitId; a consumed id can never be
     used again (no-cloning is enforced by handle death, ids are never reused).
@@ -176,8 +180,9 @@ class StateRegistry:
     (``_apply_gate``, ``_measure``, the kernels and the noise Paulis), and
     ``create_bell_pair``, whose qubits are fresh, run unchecked.
 
-    Noise hook: after each gate the configured channel may inject Pauli
-    errors, drawn from this registry's RNG so runs are seed-deterministic.
+    Noise hook: after each gate, when ``noise_prob`` is nonzero, the
+    configured channel may inject Pauli errors, drawn from this registry's
+    RNG so runs are seed-deterministic.
 
     * ``entangling`` (default): with probability ``noise_prob`` per CNOT,
       one Pauli chosen uniformly from {X,Y,Z} lands on one of the two
@@ -221,16 +226,18 @@ class StateRegistry:
     def create_bell_pair(self) -> tuple[QubitId, QubitId]:
         """Allocate two qubits and entangle them into (|00>+|11>)/sqrt(2).
 
-        The pair starts as one |00> cluster; H and CNOT then run as gates so
-        the noise hook sees both, drawing as for two allocations and two
-        ``apply_gate`` calls.
+        The pair starts as one cluster already holding H|0>|0>.  H still
+        counts as a gate and its noise hook runs before the CNOT gate, so
+        the draws are those of two allocations and two ``apply_gate`` calls.
         """
         a, b = QubitId(self._next_qubit), QubitId(self._next_qubit + 1)
         self._next_qubit += 2
-        cluster = _Cluster([a, b], np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+        cluster = _Cluster([a, b], _H_ON_00)
         self._cluster_of[a] = self._cluster_of[b] = cluster
         self.peak_alloc = max(self.peak_alloc, len(self._cluster_of))
-        self._apply_gate(H, (a,))
+        self.gate_count += 1
+        if self.noise_prob:
+            self._inject_noise(H, (a,))
         self._apply_gate(CNOT, (a, b))
         self._note(cluster)
         return a, b
@@ -246,39 +253,44 @@ class StateRegistry:
         for q in targets:
             self._require_live(q)
         self._apply_gate(gate, targets)
-        self._note(self._cluster_of[targets[0]])
+        if gate.matrix is None:  # only a CNOT's merge can grow a cluster
+            self._note(self._cluster_of[targets[0]])
 
     def _apply_gate(self, gate: Gate, targets: Sequence[QubitId]) -> None:
         # Unchecked: the caller has made sure of arity, distinctness and liveness.
-        if gate.kind is GateKind.CNOT:
+        if gate.matrix is None:
             self._apply_cnot(targets[0], targets[1])
         else:
-            self._apply_single(_single_qubit_matrix(gate), targets[0])
+            self._apply_single(gate.matrix, targets[0])
         self.gate_count += 1
-        self._inject_noise(gate, targets)
+        if self.noise_prob:
+            self._inject_noise(gate, targets)
 
     def _apply_single(self, matrix: np.ndarray, q: QubitId) -> None:
         cluster = self._cluster_of[q]
-        cluster.amps = (matrix @ cluster.view(q)).reshape(-1)
+        qubits = cluster.qubits
+        stride = 1 << (len(qubits) - 1 - qubits.index(q))
+        cluster.amps = (matrix @ cluster.amps.reshape(-1, 2, stride)).reshape(-1)
 
     def _apply_cnot(self, control: QubitId, target: QubitId) -> None:
         cluster = self._cluster_of[control]
         if cluster is not self._cluster_of[target]:
             cluster = self._merge(cluster, self._cluster_of[target])
-        perm = _cnot_permutation(cluster.dim, cluster.stride(control), cluster.stride(target))
-        cluster.amps = cluster.amps[perm]
+        qubits, amps = cluster.qubits, cluster.amps
+        last = len(qubits) - 1
+        cluster.amps = amps[_cnot_permutation(amps.size, 1 << (last - qubits.index(control)),
+                                              1 << (last - qubits.index(target)))]
 
     def _merge(self, a: _Cluster, b: _Cluster) -> _Cluster:
         merged = _Cluster(a.qubits + b.qubits, np.multiply.outer(a.amps, b.amps).reshape(-1))
         for q in merged.qubits:
             self._cluster_of[q] = merged
-        self.peak_cluster_dim = max(self.peak_cluster_dim, merged.dim)
+        self.peak_cluster_dim = max(self.peak_cluster_dim, merged.amps.size)
         return merged
 
     def _inject_noise(self, gate: Gate, targets: Sequence[QubitId]) -> None:
+        # Called only when noise_prob > 0.
         p = self.noise_prob
-        if p == 0.0:
-            return
         if self.noise_model == NOISE_ENTANGLING:
             if gate.kind is GateKind.CNOT and self.rng.random() < p:
                 victim = targets[int(self.rng.integers(len(targets)))]
@@ -303,17 +315,16 @@ class StateRegistry:
     def _measure(self, q: QubitId) -> int:
         # Unchecked: q is live.
         cluster = self._cluster_of[q]
-        view = cluster.view(q)
-        ones = view[:, 1, :]
-        p1 = float(np.vdot(ones, ones).real)
-        p1 = min(max(p1, 0.0), 1.0)
-        outcome = 1 if self.rng.random() < p1 else 0
-        collapsed = view[:, outcome, :]
+        qubits, amps = cluster.qubits, cluster.amps
+        half = amps.size >> 1
+        halves = amps[_halves_order(amps.size, 1 << (len(qubits) - 1 - qubits.index(q)))]
+        ones = halves[half:]
+        outcome = 1 if self.rng.random() < np.vdot(ones, ones).real else 0  # the draw is < 1
         del self._cluster_of[q]
-        cluster.qubits.remove(q)
-        if cluster.qubits:  # an emptied cluster is dropped with its last qubit
-            norm = math.sqrt(np.vdot(collapsed, collapsed).real)
-            cluster.amps = (collapsed / norm).reshape(-1)
+        qubits.remove(q)
+        if qubits:  # an emptied cluster is dropped with its last qubit
+            collapsed = ones if outcome else halves[:half]
+            cluster.amps = collapsed / math.sqrt(np.vdot(collapsed, collapsed).real)
         return outcome
 
     def bell_measure(self, q1: QubitId, q2: QubitId) -> tuple[int, int]:
@@ -373,9 +384,9 @@ class StateRegistry:
         # Density matrix of the qubits qs of one cluster, qs[0] the high bit.
         # Each step moves one qubit's bit from the columns to the rows; a bit
         # already moved halves the stride of every bit above it.
-        cluster = self._cluster_of[qs[0]]
-        strides = [cluster.stride(q) for q in qs]
-        psi = cluster.amps.reshape(1, -1)
+        qubits = self._cluster_of[qs[0]].qubits
+        strides = [1 << (len(qubits) - 1 - qubits.index(q)) for q in qs]
+        psi = self._cluster_of[qs[0]].amps.reshape(1, -1)
         for i, s in enumerate(strides):
             s >>= sum(t < s for t in strides[:i])
             psi = psi.reshape(len(psi), -1, 2, s).transpose(0, 2, 1, 3).reshape(2 * len(psi), -1)
@@ -389,7 +400,7 @@ class StateRegistry:
 
     def cluster_dims(self) -> list[int]:
         """Amplitude count of each live cluster, ascending."""
-        return sorted(c.dim for c in {id(c): c for c in self._cluster_of.values()}.values())
+        return sorted(c.amps.size for c in {id(c): c for c in self._cluster_of.values()}.values())
 
     # -- internals -----------------------------------------------------------
 
@@ -399,7 +410,8 @@ class StateRegistry:
 
     def _note(self, cluster: _Cluster) -> None:
         # Called at the end of each operation on the one cluster it can have
-        # grown; measurement and release only shrink clusters.
-        dim = cluster.dim
+        # grown; single-qubit gates keep a cluster's size, and measurement
+        # and release only shrink clusters.
+        dim = cluster.amps.size
         self.peak_cluster_dim = max(self.peak_cluster_dim, dim)
         self.peak_resident_cluster_dim = max(self.peak_resident_cluster_dim, dim)

@@ -14,6 +14,7 @@ sender's hardware until the photon is absorbed).
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress, repeat
 from typing import Iterable, NamedTuple
 
 from .qstate import QubitId
@@ -71,7 +72,10 @@ class QNetwork:
 
     def deposit(self, node: NodeId, tag: str, q: QubitId) -> None:
         """A qubit created at, or delivered to, this node is held under tag."""
-        held = self._held(node)
+        try:
+            held = self.qubits[node]
+        except KeyError:
+            raise _outsider(node) from None
         if tag in held:
             raise NetworkError(f"{node} already holds a qubit tagged {tag!r}")
         held[tag] = q
@@ -81,13 +85,18 @@ class QNetwork:
 
     def take(self, node: NodeId, tag: str) -> QubitId:
         """The node consumes a held qubit (to gate/measure it locally)."""
-        held = self._held(node)
+        try:
+            held = self.qubits[node]
+        except KeyError:
+            raise _outsider(node) from None
         if tag not in held:
             raise NetworkError(f"{node} holds no qubit tagged {tag!r}")
         return held.pop(tag)
 
     def node_usage(self, node: NodeId) -> int:
-        return len(self._held(node)) + self._in_flight[node]
+        if node not in self.qubits:
+            raise _outsider(node)
+        return len(self.qubits[node]) + self._in_flight[node]
 
     def peak_usage_total(self) -> int:
         """Sum over nodes of each node's own peak qubit holding (incl. in-flight)."""
@@ -102,7 +111,8 @@ class QNetwork:
             raise NetworkError(f"{node} has no message tagged {tag!r}") from None
 
     def messages_tagged(self, node: NodeId, prefix: str) -> list[str]:
-        return [bits for tag, bits in self.inbox[node].items() if tag.startswith(prefix)]
+        box = self.inbox[node]
+        return list(compress(box.values(), map(str.startswith, box, repeat(prefix))))
 
     # -- sending ---------------------------------------------------------------
 
@@ -126,12 +136,16 @@ class QNetwork:
     def broadcast_classical(self, src: NodeId, bits: str, tag: str,
                             exclude: Iterable[NodeId] = ()) -> list[NodeId]:
         """One classical send to every neighbor (minus exclusions); returns them."""
-        skip = set(exclude)
-        targets = [n for n in self.topology.neighbors(src) if n not in skip]
+        neighbors = self.topology.adjacency.get(src, ())
+        if exclude:
+            skip = set(exclude)
+            targets = [n for n in neighbors if n not in skip]
+        else:
+            targets = list(neighbors)
         if not targets:
             raise NetworkError(f"{src} has no neighbors to broadcast to")
         _check_bits(bits)  # once: every target is a neighbour, so linked
-        self._queue.extend([(src, dst, tag, bits) for dst in targets])
+        self._queue.extend(zip(repeat(src), targets, repeat(tag), repeat(bits)))
         return targets
 
     # -- delivery ----------------------------------------------------------------
@@ -144,6 +158,7 @@ class QNetwork:
         queue cannot refill during a drain: no event cap needed.
         """
         queue, trace, inbox = self._queue, self.trace, self.inbox
+        entry = tuple.__new__  # TraceEntry's own __new__ is Python code
         start = len(trace)
         if queue:
             self.now += 1
@@ -155,11 +170,11 @@ class QNetwork:
                 if tag in box:
                     raise NetworkError(f"{dst} already holds a message tagged {tag!r}")
                 box[tag] = payload
-                trace.append(TraceEntry(now, src, dst, "classical", tag, len(payload)))
+                trace.append(entry(TraceEntry, (now, src, dst, "classical", tag, len(payload))))
             else:
                 self.deposit(dst, tag, payload)  # a collision leaves custody with src
                 self._in_flight[src] -= 1
-                trace.append(TraceEntry(now, src, dst, "quantum", tag, 1))
+                trace.append(entry(TraceEntry, (now, src, dst, "quantum", tag, 1)))
         return trace[start:]
 
     @property
@@ -171,10 +186,9 @@ class QNetwork:
         """Qubits sent and not yet delivered, over all nodes."""
         return sum(self._in_flight.values())
 
-    def _held(self, node: NodeId) -> dict[str, QubitId]:
-        if node not in self.qubits:
-            raise NetworkError(f"{node} is not part of this network")
-        return self.qubits[node]
+
+def _outsider(node: NodeId) -> NetworkError:
+    return NetworkError(f"{node} is not part of this network")
 
 
 def _check_bits(bits: str) -> None:

@@ -34,9 +34,9 @@ class NodeId(NamedTuple):
     def kind(self) -> NodeKind:
         return _KIND_OF_LABEL[self.label[0] if self.index else self.label]
 
-    # Cached: a round asks for each pair's nodes several times, and building
-    # one goes through the enum and an f-string.  Each cache holds one
-    # immutable key per index ever requested.
+    # Cached: a round asks for each node several times, and building one
+    # goes through the enum and an f-string.  Each cache holds one
+    # immutable key per index ever requested, or one for M1 and M2.
     @classmethod
     @functools.lru_cache(maxsize=None)
     def transmitter(cls, n: int) -> "NodeId":
@@ -54,10 +54,12 @@ class NodeId(NamedTuple):
         return cls(n, f"{kind.value}{n}")
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def relay(cls) -> "NodeId":
         return cls(0, NodeKind.RELAY.value)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def source(cls) -> "NodeId":
         return cls(0, NodeKind.SOURCE.value)
 

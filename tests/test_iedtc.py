@@ -289,6 +289,28 @@ def test_round_trace_is_pinned():
         "cb20c14d0e1648806cbe7f115a2359d5a982effb36ade05b30e15cffd19c45a1")
 
 
+@pytest.mark.parametrize("model,successes,counters", [
+    (NOISE_ENTANGLING, 3, (301, 25, 12, 16, 4, 0.5910779258150205)),
+    (NOISE_ALL_GATES, 0, (296, 86, 12, 16, 4, 0.25166471963787906)),
+])
+def test_noisy_round_counters_and_rng_position_are_pinned(model, successes, counters):
+    # Values computed before the registry skipped its noise hook at p=0, its
+    # peak bookkeeping after single-qubit gates, and the H product of each
+    # Bell pair; the seed-42 digests see only success counts.
+    net = fresh(3)
+    reg = StateRegistry(0.2, seed=13, noise_model=model)
+    rng = np.random.default_rng(14)
+    wins = 0
+    for _ in range(10):
+        net.reset()
+        result = run_round(net, reg, [random_state(rng) for _ in range(3)])
+        assert result.error is None
+        wins += result.all_success
+    assert wins == successes
+    assert (reg.gate_count, reg.noise_events, reg.peak_alloc, reg.peak_cluster_dim,
+            reg.peak_resident_cluster_dim, reg.rng.random()) == counters
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_honest_round_leaves_nothing_behind(n, assert_nothing_left):
     net = fresh(n)

@@ -20,7 +20,7 @@ from qbutterfly.qsre import (
     rotation_gate,
     run_attack,
 )
-from qbutterfly.qstate import GateKind, StateRegistry, random_state
+from qbutterfly.qstate import NOISE_ALL_GATES, NOISE_ENTANGLING, GateKind, StateRegistry, random_state
 from qbutterfly.simnet import QNetwork
 from qbutterfly.topology import build_butterfly
 
@@ -242,6 +242,23 @@ def test_attack_with_fixed_key_cycles_chunks(assert_nothing_left):
     stats = run_attack(net, reg, 1, use_qsre=True, trials=600, seed=52, key=key)
     sigma = math.sqrt(expected * (1 - expected) / 600)
     assert abs(stats.eavesdrop_rate - expected) < 4 * sigma
+    assert_nothing_left(net, reg)
+
+
+@pytest.mark.parametrize("model,hits,counters", [
+    (NOISE_ENTANGLING, 3, (350, 21, 14, 16, 4, 0.12441722975576242)),
+    (NOISE_ALL_GATES, 2, (357, 86, 14, 16, 4, 0.08280661639561793)),
+])
+def test_noisy_attack_counters_and_rng_position_are_pinned(model, hits, counters,
+                                                           assert_nothing_left):
+    # Pinned like test_noisy_round_counters_and_rng_position_are_pinned in
+    # test_iedtc, through the attacked round, Eve's pair and her rotations.
+    net = QNetwork(build_butterfly(3))
+    reg = StateRegistry(0.2, seed=15, noise_model=model)
+    stats = run_attack(net, reg, 4, use_qsre=True, trials=10, seed=16)
+    assert (stats.eavesdrop_successes, stats.legit_successes) == (hits, 0)
+    assert (reg.gate_count, reg.noise_events, reg.peak_alloc, reg.peak_cluster_dim,
+            reg.peak_resident_cluster_dim, reg.rng.random()) == counters
     assert_nothing_left(net, reg)
 
 

@@ -231,6 +231,23 @@ def test_gate_inverse_undoes_the_gate(gate):
     assert np.allclose(oracle_matrix(gate.inverse()) @ m, np.eye(len(m)), atol=1e-12)
 
 
+def test_gate_equality_hash_and_repr_ignore_the_matrix():
+    # Each gate carries its matrix, built at construction; an ndarray field
+    # that took part in == would make the comparison raise.
+    assert rx(0.3) == rx(0.3) and hash(rx(0.3)) == hash(rx(0.3))
+    assert {H: 1}[Gate(GateKind.H)] == 1
+    assert X != Z and rx(0.3) != ry(0.3) and rx(0.3) != rx(0.4)
+    assert repr(rx(0.3)) == "Gate(kind=<GateKind.RX: 'rx'>, theta=0.3)"
+    assert "array" not in repr(H) and "matrix" not in repr(CNOT)
+    for t in (0.3, -1.7, math.pi):
+        assert rx(t).inverse() == rx(-t) and ry(t).inverse() == ry(-t)
+        np.testing.assert_array_equal(rx(t).inverse().matrix, rx(-t).matrix)
+    np.testing.assert_allclose(rx(1.234).matrix, mrx(1.234), rtol=0, atol=1e-15)
+    assert CNOT.matrix is None
+    with pytest.raises(ValueError):
+        H.matrix[0, 0] = 0.0  # the matrix is shared by every use of the gate
+
+
 def test_full_turn_is_global_phase_only():
     reg = StateRegistry()
     init = random_state(np.random.default_rng(21))

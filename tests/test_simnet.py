@@ -50,8 +50,11 @@ def test_deposit_take_and_collisions(net):
     assert net.take(T1, "a") == q1
     with pytest.raises(NetworkError):
         net.take(T1, "a")
-    with pytest.raises(NetworkError):
-        net.deposit(NodeId.transmitter(9), "a", q1)  # not in this network
+    outsider = NodeId.transmitter(9)
+    for call in (lambda: net.deposit(outsider, "a", q1), lambda: net.take(outsider, "a"),
+                 lambda: net.node_usage(outsider)):
+        with pytest.raises(NetworkError, match="^T9 is not part of this network$"):
+            call()
 
 
 def test_nothing_delivered_until_run(net):
@@ -130,6 +133,9 @@ def test_broadcast_exclusion():
     assert targets == [NodeId.receiver(1), NodeId.receiver(2), NodeId.receiver(3)]
     with pytest.raises(NetworkError):
         net.broadcast_classical(M1, "0", "d", exclude=net.topology.neighbors(M1))
+    with pytest.raises(NetworkError, match="T9 has no neighbors"):
+        net.broadcast_classical(NodeId.transmitter(9), "0", "e")
+    assert net.pending == 3  # the refused broadcasts queued nothing
 
 
 def test_inbox_queries(net):
