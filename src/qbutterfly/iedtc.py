@@ -23,15 +23,11 @@ SUCCESS_FIDELITY = 1.0 - 1e-9
 
 
 def xor_combine(messages: Sequence[str]) -> str:
-    """Bitwise XOR of all 2-bit messages; this is what crosses the bottleneck."""
+    """Bitwise XOR of 2-bit messages: the relay's bottleneck message from every
+    broadcast, or a receiver's own from that and the broadcasts it overheard."""
     if not messages:
         raise ValueError("cannot combine zero messages")
-    return xor_recover(messages[0], messages[1:])
-
-
-def xor_recover(combined: str, others: Sequence[str]) -> str:
-    """Invert the combination: XOR out every message that is not yours."""
-    return f"{functools.reduce(xor, map(int, others, repeat(2)), int(combined, 2)):02b}"
+    return f"{functools.reduce(xor, map(int, messages, repeat(2))):02b}"
 
 
 def assign_swappers(n_pairs: int) -> dict[int, NodeId]:
@@ -45,30 +41,10 @@ def assign_swappers(n_pairs: int) -> dict[int, NodeId]:
     return {k: NodeId.receiver(k - 1 if k > 1 else n_pairs) for k in range(1, n_pairs + 1)}
 
 
-def entanglement_swap(reg: StateRegistry, phi_half: QubitId, psi_half: QubitId) -> str:
-    """Bell-measure the source half against the transmitter-pair half.
-
-    Teleports psi_half's entanglement onto the transmitter's kept qubit;
-    the returned "b1b2" (b1 from the H side) must be applied there.
-    """
-    b1, b2 = reg.bell_measure(psi_half, phi_half)
-    return f"{b1}{b2}"
-
-
-SwapPolicy = Callable[[QNetwork, StateRegistry, int, NodeId, QubitId, QubitId], str]
-
-
-def honest_swap(net: QNetwork, reg: StateRegistry, k: int, assister: NodeId,
-                phi_half: QubitId, psi_half: QubitId) -> str:
-    """Swap policy of a faithful assister: Bell-measure the two halves it was sent."""
-    return entanglement_swap(reg, phi_half, psi_half)
-
-
 def teleport_encode(reg: StateRegistry, state: QubitId, half: QubitId) -> str:
-    """Bell-measure payload against the local pair half; consumes both.
-
-    Returns "b1b2", b1 from the H side, like entanglement_swap.
-    """
+    """Bell-measure payload against the local pair half, consuming both; returns
+    "b1b2", b1 from the H side.  Entanglement swapping is this same step with
+    one half of a Bell pair as the payload."""
     b1, b2 = reg.bell_measure(state, half)
     return f"{b1}{b2}"
 
@@ -82,21 +58,32 @@ def teleport_decode(reg: StateRegistry, half: QubitId, bits: str) -> QubitId:
     return half
 
 
+SwapPolicy = Callable[[QNetwork, StateRegistry, int, NodeId, QubitId, QubitId], str]
+
+
+def honest_swap(net: QNetwork, reg: StateRegistry, k: int, assister: NodeId,
+                phi_half: QubitId, psi_half: QubitId) -> str:
+    """Swap policy of a faithful assister: teleport the source half's
+    entanglement onto the transmitter's kept qubit, which applies the bits."""
+    return teleport_encode(reg, psi_half, phi_half)
+
+
 @functools.lru_cache(maxsize=None)  # a round asks for 21 tags per pair
 def _tag(prefix: str, k: int, role: str = "") -> str:
     return f"{prefix}{k}.{role}" if role else f"{prefix}{k}"
 
 
 def distribute_entanglements(net: QNetwork, reg: StateRegistry,
-                             swap: SwapPolicy = honest_swap) -> dict[int, tuple[QubitId, QubitId]]:
+                             swap: SwapPolicy = honest_swap) -> None:
     """Phase one: leave every (Tk, Rk) holding an exact shared Bell pair.
 
     Per pair: Tk makes a pair and sends one half to the assister; M2 makes a
     pair and sends its halves to the assister and to Rk; the assister
     Bell-measures its two halves (through ``swap``) and sends the 2
-    correction bits straight to Tk, which applies them.  The M1--M2
-    bottleneck is never used here.  A dishonest ``swap`` policy breaks the
-    promise of exact pairs, which is what the insider attack in qsre does.
+    correction bits straight to Tk, which applies them to "phi{k}.keep"; Rk
+    holds "psi{k}.own".  The M1--M2 bottleneck is never used here.  A
+    dishonest ``swap`` policy breaks the promise of exact pairs, which is
+    what the insider attack in qsre does.
     """
     n = net.topology.n_pairs
     swappers = assign_swappers(n)
@@ -122,30 +109,71 @@ def distribute_entanglements(net: QNetwork, reg: StateRegistry,
         net.send_classical(assister, NodeId.transmitter(k), msg, _tag("swap", k))
     net.run_until_idle()
 
-    pairs: dict[int, tuple[QubitId, QubitId]] = {}
     for k in range(1, n + 1):
         t = NodeId.transmitter(k)
         kept = net.qubits[t][_tag("phi", k, "keep")]
         teleport_decode(reg, kept, net.message(t, _tag("swap", k)))
-        pairs[k] = (kept, net.qubits[NodeId.receiver(k)][_tag("psi", k, "own")])
-    return pairs
+
+
+def teleport_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequence[complex]],
+                      rotations: Sequence[Gate | None]) -> None:
+    """Phase two: each Tk rotates and teleports its payload, broadcasting the bits."""
+    for k, (state, rotation) in enumerate(zip(states, rotations), 1):
+        t = NodeId.transmitter(k)
+        payload = reg.alloc_qubit(state)
+        net.deposit(t, _tag("eta", k), payload)
+        if rotation is not None:
+            reg.apply_gate(rotation, [payload])
+        state_q, kept = net.take(t, _tag("eta", k)), net.take(t, _tag("phi", k, "keep"))
+        net.broadcast_classical(t, teleport_encode(reg, state_q, kept), _tag("B", k))
+    net.run_until_idle()
+
+
+def relay_combined(net: QNetwork) -> None:
+    """Phase three: M1 XORs the broadcasts into the one message that crosses
+    the bottleneck, and M2 broadcasts it to every receiver."""
+    relay, source = NodeId.relay(), NodeId.source()
+    combined = xor_combine(net.messages_tagged(relay, "B"))
+    net.send_classical(relay, source, combined, "combined")
+    net.run_until_idle()
+    net.broadcast_classical(source, combined, "combined", exclude=[relay])
+    net.run_until_idle()
+
+
+def decode_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequence[complex]],
+                    rotations: Sequence[Gate | None]) -> list[float]:
+    """Phase four: each Rk XORs out the broadcasts it overheard, corrects and
+    unrotates its pair half, and releases it; returns each fidelity."""
+    fidelities = []
+    for k, (state, rotation) in enumerate(zip(states, rotations), 1):
+        r = NodeId.receiver(k)
+        own = xor_combine([net.message(r, "combined"), *net.messages_tagged(r, "B")])
+        half = teleport_decode(reg, net.take(r, _tag("psi", k, "own")), own)
+        if rotation is not None:
+            reg.apply_gate(rotation.inverse(), [half])
+        fidelities.append(reg.fidelity(half, state))
+        reg.release(half)
+    return fidelities
 
 
 @dataclass
 class RoundResult:
     fidelities: list[float] = field(default_factory=list)
-    all_success: bool = False
     peak_usage: int = 0        # sum over nodes of per-node peak holdings
     peak_alloc: int = 0        # network-wide simultaneous live qubits
     trace: list[TraceEntry] = field(default_factory=list)
     error: str | None = None
+
+    @property
+    def all_success(self) -> bool:
+        return self.error is None and all(f >= SUCCESS_FIDELITY for f in self.fidelities)
 
 
 def run_round(net: QNetwork, reg: StateRegistry,
               input_states: Sequence[Sequence[complex]],
               rotations: Sequence[Gate | None] | None = None,
               swap: SwapPolicy = honest_swap) -> RoundResult:
-    """One full protocol round on a fresh/reset network.
+    """One full protocol round on a fresh/reset network: its four phases.
 
     input_states: one payload state per pair.  rotations: optional per-pair
     rotation gate, applied at the transmitter and inverted at the receiver.
@@ -158,49 +186,20 @@ def run_round(net: QNetwork, reg: StateRegistry,
     n = net.topology.n_pairs
     if len(input_states) != n:
         raise ValueError(f"need {n} input states, got {len(input_states)}")
-    if rotations is not None and len(rotations) != n:
+    if rotations is None:
+        rotations = [None] * n
+    elif len(rotations) != n:
         raise ValueError(f"need {n} rotation entries, got {len(rotations)}")
     states = [as_state(s) for s in input_states]  # before any qubit exists
     result = RoundResult()
     try:
         distribute_entanglements(net, reg, swap)
-
-        relay = NodeId.relay()
-        source = NodeId.source()
-        for k in range(1, n + 1):
-            t = NodeId.transmitter(k)
-            payload = reg.alloc_qubit(states[k - 1])
-            net.deposit(t, _tag("eta", k), payload)
-            if rotations is not None and rotations[k - 1] is not None:
-                reg.apply_gate(rotations[k - 1], [payload])
-            state_q = net.take(t, _tag("eta", k))
-            kept = net.take(t, _tag("phi", k, "keep"))
-            msg = teleport_encode(reg, state_q, kept)
-            net.broadcast_classical(t, msg, _tag("B", k))
-        net.run_until_idle()
-
-        combined = xor_combine(net.messages_tagged(relay, "B"))
-        net.send_classical(relay, source, combined, "combined")
-        net.run_until_idle()
-
-        net.broadcast_classical(source, combined, "combined", exclude=[relay])
-        net.run_until_idle()
-
-        for k in range(1, n + 1):
-            r = NodeId.receiver(k)
-            own = xor_recover(net.message(r, "combined"), net.messages_tagged(r, "B"))
-            half = net.take(r, _tag("psi", k, "own"))
-            teleport_decode(reg, half, own)
-            if rotations is not None and rotations[k - 1] is not None:
-                reg.apply_gate(rotations[k - 1].inverse(), [half])
-            result.fidelities.append(reg.fidelity(half, states[k - 1]))
-            reg.release(half)
+        teleport_payloads(net, reg, states, rotations)
+        relay_combined(net)
+        result.fidelities = decode_payloads(net, reg, states, rotations)
         result.error = _custody_error(net, reg)
-        result.all_success = (result.error is None
-                              and all(f >= SUCCESS_FIDELITY for f in result.fidelities))
     except Exception as exc:  # a failed round is a failed trial, with diagnostic
         result.error = f"{type(exc).__name__}: {exc}"
-        result.all_success = False
     result.peak_usage = net.peak_usage_total()
     result.peak_alloc = reg.peak_alloc
     result.trace = net.trace  # reset() starts a new list, so this one stays as is

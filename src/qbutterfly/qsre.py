@@ -20,9 +20,10 @@ from .iedtc import (
     SUCCESS_FIDELITY,
     _tag,
     assign_swappers,
-    entanglement_swap,
+    honest_swap,
     run_round,
     teleport_decode,
+    teleport_encode,
 )
 from .qstate import Gate, QubitId, StateRegistry, random_state, rx, ry
 from .simnet import QNetwork
@@ -102,10 +103,10 @@ def substituting_swap(net: QNetwork, reg: StateRegistry, k: int, assister: NodeI
     registry's random draws in the order of the honest round.
     """
     if k != 1:
-        return entanglement_swap(reg, phi_half, psi_half)
+        return honest_swap(net, reg, k, assister, phi_half, psi_half)
     keep, give = reg.create_bell_pair()
     net.deposit(assister, _tag("psi", k, "swap"), keep)
-    msg = entanglement_swap(reg, phi_half, give)
+    msg = teleport_encode(reg, give, phi_half)
     reg.release(psi_half)
     return msg
 

@@ -17,8 +17,7 @@ from qbutterfly.experiments import (
     run_accuracy_sweep,
     run_eavesdrop_sweep,
 )
-from qbutterfly.iedtc import run_round, teleport_decode, teleport_encode, xor_combine, xor_recover
-from qbutterfly.iedtc import entanglement_swap
+from qbutterfly.iedtc import run_round, teleport_decode, teleport_encode, xor_combine
 from qbutterfly.qsre import random_guess, run_attack
 from qbutterfly.qstate import StateRegistry, random_state
 from qbutterfly.simnet import QNetwork
@@ -128,7 +127,7 @@ def test_04_xor_recovery_exhaustive(capfd):
             msgs = [f"{v:02b}" for v in values]
             combined = xor_combine(msgs)
             for k, msg in enumerate(msgs):
-                assert xor_recover(combined, msgs[:k] + msgs[k + 1:]) == msg
+                assert xor_combine([combined, *msgs[:k], *msgs[k + 1:]]) == msg
             checked += 1
     report(capfd, 4, "xor-coding-exhaustive", True,
            f"all {checked} assignments recovered for 2..6 pairs")
@@ -142,7 +141,7 @@ def test_05_every_measurement_branch_is_exact(capfd):
         reg = StateRegistry(seed=seed)
         keep, give = reg.create_bell_pair()
         assist, own = reg.create_bell_pair()
-        msg = entanglement_swap(reg, phi_half=give, psi_half=assist)
+        msg = teleport_encode(reg, assist, give)
         teleport_decode(reg, keep, msg)
         fid = reg.pair_fidelity(keep, own, BELL)
         assert fid == pytest.approx(1.0, abs=1e-9), (msg, fid)

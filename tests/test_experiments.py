@@ -91,7 +91,7 @@ def test_accuracy_sweep_raises_when_a_round_fails(monkeypatch):
     def broken_swap(*args):
         raise IndexError("simulated fault in the swap")
 
-    monkeypatch.setattr(qbutterfly.iedtc, "entanglement_swap", broken_swap)
+    monkeypatch.setattr(qbutterfly.iedtc, "teleport_encode", broken_swap)
     cfg = ExperimentConfig("accuracy", noise_levels=(0.0,), trials=20, seed=7)
     with pytest.raises(RuntimeError, match=r"noise 0\.0, trial 0: IndexError"):
         run_accuracy_sweep(cfg)

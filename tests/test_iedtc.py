@@ -12,13 +12,14 @@ import qbutterfly.iedtc
 from qbutterfly.iedtc import (
     SUCCESS_FIDELITY,
     assign_swappers,
+    decode_payloads,
     distribute_entanglements,
-    entanglement_swap,
+    relay_combined,
     run_round,
     teleport_decode,
     teleport_encode,
+    teleport_payloads,
     xor_combine,
-    xor_recover,
 )
 from qbutterfly.qsre import random_guess
 from qbutterfly.qstate import NOISE_ALL_GATES, NOISE_ENTANGLING, StateRegistry, random_state
@@ -29,6 +30,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 SQ2 = 1.0 / math.sqrt(2.0)
 BELL = np.array([SQ2, 0.0, 0.0, SQ2], dtype=complex)
+
+# serialize_trace of the n=3 round at StateRegistry(seed=7), default_rng(8) states
+ROUND_TRACE_N3_SHA256 = "cb20c14d0e1648806cbe7f115a2359d5a982effb36ade05b30e15cffd19c45a1"
 
 
 def fresh(n):
@@ -43,7 +47,7 @@ def test_xor_combine_and_recover_roundtrip():
     assert combined == "00"
     for k, msg in enumerate(msgs):
         others = msgs[:k] + msgs[k + 1:]
-        assert xor_recover(combined, others) == msg
+        assert xor_combine([combined, *others]) == msg
     with pytest.raises(ValueError):
         xor_combine([])
 
@@ -54,7 +58,7 @@ def test_xor_recovery_exhaustive_small():
         msgs = [f"{v:02b}" for v in values]
         combined = xor_combine(msgs)
         for k, msg in enumerate(msgs):
-            assert xor_recover(combined, msgs[:k] + msgs[k + 1:]) == msg
+            assert xor_combine([combined, *msgs[:k], *msgs[k + 1:]]) == msg
 
 
 # -- swapper assignment ----------------------------------------------------------
@@ -84,7 +88,7 @@ def test_entanglement_swap_exact_for_every_outcome():
         reg = StateRegistry(seed=seed)
         keep, give = reg.create_bell_pair()
         assist, own = reg.create_bell_pair()
-        msg = entanglement_swap(reg, phi_half=give, psi_half=assist)
+        msg = teleport_encode(reg, assist, give)
         teleport_decode(reg, keep, msg)
         fid = reg.pair_fidelity(keep, own, BELL)
         seen.setdefault(msg, fid)
@@ -97,7 +101,7 @@ def test_swap_without_corrections_gives_wrong_pair():
         reg = StateRegistry(seed=seed)
         keep, give = reg.create_bell_pair()
         assist, own = reg.create_bell_pair()
-        msg = entanglement_swap(reg, phi_half=give, psi_half=assist)
+        msg = teleport_encode(reg, assist, give)
         if msg != "00":
             # uncorrected state is a different Bell state, orthogonal to phi+
             assert reg.pair_fidelity(keep, own, BELL) == pytest.approx(0.0, abs=1e-9)
@@ -134,7 +138,7 @@ def test_teleport_with_flipped_corrections_fails():
     payload = reg.alloc_qubit(ref)
     here, there = reg.create_bell_pair()
     msg = teleport_encode(reg, payload, here)
-    wrong = xor_recover(msg, ["11"])
+    wrong = xor_combine([msg, "11"])
     teleport_decode(reg, there, wrong)
     # off by X*Z, and <psi|XZ|psi> = 0 for this state
     assert reg.fidelity(there, ref) == pytest.approx(0.0, abs=1e-9)
@@ -146,9 +150,10 @@ def test_teleport_with_flipped_corrections_fails():
 def test_distribution_leaves_exact_shared_pairs(n):
     net = fresh(n)
     reg = StateRegistry(seed=n)
-    pairs = distribute_entanglements(net, reg)
-    assert sorted(pairs) == list(range(1, n + 1))
-    for kept, r_half in pairs.values():
+    distribute_entanglements(net, reg)
+    for k in range(1, n + 1):
+        kept = net.qubits[NodeId.transmitter(k)][f"phi{k}.keep"]
+        r_half = net.qubits[NodeId.receiver(k)][f"psi{k}.own"]
         assert reg.pair_fidelity(kept, r_half, BELL) == pytest.approx(1.0, abs=1e-9)
     # 3 qubit transfers and 1 correction message per pair, none on the bottleneck
     assert len(net.trace) == 4 * n
@@ -164,6 +169,37 @@ def test_distribution_is_seed_deterministic():
         distribute_entanglements(net, reg)
         traces.append([str(e) for e in net.trace])
     assert traces[0] == traces[1]
+
+
+# -- the four phases, driven by hand ----------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_four_phases_by_hand_are_the_round(n, assert_nothing_left):
+    net, reg = fresh(n), StateRegistry(seed=7)
+    rng = np.random.default_rng(8)
+    states, rotations, fidelities = [random_state(rng) for _ in range(n)], [None] * n, []
+    relay, source = NodeId.relay(), NodeId.source()
+    phases = [  # (deliveries, crossings of M1->M2, phase)
+        (4 * n, 0, lambda: distribute_entanglements(net, reg)),
+        (n * n, 0, lambda: teleport_payloads(net, reg, states, rotations)),
+        (n + 1, 1, lambda: relay_combined(net)),
+        (0, 0, lambda: fidelities.extend(decode_payloads(net, reg, states, rotations))),
+    ]
+    for deliveries, crossings, phase in phases:
+        start = len(net.trace)
+        phase()
+        assert (net.pending, net.in_flight) == (0, 0)
+        entries = net.trace[start:]
+        assert len(entries) == deliveries
+        assert sum(e.src == relay and e.dst == source for e in entries) == crossings
+    assert fidelities == pytest.approx([1.0] * n, abs=1e-9)
+    assert_nothing_left(net, reg)
+    whole = run_round(fresh(n), StateRegistry(seed=7), states)
+    assert serialize_trace(net.trace) == serialize_trace(whole.trace)
+    assert fidelities == whole.fidelities
+    if n == 3:
+        digest = hashlib.sha256(serialize_trace(net.trace).encode()).hexdigest()
+        assert digest == ROUND_TRACE_N3_SHA256
 
 
 # -- full round --------------------------------------------------------------------
@@ -244,7 +280,7 @@ def test_round_captures_internal_failures(monkeypatch):
     def broken_swap(*args):
         raise IndexError("simulated fault in the swap")
 
-    monkeypatch.setattr(qbutterfly.iedtc, "entanglement_swap", broken_swap)
+    monkeypatch.setattr(qbutterfly.iedtc, "teleport_encode", broken_swap)
     net = fresh(2)
     reg = StateRegistry(seed=1)
     result = run_round(net, reg, [[1.0, 0.0], [0.0, 1.0]])
@@ -285,8 +321,7 @@ def test_round_trace_is_pinned():
     rng = np.random.default_rng(8)
     result = run_round(net, StateRegistry(seed=7), [random_state(rng) for _ in range(3)])
     text = serialize_trace(result.trace)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "cb20c14d0e1648806cbe7f115a2359d5a982effb36ade05b30e15cffd19c45a1")
+    assert hashlib.sha256(text.encode()).hexdigest() == ROUND_TRACE_N3_SHA256
 
 
 @pytest.mark.parametrize("model,successes,counters", [

@@ -1,15 +1,19 @@
-"""Property tests: the key chunk -> rotation gate map, and the registry's
-cluster kernels against a dense state-vector oracle."""
+"""Property tests: the key chunk -> rotation gate map, the registry's cluster
+kernels against a dense state-vector oracle, XOR recovery, and the custody
+and determinism of whole rounds."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qbutterfly.iedtc import run_round, xor_combine
 from qbutterfly.qsre import rotation_gate
 from qbutterfly.qstate import (
     CNOT,
+    NOISE_ALL_GATES,
+    NOISE_ENTANGLING,
     NORM_ATOL,
     H,
     StateRegistry,
@@ -20,9 +24,12 @@ from qbutterfly.qstate import (
     rx,
     ry,
 )
+from qbutterfly.simnet import QNetwork, serialize_trace
+from qbutterfly.topology import build_butterfly
 from test_qstate import embed_cnot, embed_single, oracle_matrix
 
 WIDTHS = st.integers(min_value=3, max_value=12)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def chunks(width):
@@ -30,7 +37,7 @@ def chunks(width):
 
 
 @settings(max_examples=200, deadline=None)
-@given(chunk=WIDTHS.flatmap(chunks), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@given(chunk=WIDTHS.flatmap(chunks), seed=SEEDS)
 def test_chunk_inverse_undoes_its_rotation(chunk, seed):
     reg = StateRegistry()
     ref = random_state(np.random.default_rng(seed))
@@ -120,8 +127,7 @@ MAX_LIVE = 6
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(min_value=1, max_value=4),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@given(data=st.data(), n=st.integers(min_value=1, max_value=4), seed=SEEDS)
 def test_cluster_kernels_match_dense_oracle(data, n, seed):
     rng = np.random.default_rng([seed, 1])  # a stream apart from the registry's
     reg = StateRegistry(seed=seed)
@@ -189,3 +195,35 @@ def test_cluster_kernels_match_dense_oracle(data, n, seed):
             q1, q2 = data.draw(st.permutations(live))[:2]
             (cnot if op == "cnot" else bell_measure)(q1, q2)
         check()
+
+
+# -- XOR coding and whole rounds -------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(msgs=st.lists(st.sampled_from(["00", "01", "10", "11"]), min_size=1, max_size=64))
+def test_xor_combine_recovers_every_message(msgs):
+    # The exhaustive tests stop at 6 pairs; this reaches 64.
+    combined = xor_combine(msgs)
+    for k, msg in enumerate(msgs):
+        assert xor_combine([combined, *msgs[:k], *msgs[k + 1:]]) == msg
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(min_value=2, max_value=6),
+       model=st.sampled_from([NOISE_ENTANGLING, NOISE_ALL_GATES]),
+       p=st.floats(min_value=0.0, max_value=1.0), reg_seed=SEEDS, state_seed=SEEDS)
+def test_round_leaves_nothing_behind_and_repeats(n, model, p, reg_seed, state_seed,
+                                                 assert_nothing_left):
+    # The fixture is a stateless check, so sharing it across examples is safe.
+    runs = []
+    for _ in range(2):
+        net = QNetwork(build_butterfly(n))
+        reg = StateRegistry(p, seed=reg_seed, noise_model=model)
+        rng = np.random.default_rng(state_seed)
+        result = run_round(net, reg, [random_state(rng) for _ in range(n)])
+        assert result.error is None
+        assert_nothing_left(net, reg)
+        runs.append((serialize_trace(result.trace), result.fidelities))
+    assert runs[0] == runs[1]
