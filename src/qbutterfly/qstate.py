@@ -11,7 +11,8 @@ at position i of a k-qubit cluster has stride 2**(k - 1 - i): the index
 step that flips its bit.  A single-qubit gate multiplies its 2x2 matrix,
 built once with the Gate, into ``amps.reshape(-1, 2, stride)``, which puts
 q's bit on the middle axis; CNOT and measurement gather through index
-orders cached per (dimension, strides).
+orders cached per (dimension, strides).  A Bell measurement is one such
+gather and one projection: its CNOT and H are never applied.
 """
 from __future__ import annotations
 
@@ -158,6 +159,17 @@ def _halves_order(dim: int, stride: int) -> np.ndarray:
     return order
 
 
+@functools.lru_cache(maxsize=None)
+def _bell_order(dim: int, stride1: int, stride2: int) -> np.ndarray:
+    # Gather indices that put q1's 0 half first and its 1 half last, each
+    # ordered by q1 xor q2, then by the other qubits' bits in amplitude order.
+    idx = np.arange(dim)
+    rest = idx[idx & (stride1 | stride2) == 0]
+    order = np.concatenate([rest, rest | stride2, rest | stride1 | stride2, rest | stride1])
+    order.flags.writeable = False
+    return order
+
+
 class StateRegistry:
     """Owns every live qubit and its cluster state.
 
@@ -170,6 +182,14 @@ class StateRegistry:
     Measuring q gathers q's 0 half then its 1 half, draws the outcome from
     the 1 half's weight and keeps the chosen half, renormalized.
 
+    ``bell_measure(q1, q2)`` stands for CNOT(q1->q2), H(q1) and two
+    measurements, and makes their draws, but projects once.  It gathers the
+    amplitudes into ``lo`` (q1 = 0) and ``hi`` (q1 = 1), each ordered by
+    q1 xor q2; the H's branch b1 is ``lo + hi`` or ``lo - hi``, drawn against
+    half the weight of ``lo - hi``.  b2 is drawn against the weight of the
+    branch's second half over the branch's weight, and the other qubits
+    keep the chosen quarter, renormalized.
+
     Measurement and release consume the QubitId; a consumed id can never be
     used again (no-cloning is enforced by handle death, ids are never reused).
 
@@ -177,12 +197,18 @@ class StateRegistry:
     (``alloc_qubit``, ``apply_gate``, ``measure``, ``bell_measure``,
     ``release``, ``fidelity``, ``pair_fidelity``) validate states, arity,
     distinct targets and liveness.  The steps they are built from
-    (``_apply_gate``, ``_measure``, the kernels and the noise Paulis), and
+    (``_apply_gate``, ``_measure``, the kernels and ``_draw_noise``), and
     ``create_bell_pair``, whose qubits are fresh, run unchecked.
 
     Noise hook: after each gate, when ``noise_prob`` is nonzero, the
     configured channel may inject Pauli errors, drawn from this registry's
-    RNG so runs are seed-deterministic.
+    RNG so runs are seed-deterministic.  Every gate's Paulis are drawn by
+    ``_draw_noise(gate, targets)``, the one hook, which returns (qubit,
+    Pauli index) pairs; ``_inject_noise`` applies them.  ``bell_measure``
+    applies none: a Pauli pushed through its Clifford gates stays a Pauli,
+    so on a measured qubit it flips that qubit's bit or is a global phase.
+    A flipped bit is drawn against the other branch's weight, so every draw
+    meets the probability it meets when the gates run.
 
     * ``entangling`` (default): with probability ``noise_prob`` per CNOT,
       one Pauli chosen uniformly from {X,Y,Z} lands on one of the two
@@ -282,28 +308,31 @@ class StateRegistry:
                                               1 << (last - qubits.index(target)))]
 
     def _merge(self, a: _Cluster, b: _Cluster) -> _Cluster:
-        merged = _Cluster(a.qubits + b.qubits, np.multiply.outer(a.amps, b.amps).reshape(-1))
+        merged = _Cluster(a.qubits + b.qubits, (a.amps.reshape(-1, 1) * b.amps).reshape(-1))
         for q in merged.qubits:
             self._cluster_of[q] = merged
         self.peak_cluster_dim = max(self.peak_cluster_dim, merged.amps.size)
         return merged
 
     def _inject_noise(self, gate: Gate, targets: Sequence[QubitId]) -> None:
-        # Called only when noise_prob > 0.
-        p = self.noise_prob
+        for q, pauli in self._draw_noise(gate, targets):
+            self._apply_single(_PAULIS[pauli], q)
+
+    def _draw_noise(self, gate: Gate, targets: Sequence[QubitId]) -> list[tuple[QubitId, int]]:
+        # The one noise hook: every gate's Paulis are drawn here, and only
+        # when noise_prob > 0.  Returns (qubit, index into _PAULIS) in draw order.
+        p, rng = self.noise_prob, self.rng
+        events = []
         if self.noise_model == NOISE_ENTANGLING:
-            if gate.kind is GateKind.CNOT and self.rng.random() < p:
-                victim = targets[int(self.rng.integers(len(targets)))]
-                self._apply_pauli(victim)
+            if gate.kind is GateKind.CNOT and rng.random() < p:
+                victim = targets[int(rng.integers(len(targets)))]
+                events.append((victim, int(rng.integers(3))))
         else:
             for q in targets:
-                if self.rng.random() < p:
-                    self._apply_pauli(q)
-
-    def _apply_pauli(self, q: QubitId) -> None:
-        pauli = _PAULIS[int(self.rng.integers(3))]
-        self._apply_single(pauli, q)
-        self.noise_events += 1
+                if rng.random() < p:
+                    events.append((q, int(rng.integers(3))))
+        self.noise_events += len(events)
+        return events
 
     # -- measurement & consumption ------------------------------------------
 
@@ -330,19 +359,54 @@ class StateRegistry:
     def bell_measure(self, q1: QubitId, q2: QubitId) -> tuple[int, int]:
         """Bell-basis measurement: CNOT(q1->q2), H(q1), then measure both.
 
-        Consumes both qubits; returns (b1, b2) with b1 from q1.
+        Consumes both qubits; returns (b1, b2) with b1 from q1.  Runs as one
+        projection with the draws of those four steps (see the class docstring).
         """
         if q1 == q2:
             raise ValueError("bell_measure needs two distinct qubits")
         self._require_live(q1)
         self._require_live(q2)
-        self._apply_gate(CNOT, (q1, q2))
-        self._apply_gate(H, (q1,))
-        merged = self._cluster_of[q1]
-        b1 = self._measure(q1)
-        b2 = self._measure(q2)
-        if merged.qubits:  # other qubits shared the merged cluster
-            self._note(merged)
+        cluster = self._cluster_of[q1]
+        if cluster is not self._cluster_of[q2]:
+            cluster = self._merge(cluster, self._cluster_of[q2])
+        qubits, amps = cluster.qubits, cluster.amps
+        last, half = len(qubits) - 1, amps.size >> 1
+        gathered = amps[_bell_order(amps.size, 1 << (last - qubits.index(q1)),
+                                    1 << (last - qubits.index(q2)))]
+        lo, hi = gathered[:half], gathered[half:]
+        self.gate_count += 2
+        flip1 = flip2 = False
+        if self.noise_prob:
+            # A Pauli before the measurements only relabels their bits (the
+            # rest is a global phase): after the CNOT, Y or Z on q1 flips b1
+            # and X or Y on q2 flips b2; after the H, X or Y on q1 flips b1.
+            for q, pauli in self._draw_noise(CNOT, (q1, q2)):
+                if q == q1:
+                    flip1 ^= pauli != 0
+                else:
+                    flip2 ^= pauli != 2
+            for _, pauli in self._draw_noise(H, (q1,)):
+                flip1 ^= pauli != 2
+        if flip1:  # Z on q1 before the H
+            hi = -hi
+        # Branch b1 of the H is (lo + (-1)**b1 * hi) / sqrt(2), and its first
+        # half has q2 = 0.
+        minus = lo - hi
+        if self.rng.random() < 0.5 * np.vdot(minus, minus).real:
+            b1, branch = 1, minus
+        else:
+            b1, branch = 0, lo + hi
+        zeros, ones = branch[:half >> 1], branch[half >> 1:]
+        if flip2:  # X on q2 before its measurement
+            zeros, ones = ones, zeros
+        w_zeros, w_ones = np.vdot(zeros, zeros).real, np.vdot(ones, ones).real
+        b2 = 1 if self.rng.random() < w_ones / (w_zeros + w_ones) else 0
+        del self._cluster_of[q1], self._cluster_of[q2]
+        qubits.remove(q1)
+        qubits.remove(q2)
+        if qubits:  # other qubits shared the merged cluster
+            cluster.amps = ones / math.sqrt(w_ones) if b2 else zeros / math.sqrt(w_zeros)
+            self._note(cluster)
         return b1, b2
 
     def release(self, q: QubitId) -> None:

@@ -151,6 +151,110 @@ def test_bell_pair_draws_like_its_gates(model):
         assert pair.rng.random() == gates.rng.random()
 
 
+def _bell_setup(reg, layout, seed):
+    """q1, q2 and two spectators s1, s2 in random entangled states.
+
+    "separate": clusters (s1, q1) and (q2, s2), merged by the measurement.
+    "shared": one cluster ordered (s1, q2, q1, s2), so q1 is the lower bit.
+    """
+    rng = np.random.default_rng(seed)
+
+    def pair():
+        a, b = reg.alloc_qubit(random_state(rng)), reg.alloc_qubit(random_state(rng))
+        reg.apply_gate(CNOT, [a, b])
+        reg.apply_gate(ry(rng.uniform(0.0, 2.0 * math.pi)), [b])
+        return a, b
+
+    if layout == "separate":
+        (s1, q1), (q2, s2) = pair(), pair()
+    else:
+        (s1, q2), (q1, s2) = pair(), pair()
+        reg.apply_gate(CNOT, [s1, s2])
+        reg.apply_gate(rx(rng.uniform(0.0, 2.0 * math.pi)), [q1])
+    return q1, q2, s1, s2
+
+
+def _bell_by_gates(reg, q1, q2):
+    reg.apply_gate(CNOT, [q1, q2])
+    reg.apply_gate(H, [q1])
+    return reg.measure(q1), reg.measure(q2)
+
+
+def _assert_same_after_bell(fused, gates, s1, bits, ref_bits):
+    assert bits == ref_bits
+    (order, amps), (ref_order, ref_amps) = fused.cluster_state(s1), gates.cluster_state(s1)
+    assert order == ref_order
+    assert abs(np.vdot(amps, ref_amps)) == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert fused.rng.random() == gates.rng.random()
+
+
+@pytest.mark.parametrize("layout", ["separate", "shared"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("model", [NOISE_ALL_GATES, NOISE_ENTANGLING])
+def test_bell_measure_draws_like_its_gates(model, p, layout):
+    # bell_measure projects once and folds its gates' Paulis into the bits;
+    # it must match CNOT, H and two measurements, draw for draw.
+    for seed in range(40):
+        fused = StateRegistry(p, seed=seed, noise_model=model)
+        gates = StateRegistry(p, seed=seed, noise_model=model)
+        q1, q2, s1, s2 = _bell_setup(fused, layout, seed)
+        assert _bell_setup(gates, layout, seed) == (q1, q2, s1, s2)
+        counts = (fused.gate_count, fused.noise_events, gates.gate_count, gates.noise_events)
+        bits = fused.bell_measure(q1, q2)
+        ref_bits = _bell_by_gates(gates, q1, q2)
+        assert fused.gate_count - counts[0] == gates.gate_count - counts[2] == 2
+        assert fused.noise_events - counts[1] == gates.noise_events - counts[3]
+        _assert_same_after_bell(fused, gates, s1, bits, ref_bits)
+
+
+class _OneFault(StateRegistry):
+    """Forces one Pauli into one noise slot of the next Bell measurement."""
+
+    def __init__(self, seed, slot, pauli):
+        super().__init__(noise_prob=1.0, seed=seed)  # nonzero, so the hook runs
+        self.slot, self.pauli = slot, pauli
+        self.seen = None  # the gates the hook saw since arming
+
+    def _draw_noise(self, gate, targets):
+        if self.seen is None:
+            return []
+        self.seen.append(gate.kind)
+        kind, position = self.slot
+        return [(targets[position], self.pauli)] if gate.kind is kind else []
+
+
+# Pauli index (X, Y, Z) -> flipped (b1, b2), per slot (gate, target position).
+_FLIPS = {
+    (GateKind.CNOT, 0): [(0, 0), (1, 0), (1, 0)],
+    (GateKind.CNOT, 1): [(0, 1), (0, 1), (0, 0)],
+    (GateKind.H, 0): [(1, 0), (1, 0), (0, 0)],
+}
+
+
+@pytest.mark.parametrize("slot", list(_FLIPS))
+@pytest.mark.parametrize("pauli", [0, 1, 2])
+def test_bell_measure_folds_each_fault_slot(slot, pauli):
+    # phi+ measures (0, 0) without noise, so the bits are the flips themselves.
+    for path in ("fused", "gates"):
+        reg = _OneFault(0, slot, pauli)
+        a, b = reg.create_bell_pair()
+        reg.seen = []
+        bits = reg.bell_measure(a, b) if path == "fused" else _bell_by_gates(reg, a, b)
+        assert bits == _FLIPS[slot][pauli]
+        assert reg.seen == [GateKind.CNOT, GateKind.H]
+    # On random states with spectators both paths agree, draw for draw.
+    for layout in ("separate", "shared"):
+        for seed in range(10):
+            fused, gates = _OneFault(seed, slot, pauli), _OneFault(seed, slot, pauli)
+            q1, q2, s1, s2 = _bell_setup(fused, layout, seed)
+            assert _bell_setup(gates, layout, seed) == (q1, q2, s1, s2)
+            fused.seen, gates.seen = [], []
+            bits = fused.bell_measure(q1, q2)
+            ref_bits = _bell_by_gates(gates, q1, q2)
+            assert fused.seen == gates.seen == [GateKind.CNOT, GateKind.H]
+            _assert_same_after_bell(fused, gates, s1, bits, ref_bits)
+
+
 def test_bell_measure_distinguishes_all_bell_states():
     # X/Z on one half turn phi+ into the other Bell states; the measurement
     # must report a distinct, deterministic bit pair for each.
