@@ -14,7 +14,7 @@ import argparse
 import math
 import sys
 import time
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .experiments import (
     ExperimentConfig,
@@ -31,19 +31,30 @@ from .qstate import NOISE_ALL_GATES, NOISE_ENTANGLING
 from .topology import build_butterfly, serialize_topology
 
 
-def parse_float_range(text: str) -> tuple[float, ...]:
-    """The --noise range; each point is checked as a noise level as it is built."""
+N = TypeVar("N", int, float)
+
+
+def _split_range(text: str, number: Callable[[str], N], default_step: N) -> tuple[N, ...]:
+    """A bare number as (value,), or START:STOP[:STEP] as (start, stop, step)
+    with stop >= start and step > 0; each part is parsed by ``number``."""
     parts = text.split(":")
     if len(parts) == 1:
-        return (float(parts[0]),)
-    if len(parts) == 2:
-        start, stop, step = float(parts[0]), float(parts[1]), 0.01
-    elif len(parts) == 3:
-        start, stop, step = (float(p) for p in parts)
-    else:
+        return (number(parts[0]),)
+    if len(parts) > 3:
         raise ValueError(f"bad range {text!r}; expected START:STOP[:STEP]")
+    start, stop = number(parts[0]), number(parts[1])
+    step = number(parts[2]) if len(parts) == 3 else default_step
     if step <= 0 or stop < start:
         raise ValueError(f"bad range {text!r}; needs stop >= start and step > 0")
+    return start, stop, step
+
+
+def parse_float_range(text: str) -> tuple[float, ...]:
+    """The --noise range; each point is checked as a noise level as it is built."""
+    bounds = _split_range(text, float, 0.01)
+    if len(bounds) == 1:
+        return bounds
+    start, stop, step = bounds
     span = (stop - start) / step
     if not all(math.isfinite(v) for v in (start, stop, step, span)):
         raise ValueError(f"bad range {text!r}; needs finite bounds, step and point count")
@@ -59,17 +70,10 @@ def parse_float_range(text: str) -> tuple[float, ...]:
 
 def parse_int_range(text: str,
                     check: Callable[[int], None] = lambda point: None) -> tuple[int, ...]:
-    parts = text.split(":")
-    if len(parts) == 1:
-        return (int(parts[0]),)
-    if len(parts) == 2:
-        start, stop, step = int(parts[0]), int(parts[1]), 1
-    elif len(parts) == 3:
-        start, stop, step = (int(p) for p in parts)
-    else:
-        raise ValueError(f"bad range {text!r}; expected START:STOP[:STEP]")
-    if step <= 0 or stop < start:
-        raise ValueError(f"bad range {text!r}; needs stop >= start and step > 0")
+    bounds = _split_range(text, int, 1)
+    if len(bounds) == 1:
+        return bounds
+    start, stop, step = bounds
     points = range(start, stop + 1, step)
     for point in points:
         check(point)

@@ -109,8 +109,7 @@ def run_accuracy_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Fraction of rounds in which every pair arrives exactly, per noise level."""
     if cfg.experiment != "accuracy":
         raise ValueError("config is not an accuracy configuration")
-    topology = build_butterfly(cfg.n_pairs)
-    net = QNetwork(topology)
+    net = QNetwork(build_butterfly(cfg.n_pairs))
     rows = []
     for level in cfg.noise_levels:
         salt = int(round(level * 1_000_000))
@@ -139,8 +138,7 @@ def run_eavesdrop_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """
     if cfg.experiment != "eavesdrop":
         raise ValueError("config is not an eavesdrop configuration")
-    topology = build_butterfly(cfg.n_pairs)
-    net = QNetwork(topology)
+    net = QNetwork(build_butterfly(cfg.n_pairs))
     rows = []
     for bits in cfg.bits_range:
         reg = StateRegistry(0.0, seed=_derived_seed(cfg.seed, bits, 0))

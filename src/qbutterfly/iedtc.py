@@ -49,13 +49,25 @@ def teleport_encode(reg: StateRegistry, state: QubitId, half: QubitId) -> str:
     return f"{b1}{b2}"
 
 
-def teleport_decode(reg: StateRegistry, half: QubitId, bits: str) -> QubitId:
+def teleport_decode(reg: StateRegistry, half: QubitId, bits: str) -> None:
     """Apply the conditional corrections (X if b2, then Z if b1) to the held half."""
     if bits[1] == "1":
         reg.apply_gate(X, [half])
     if bits[0] == "1":
         reg.apply_gate(Z, [half])
-    return half
+
+
+def read_out(reg: StateRegistry, half: QubitId, bits: str, rotation: Gate | None,
+             reference: Sequence[complex]) -> float:
+    """Correct the half by its teleport bits, undo the rotation if any, and
+    release the half; returns its fidelity to the reference.  A receiver
+    reads out its payload this way, and so does the eavesdropper in qsre."""
+    teleport_decode(reg, half, bits)
+    if rotation is not None:
+        reg.apply_gate(rotation.inverse(), [half])
+    fidelity = reg.fidelity(half, reference)
+    reg.release(half)
+    return fidelity
 
 
 SwapPolicy = Callable[[QNetwork, StateRegistry, int, NodeId, QubitId, QubitId], str]
@@ -142,17 +154,13 @@ def relay_combined(net: QNetwork) -> None:
 
 def decode_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequence[complex]],
                     rotations: Sequence[Gate | None]) -> list[float]:
-    """Phase four: each Rk XORs out the broadcasts it overheard, corrects and
-    unrotates its pair half, and releases it; returns each fidelity."""
+    """Phase four: each Rk XORs out the broadcasts it overheard and reads out
+    its pair half with them; returns each fidelity."""
     fidelities = []
     for k, (state, rotation) in enumerate(zip(states, rotations), 1):
         r = NodeId.receiver(k)
         own = xor_combine([net.message(r, "combined"), *net.messages_tagged(r, "B")])
-        half = teleport_decode(reg, net.take(r, _tag("psi", k, "own")), own)
-        if rotation is not None:
-            reg.apply_gate(rotation.inverse(), [half])
-        fidelities.append(reg.fidelity(half, state))
-        reg.release(half)
+        fidelities.append(read_out(reg, net.take(r, _tag("psi", k, "own")), own, rotation, state))
     return fidelities
 
 

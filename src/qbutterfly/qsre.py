@@ -21,8 +21,8 @@ from .iedtc import (
     _tag,
     assign_swappers,
     honest_swap,
+    read_out,
     run_round,
-    teleport_decode,
     teleport_encode,
 )
 from .qstate import Gate, QubitId, StateRegistry, random_state, rx, ry
@@ -118,16 +118,16 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
 
     Each trial is an ordinary protocol round run with ``substituting_swap``
     as the assisters' policy; pair 1 carries the payload, the other pairs
-    carry |0>.  After the broadcast the attacker applies the teleport
-    corrections it can read directly and, when rotation encoding is on, a
-    uniformly guessed counter-rotation.  Eavesdrop success means fidelity >=
-    EAVESDROP_THRESHOLD against the original payload; legitimate success
-    keeps the protocol's own exactness bar.  A round that fails inside the
-    simulator raises RuntimeError rather than counting as a decoy.
+    carry |0>.  After the broadcast the attacker reads out its half with
+    ``iedtc.read_out``, as a receiver would, using the bits it overheard
+    and, under rotation encoding, a uniformly guessed rotation.  Eavesdrop
+    success means fidelity >= EAVESDROP_THRESHOLD against the original
+    payload; legitimate success keeps the protocol's own exactness bar.  A
+    round that fails inside the simulator raises RuntimeError rather than
+    counting as a decoy.
     """
     n = net.topology.n_pairs
-    if n < 2:
-        raise ValueError("the attack needs at least 2 transceiver pairs")
+    eve = assign_swappers(n)[1]
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (1 <= magnitude_bits <= 63):
@@ -136,7 +136,6 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
         raise ValueError("key must consist of 0/1 characters")
     rng = np.random.default_rng(seed)
     chunk_width = 2 + magnitude_bits
-    eve = assign_swappers(n)[1]
     idle = [[1.0, 0.0]] * (n - 1)
     eve_hits = 0
     legit_hits = 0
@@ -158,13 +157,11 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
         if result.fidelities[0] >= SUCCESS_FIDELITY:
             legit_hits += 1
 
-        # Eve reads the pair-1 broadcast directly: she is a connected receiver.
+        # Eve reads out as a connected receiver, with the pair-1 broadcast.
+        guess = random_guess(magnitude_bits, rng) if use_qsre else None
         broadcast = net.message(eve, _tag("B", 1))
-        eve_qubit = teleport_decode(reg, net.take(eve, _tag("psi", 1, "swap")), broadcast)
-        if use_qsre:
-            guess = random_guess(magnitude_bits, rng)
-            reg.apply_gate(guess.inverse(), [eve_qubit])
-        if reg.fidelity(eve_qubit, payload_ref) >= EAVESDROP_THRESHOLD:
+        fidelity = read_out(reg, net.take(eve, _tag("psi", 1, "swap")), broadcast, guess,
+                            payload_ref)
+        if fidelity >= EAVESDROP_THRESHOLD:
             eve_hits += 1
-        reg.release(eve_qubit)
     return AttackStats(trials, eve_hits, legit_hits)

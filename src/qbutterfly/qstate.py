@@ -10,9 +10,10 @@ A cluster's first qubit is the high bit of its amplitude index, so qubit q
 at position i of a k-qubit cluster has stride 2**(k - 1 - i): the index
 step that flips its bit.  A single-qubit gate multiplies its 2x2 matrix,
 built once with the Gate, into ``amps.reshape(-1, 2, stride)``, which puts
-q's bit on the middle axis; CNOT and measurement gather through index
-orders cached per (dimension, strides).  A Bell measurement is one such
-gather and one projection: its CNOT and H are never applied.
+q's bit on the middle axis.  CNOT gathers through a cached permutation,
+and both measurements through one cached Gray-code order of the measured
+bits (``_gray_order``).  A Bell measurement is one such gather and one
+projection: its CNOT and H are never applied.
 """
 from __future__ import annotations
 
@@ -150,23 +151,17 @@ def _cnot_permutation(dim: int, control_stride: int, target_stride: int) -> np.n
 
 
 @functools.lru_cache(maxsize=None)
-def _halves_order(dim: int, stride: int) -> np.ndarray:
-    # Gather indices that put the qubit's 0 half first and its 1 half last,
-    # each in amplitude order.
-    idx = np.arange(dim).reshape(-1, 2, stride)
-    order = np.concatenate([idx[:, 0, :].reshape(-1), idx[:, 1, :].reshape(-1)])
-    order.flags.writeable = False
-    return order
-
-
-@functools.lru_cache(maxsize=None)
-def _bell_order(dim: int, stride1: int, stride2: int) -> np.ndarray:
-    # Gather indices that put q1's 0 half first and its 1 half last, each
-    # ordered by q1 xor q2, then by the other qubits' bits in amplitude order.
+def _gray_order(dim: int, *strides: int) -> np.ndarray:
+    # Gather indices that list the chosen bits in Gray-code order, the first
+    # stride highest, each block holding the other bits in amplitude order.
     idx = np.arange(dim)
-    rest = idx[idx & (stride1 | stride2) == 0]
-    order = np.concatenate([rest, rest | stride2, rest | stride1 | stride2, rest | stride1])
-    order.flags.writeable = False
+    rest = idx[idx & sum(strides) == 0]
+    blocks = []
+    for i in range(1 << len(strides)):
+        code = i ^ (i >> 1)  # its lowest bit selects the last stride
+        blocks.append(rest | sum(s for j, s in enumerate(reversed(strides)) if code >> j & 1))
+    order = np.concatenate(blocks)
+    order.flags.writeable = False  # the cache hands this one array to every caller
     return order
 
 
@@ -346,7 +341,7 @@ class StateRegistry:
         cluster = self._cluster_of[q]
         qubits, amps = cluster.qubits, cluster.amps
         half = amps.size >> 1
-        halves = amps[_halves_order(amps.size, 1 << (len(qubits) - 1 - qubits.index(q)))]
+        halves = amps[_gray_order(amps.size, 1 << (len(qubits) - 1 - qubits.index(q)))]
         ones = halves[half:]
         outcome = 1 if self.rng.random() < np.vdot(ones, ones).real else 0  # the draw is < 1
         del self._cluster_of[q]
@@ -371,7 +366,7 @@ class StateRegistry:
             cluster = self._merge(cluster, self._cluster_of[q2])
         qubits, amps = cluster.qubits, cluster.amps
         last, half = len(qubits) - 1, amps.size >> 1
-        gathered = amps[_bell_order(amps.size, 1 << (last - qubits.index(q1)),
+        gathered = amps[_gray_order(amps.size, 1 << (last - qubits.index(q1)),
                                     1 << (last - qubits.index(q2)))]
         lo, hi = gathered[:half], gathered[half:]
         self.gate_count += 2

@@ -42,31 +42,22 @@ class QNetwork:
 
     def __init__(self, topology: Topology):
         self.topology = topology
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the queue, holdings, inboxes, accounting and trace; topology stays.
+
+        Each container is new, not cleared, so a trace or holdings dict
+        handed out earlier (``RoundResult.trace``) keeps its entries.
+        """
+        nodes = self.topology.nodes
         self.now = 0
         self._queue: deque[tuple[NodeId, NodeId, str, str | QubitId]] = deque()
         self.trace: list[TraceEntry] = []
-        self.qubits: dict[NodeId, dict[str, QubitId]] = {n: {} for n in topology.nodes}
-        self.inbox: dict[NodeId, dict[str, str]] = {n: {} for n in topology.nodes}  # arrival order
-        self._in_flight: dict[NodeId, int] = {n: 0 for n in topology.nodes}
-        self.node_peaks: dict[NodeId, int] = {n: 0 for n in topology.nodes}
-
-    def reset(self) -> None:
-        """Clear queue, holdings, inboxes and accounting; topology stays.
-
-        The trace is replaced, not cleared, so a list handed out by an
-        earlier round (``RoundResult.trace``) keeps its entries.
-        """
-        self.now = 0
-        self._queue.clear()
-        self.trace = []
-        for held in self.qubits.values():
-            held.clear()
-        for inbox in self.inbox.values():
-            inbox.clear()
-        for n in self._in_flight:
-            self._in_flight[n] = 0
-        for n in self.node_peaks:
-            self.node_peaks[n] = 0
+        self.qubits: dict[NodeId, dict[str, QubitId]] = {n: {} for n in nodes}
+        self.inbox: dict[NodeId, dict[str, str]] = {n: {} for n in nodes}  # arrival order
+        self._in_flight: dict[NodeId, int] = dict.fromkeys(nodes, 0)
+        self.node_peaks: dict[NodeId, int] = dict.fromkeys(nodes, 0)
 
     # -- qubit custody --------------------------------------------------------
 
@@ -117,21 +108,23 @@ class QNetwork:
     # -- sending ---------------------------------------------------------------
 
     def send_classical(self, src: NodeId, dst: NodeId, bits: str, tag: str) -> None:
-        if self.topology.find_link(src, dst) is None:
-            raise NetworkError(f"no link between {src} and {dst}")
+        self._link(src, dst)
         _check_bits(bits)
         self._queue.append((src, dst, tag, bits))
 
     def send_qubit(self, src: NodeId, dst: NodeId, held_tag: str, tag: str) -> None:
         """Send the qubit src holds under held_tag; it arrives at dst under tag."""
-        kind = self.topology.find_link(src, dst)
-        if kind is None:
-            raise NetworkError(f"no link between {src} and {dst}")
-        if kind is not LinkKind.QUANTUM:
+        if self._link(src, dst) is not LinkKind.QUANTUM:
             raise NetworkError(f"link {src}--{dst} is classical; it cannot carry a qubit")
         q = self.take(src, held_tag)
         self._in_flight[src] += 1  # custody stays with sender until delivery
         self._queue.append((src, dst, tag, q))
+
+    def _link(self, src: NodeId, dst: NodeId) -> LinkKind:
+        kind = self.topology.find_link(src, dst)
+        if kind is None:
+            raise NetworkError(f"no link between {src} and {dst}")
+        return kind
 
     def broadcast_classical(self, src: NodeId, bits: str, tag: str,
                             exclude: Iterable[NodeId] = ()) -> list[NodeId]:

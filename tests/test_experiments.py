@@ -120,6 +120,14 @@ def test_eavesdrop_sweep_shape_and_determinism():
     assert run_eavesdrop_sweep(cfg) == first
 
 
+def test_eavesdrop_sweep_runs_at_the_widest_keys():
+    # 64 and 65 total bits draw magnitudes up to 2**62 - 1 and 2**63 - 1.
+    cfg = ExperimentConfig("eavesdrop", bits_range=(64, 65), trials=5, seed=17)
+    rows = run_eavesdrop_sweep(cfg)
+    assert [(row.x, row.trials) for row in rows] == [(64, 5), (65, 5)]
+    assert run_eavesdrop_sweep(cfg) == rows
+
+
 def test_eavesdrop_sweep_accepts_fixed_key():
     cfg = ExperimentConfig("eavesdrop", bits_range=(3,), trials=20, seed=13,
                            key_bits="101010")

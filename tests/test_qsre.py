@@ -20,7 +20,14 @@ from qbutterfly.qsre import (
     rotation_gate,
     run_attack,
 )
-from qbutterfly.qstate import NOISE_ALL_GATES, NOISE_ENTANGLING, GateKind, StateRegistry, random_state
+from qbutterfly.qstate import (
+    NOISE_ALL_GATES,
+    NOISE_ENTANGLING,
+    GateKind,
+    StateRegistry,
+    random_state,
+    ry,
+)
 from qbutterfly.simnet import QNetwork
 from qbutterfly.topology import build_butterfly
 
@@ -161,6 +168,24 @@ def test_random_guess_covers_space_uniformly():
         assert abs(c / draws - 0.125) < 0.04
     with pytest.raises(ValueError):
         random_guess(0, rng)
+
+
+def test_widest_key_chunk_reaches_the_top_magnitudes(monkeypatch):
+    # 65 total bits, 63 magnitude bits: the widest chunk check_total_bits accepts.
+    assert rotation_gate("10" + "1" * 63) == ry(math.pi / 2 ** 63)
+    assert rotation_gate("11" + "1" * 63) == ry(-math.pi / 2 ** 63)
+    chunks = []
+
+    def recording(chunk):
+        chunks.append(chunk)
+        return rotation_gate(chunk)
+
+    monkeypatch.setattr(qsre, "rotation_gate", recording)
+    rng = np.random.default_rng(63)
+    for _ in range(64):
+        random_guess(63, rng)
+    assert all(len(chunk) == 65 for chunk in chunks)
+    assert max(int(chunk[2:], 2) for chunk in chunks) >= 2 ** 62
 
 
 def test_load_key_file(tmp_path):

@@ -22,6 +22,7 @@ from qbutterfly.qstate import (
     X,
     Y,
     Z,
+    _gray_order,
     random_state,
     rx,
     ry,
@@ -453,6 +454,29 @@ def test_transient_merge_tracked_separately_from_resident():
     assert reg.peak_resident_cluster_dim == 4
     assert len(reg.cluster_dims()) == 1  # a and d now share one cluster
     assert reg.cluster_dims() == [4]
+
+
+def _assert_gather_order(order, blocks):
+    np.testing.assert_array_equal(order, np.concatenate(blocks))
+    assert sorted(order.tolist()) == list(range(order.size))
+    assert not order.flags.writeable  # the cache shares it
+
+
+def test_gray_order_matches_the_measurement_formulas():
+    # One stride: the bit's 0 half, then its 1 half.  Two strides: the
+    # blocks 00, 01, 11, 10 that bell_measure projects from.
+    for dim in (2, 4, 8, 16, 32, 64):
+        idx = np.arange(dim)
+        strides = [1 << b for b in range(dim.bit_length() - 1)]
+        for s in strides:
+            rest = idx[idx & s == 0]
+            _assert_gather_order(_gray_order(dim, s), [rest, rest | s])
+        for s1 in strides:
+            for s2 in strides:
+                if s1 != s2:
+                    rest = idx[idx & (s1 | s2) == 0]
+                    _assert_gather_order(_gray_order(dim, s1, s2),
+                                         [rest, rest | s2, rest | s1 | s2, rest | s1])
 
 
 def _merged_dim(reg, q1, q2):

@@ -154,6 +154,9 @@ def test_reset_clears_state(net):
     net.deposit(T1, "h", q)
     net.send_classical(T1, M1, "01", "m")
     net.run_until_idle()
+    net.deposit(T2, "g", reg.alloc_qubit([1.0, 0.0]))
+    net.send_qubit(T2, R1, "g", "g")  # still in flight at the reset
+    held_before = net.qubits
     net.reset()
     assert net.now == 0
     assert net.pending == 0
@@ -161,6 +164,12 @@ def test_reset_clears_state(net):
     assert net.qubits[T1] == {}
     assert net.inbox[M1] == {}
     assert net.peak_usage_total() == 0
+    assert net.in_flight == 0
+    assert all(net.node_usage(n) == 0 for n in net.topology.nodes)
+    fresh = QNetwork(net.topology)
+    for name in ("now", "_queue", "trace", "qubits", "inbox", "_in_flight", "node_peaks"):
+        assert getattr(net, name) == getattr(fresh, name), name
+    assert held_before[T1] == {"h": q}  # a holdings dict read earlier is not mutated
 
 
 def test_each_drain_returns_its_own_tail_of_the_trace(net):
