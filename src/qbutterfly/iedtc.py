@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import xor
 from typing import Callable, Sequence
 
@@ -22,12 +21,20 @@ from .topology import NodeId
 SUCCESS_FIDELITY = 1.0 - 1e-9
 
 
+_TWO_BITS = ("00", "01", "10", "11")
+_TWO_BIT_VALUE = {m: v for v, m in enumerate(_TWO_BITS)}
+
+
 def xor_combine(messages: Sequence[str]) -> str:
     """Bitwise XOR of 2-bit messages: the relay's bottleneck message from every
     broadcast, or a receiver's own from that and the broadcasts it overheard."""
     if not messages:
         raise ValueError("cannot combine zero messages")
-    return f"{functools.reduce(xor, map(int, messages, repeat(2))):02b}"
+    try:
+        values = [_TWO_BIT_VALUE[m] for m in messages]
+    except (KeyError, TypeError):
+        raise ValueError(f"XOR combines 2-bit messages only, got {list(messages)!r}") from None
+    return _TWO_BITS[functools.reduce(xor, values)]
 
 
 def assign_swappers(n_pairs: int) -> dict[int, NodeId]:
@@ -169,7 +176,7 @@ class RoundResult:
     fidelities: list[float] = field(default_factory=list)
     peak_usage: int = 0        # sum over nodes of per-node peak holdings
     peak_alloc: int = 0        # network-wide simultaneous live qubits
-    trace: list[TraceEntry] = field(default_factory=list)
+    trace: Sequence[TraceEntry] = ()  # net.trace: entries are built when read
     error: str | None = None
 
     @property
@@ -189,7 +196,9 @@ def run_round(net: QNetwork, reg: StateRegistry,
     the receiver-side fidelity reaches 1 within 1e-9.  A round that ends
     with a message queued, a qubit in flight, or a live qubit no node holds
     fails with an error starting "round end".  ``trace`` is the network's
-    own list, which the next ``reset`` replaces rather than clears.
+    own read-only view of its deliveries, the same object as ``net.trace``;
+    it builds each ``TraceEntry`` when read, and the next ``reset`` leaves it
+    as it is.
     """
     n = net.topology.n_pairs
     if len(input_states) != n:
@@ -210,7 +219,7 @@ def run_round(net: QNetwork, reg: StateRegistry,
         result.error = f"{type(exc).__name__}: {exc}"
     result.peak_usage = net.peak_usage_total()
     result.peak_alloc = reg.peak_alloc
-    result.trace = net.trace  # reset() starts a new list, so this one stays as is
+    result.trace = net.trace  # reset() starts a new view, so this one stays as is
     return result
 
 

@@ -10,11 +10,19 @@ Each node holds tagged qubits (``qubits``) and a classical inbox
 ``deposit``, as a qubit created there does; a qubit in flight stays in the
 custody of its sender for capacity accounting (the fiber port is the
 sender's hardware until the photon is absorbed).
+
+A drain keeps each delivered queue tuple as it is, and notes its first
+index and tick once.  ``trace`` is a read-only ``Trace`` view over those
+records: it builds a ``TraceEntry`` only when one is read, so a round that
+never reads its trace pays for no entries.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from itertools import compress, repeat
+from collections.abc import Iterator, Sequence
+from itertools import chain, repeat
+from math import inf
 from typing import Iterable, NamedTuple
 
 from .qstate import QubitId
@@ -37,6 +45,62 @@ class TraceEntry(NamedTuple):
         return f"{self.time} {self.src} {self.dst} {self.kind} {self.tag} {self.size}"
 
 
+Record = tuple[NodeId, NodeId, str, "str | QubitId"]  # (src, dst, tag, payload)
+
+
+class Trace(Sequence[TraceEntry]):
+    """Read-only view of deliveries in order; a ``TraceEntry`` is built when read.
+
+    ``records`` are the delivered queue tuples and ``marks`` the (first
+    record index, tick) of each drain, both owned by the network.  A view
+    with no ``stop`` follows the records as they grow; ``reset`` hands the
+    network new lists, so a view taken before it keeps what it saw.
+    """
+
+    __slots__ = ("_records", "_marks", "_start", "_stop")
+
+    def __init__(self, records: list[Record], marks: list[tuple[int, int]],
+                 start: int = 0, stop: int | None = None):
+        self._records, self._marks, self._start, self._stop = records, marks, start, stop
+
+    def _end(self) -> int:
+        return len(self._records) if self._stop is None else self._stop
+
+    def __len__(self) -> int:
+        return self._end() - self._start
+
+    def __iter__(self) -> Iterator[TraceEntry]:
+        return chain.from_iterable(self._drains(self._start, self._end()))
+
+    def __getitem__(self, key):
+        at = range(self._start, self._end())[key]  # raises IndexError as a list would
+        if isinstance(at, int):
+            return next(self._drains(at, at + 1))[0]
+        if at.step == 1:
+            return list(chain.from_iterable(self._drains(at.start, at.stop)))
+        return list(self)[key]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Trace, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def _drains(self, lo: int, hi: int) -> Iterator[list[TraceEntry]]:
+        """Entries of records lo..hi-1, one list per drain."""
+        records, marks = self._records, self._marks
+        entry = tuple.__new__  # TraceEntry's own __new__ is Python code
+        d = bisect_right(marks, (lo, inf)) - 1  # the drain that delivered record lo
+        while lo < hi:
+            tick = marks[d][1]
+            d += 1
+            end = min(marks[d][0], hi) if d < len(marks) else hi
+            yield [entry(TraceEntry, (tick, src, dst, "classical", tag, len(payload)))
+                   if payload.__class__ is str else
+                   entry(TraceEntry, (tick, src, dst, "quantum", tag, 1))
+                   for src, dst, tag, payload in records[lo:end]]
+            lo = end
+
+
 class QNetwork:
     """Event queue, per-node holdings and inboxes, and the delivery trace."""
 
@@ -52,8 +116,10 @@ class QNetwork:
         """
         nodes = self.topology.nodes
         self.now = 0
-        self._queue: deque[tuple[NodeId, NodeId, str, str | QubitId]] = deque()
-        self.trace: list[TraceEntry] = []
+        self._queue: deque[Record] = deque()
+        self._records: list[Record] = []
+        self._marks: list[tuple[int, int]] = []  # (first record index, tick) per drain
+        self.trace = Trace(self._records, self._marks)
         self.qubits: dict[NodeId, dict[str, QubitId]] = {n: {} for n in nodes}
         self.inbox: dict[NodeId, dict[str, str]] = {n: {} for n in nodes}  # arrival order
         self._in_flight: dict[NodeId, int] = dict.fromkeys(nodes, 0)
@@ -102,8 +168,7 @@ class QNetwork:
             raise NetworkError(f"{node} has no message tagged {tag!r}") from None
 
     def messages_tagged(self, node: NodeId, prefix: str) -> list[str]:
-        box = self.inbox[node]
-        return list(compress(box.values(), map(str.startswith, box, repeat(prefix))))
+        return [m for tag, m in self.inbox[node].items() if tag.startswith(prefix)]
 
     # -- sending ---------------------------------------------------------------
 
@@ -143,32 +208,38 @@ class QNetwork:
 
     # -- delivery ----------------------------------------------------------------
 
-    def run_until_idle(self) -> list[TraceEntry]:
+    def run_until_idle(self) -> Trace:
         """Deliver all queued messages in FIFO order; returns this call's deliveries.
 
         One drain is one tick, stamped on all its deliveries, which are the
         tail of ``trace`` from this call on.  Delivery never sends, so the
-        queue cannot refill during a drain: no event cap needed.
+        queue cannot refill during a drain: no event cap needed.  A refused
+        delivery raises; the deliveries before it stay made and recorded,
+        and the messages after it stay queued.
         """
-        queue, trace, inbox = self._queue, self.trace, self.inbox
-        entry = tuple.__new__  # TraceEntry's own __new__ is Python code
-        start = len(trace)
+        queue, records, inbox = self._queue, self._records, self.inbox
+        start = len(records)
         if queue:
             self.now += 1
-        now = self.now
-        while queue:
-            src, dst, tag, payload = queue.popleft()
-            if isinstance(payload, str):
-                box = inbox[dst]
-                if tag in box:
-                    raise NetworkError(f"{dst} already holds a message tagged {tag!r}")
-                box[tag] = payload
-                trace.append(entry(TraceEntry, (now, src, dst, "classical", tag, len(payload))))
-            else:
-                self.deposit(dst, tag, payload)  # a collision leaves custody with src
-                self._in_flight[src] -= 1
-                trace.append(entry(TraceEntry, (now, src, dst, "quantum", tag, 1)))
-        return trace[start:]
+            self._marks.append((start, self.now))
+        try:
+            for item in queue:
+                src, dst, tag, payload = item
+                if payload.__class__ is str:
+                    box = inbox[dst]
+                    if tag in box:
+                        raise NetworkError(f"{dst} already holds a message tagged {tag!r}")
+                    box[tag] = payload
+                else:
+                    self.deposit(dst, tag, payload)  # a collision leaves custody with src
+                    self._in_flight[src] -= 1
+        except NetworkError:
+            while (done := queue.popleft()) is not item:
+                records.append(done)
+            raise
+        records.extend(queue)
+        queue.clear()
+        return Trace(records, self._marks, start, len(records))
 
     @property
     def pending(self) -> int:

@@ -1,4 +1,5 @@
 """Tests for the distribution/teleportation protocol round."""
+import gc
 import hashlib
 import itertools
 import math
@@ -23,7 +24,7 @@ from qbutterfly.iedtc import (
 )
 from qbutterfly.qsre import random_guess
 from qbutterfly.qstate import NOISE_ALL_GATES, NOISE_ENTANGLING, StateRegistry, random_state
-from qbutterfly.simnet import QNetwork, serialize_trace
+from qbutterfly.simnet import QNetwork, TraceEntry, serialize_trace
 from qbutterfly.topology import NodeId, build_butterfly
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -50,6 +51,20 @@ def test_xor_combine_and_recover_roundtrip():
         assert xor_combine([combined, *others]) == msg
     with pytest.raises(ValueError):
         xor_combine([])
+
+
+@pytest.mark.parametrize("msgs", [
+    ["001", "000"],
+    ["1"],
+    ["01", ""],
+    ["01", "0b1"],
+    ["0x", "01"],
+    [1, "01"],
+    [],
+], ids=["wide", "narrow", "empty-message", "prefixed", "non-binary", "not-a-string", "none"])
+def test_xor_combine_accepts_only_2_bit_messages(msgs):
+    with pytest.raises(ValueError):
+        xor_combine(msgs)
 
 
 def test_xor_recovery_exhaustive_small():
@@ -313,6 +328,21 @@ def test_kept_trace_survives_reset_and_the_next_round():
     assert first.trace == kept
     assert second.trace is net.trace and second.trace is not first.trace
     assert len(second.trace) == len(kept) == 3 * 3 + 5 * 3 + 1
+
+
+def test_round_builds_no_trace_entry_until_the_trace_is_read():
+    def entries_alive():
+        return sum(type(o) is TraceEntry for o in gc.get_objects())
+
+    net = fresh(8)
+    rng = np.random.default_rng(3)
+    states = [random_state(rng) for _ in range(8)]
+    gc.collect()
+    before = entries_alive()
+    result = run_round(net, StateRegistry(seed=3), states)
+    assert result.all_success and entries_alive() == before
+    read = list(result.trace)
+    assert len(read) == 8 * 8 + 5 * 8 + 1 and entries_alive() == before + len(read)
 
 
 def test_round_trace_is_pinned():

@@ -1,6 +1,7 @@
 """Property tests: the key chunk -> rotation gate map, the registry's cluster
-kernels against a dense state-vector oracle, XOR recovery, and the custody
-and determinism of whole rounds."""
+kernels against a dense state-vector oracle, XOR recovery, the delivery
+trace against an independent record, and the custody and determinism of
+whole rounds."""
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from qbutterfly.qstate import (
     ry,
 )
 from qbutterfly.simnet import QNetwork, serialize_trace
-from qbutterfly.topology import build_butterfly
+from qbutterfly.topology import LinkKind, build_butterfly
 from test_qstate import embed_cnot, embed_single, oracle_matrix
 
 WIDTHS = st.integers(min_value=3, max_value=12)
@@ -207,6 +208,54 @@ def test_xor_combine_recovers_every_message(msgs):
     combined = xor_combine(msgs)
     for k, msg in enumerate(msgs):
         assert xor_combine([combined, *msgs[:k], *msgs[k + 1:]]) == msg
+
+
+# -- the delivery trace ------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_trace_matches_an_independent_record_of_the_sends(data):
+    net, reg = QNetwork(build_butterfly(3)), StateRegistry()
+    links = [(a, b, kind) for a, nbrs in net.topology.adjacency.items()
+             for b, kind in nbrs.items()]
+    fiber = [(a, b) for a, b, kind in links if kind is LinkKind.QUANTUM]
+    bits = st.text(alphabet="01", min_size=1, max_size=4)
+    queued, expected, drains, tick = [], [], [], 0
+    for i in range(data.draw(st.integers(min_value=0, max_value=30))):
+        tag = f"t{i}"  # one tag per operation: no delivery collides
+        op = data.draw(st.sampled_from(["classical", "qubit", "broadcast", "run"]))
+        if op == "classical":
+            src, dst, _ = data.draw(st.sampled_from(links))
+            payload = data.draw(bits)
+            net.send_classical(src, dst, payload, tag)
+            queued.append((src, dst, "classical", tag, len(payload)))
+        elif op == "qubit":
+            src, dst = data.draw(st.sampled_from(fiber))
+            net.deposit(src, tag, reg.alloc_qubit([1.0, 0.0]))
+            net.send_qubit(src, dst, tag, tag)
+            queued.append((src, dst, "quantum", tag, 1))
+        elif op == "broadcast":
+            src = data.draw(st.sampled_from(net.topology.nodes))
+            neighbors = net.topology.neighbors(src)
+            skip = data.draw(st.lists(st.sampled_from(neighbors), max_size=len(neighbors) - 1))
+            payload = data.draw(bits)
+            targets = net.broadcast_classical(src, payload, tag, exclude=skip)
+            assert targets == [m for m in neighbors if m not in skip]
+            queued += [(src, m, "classical", tag, len(payload)) for m in targets]
+        else:
+            start = len(expected)
+            if queued:
+                tick += 1
+            expected += [(tick, *sent) for sent in queued]
+            queued.clear()
+            drains.append((net.run_until_idle(), start, len(expected)))
+    assert net.pending == len(queued)
+    assert [tuple(e) for e in net.trace] == expected
+    assert len(net.trace) == len(expected) and net.now == tick
+    for drained, start, stop in drains:
+        assert [tuple(e) for e in drained] == expected[start:stop]
+        assert drained == net.trace[start:stop]
 
 
 @settings(max_examples=50, deadline=None,

@@ -1,4 +1,6 @@
 """Tests for the tick-based message-passing layer."""
+from collections.abc import Sequence
+
 import pytest
 
 from qbutterfly.qstate import QubitId, StateRegistry
@@ -180,10 +182,66 @@ def test_each_drain_returns_its_own_tail_of_the_trace(net):
     second = net.run_until_idle()
     assert net.run_until_idle() == []
     assert first == net.trace[:2] and second == net.trace[2:]
-    assert [str(e) for e in first + second] == [
+    assert [str(e) for e in [*first, *second]] == [
         "1 T1 M1 classical a 2", "1 T2 M1 classical b 2", "2 M1 M2 classical c 2"]
-    first.clear()  # a returned list is a copy; the trace keeps its entries
-    assert len(net.trace) == 3
+    # a returned view is read-only, so it cannot change the network's trace
+    for mutate in (lambda: first.clear(), lambda: first.append(second[0]),
+                   lambda: first.__setitem__(0, second[0]), lambda: first.__delitem__(0)):
+        with pytest.raises((AttributeError, TypeError)):
+            mutate()
+    assert len(first) == 2 and len(net.trace) == 3
+
+
+def test_trace_is_a_sequence_view_built_on_read(net):
+    reg = StateRegistry()
+    net.deposit(T1, "h", reg.alloc_qubit([1.0, 0.0]))
+    net.send_qubit(T1, R2, "h", "q")
+    net.send_classical(T1, M1, "101", "a")
+    net.run_until_idle()
+    net.broadcast_classical(M2, "0", "b", exclude=[M1])
+    drained = net.run_until_idle()
+    trace = net.trace
+    expected = [TraceEntry(1, T1, R2, "quantum", "q", 1), TraceEntry(1, T1, M1, "classical", "a", 3),
+                TraceEntry(2, M2, R1, "classical", "b", 1), TraceEntry(2, M2, R2, "classical", "b", 1)]
+    assert isinstance(trace, Sequence) and len(trace) == 4
+    assert trace == expected and list(trace) == expected and expected == trace
+    assert [trace[i] for i in range(-4, 4)] == expected * 2
+    for i in (4, -5):
+        with pytest.raises(IndexError):
+            trace[i]
+    assert trace[1:3] == expected[1:3] and trace[::-2] == expected[::-2]
+    assert trace[5:1] == [] and drained[1:] == expected[3:] and drained[-1] == expected[3]
+    assert trace != expected[:3] and trace != tuple(expected)
+    assert trace is net.trace  # one view, not a copy per read
+    net.reset()
+    assert trace == expected and net.trace == [] and net.trace is not trace
+    net.send_classical(T2, M1, "11", "c")
+    net.run_until_idle()
+    assert trace == expected and drained == expected[2:]  # views taken before reset() stay
+    assert net.trace == [TraceEntry(1, T2, M1, "classical", "c", 2)]
+
+
+def test_a_refused_delivery_leaves_the_earlier_ones_recorded(net):
+    reg = StateRegistry()
+    net.send_classical(T1, M1, "01", "h")
+    net.run_until_idle()
+    net.send_classical(T1, R2, "10", "m")
+    net.send_classical(T2, M1, "10", "h")  # collides with the first "h" at M1
+    net.send_classical(T2, R1, "11", "n")
+    with pytest.raises(NetworkError):
+        net.run_until_idle()
+    assert [str(e) for e in net.trace] == ["1 T1 M1 classical h 2", "2 T1 R2 classical m 2"]
+    assert net.pending == 1 and net.inbox[R1] == {}  # the message after it stays queued
+    (entry,) = net.run_until_idle()
+    assert str(entry) == "3 T2 R1 classical n 2"
+    net.deposit(R2, "q", reg.alloc_qubit([1.0, 0.0]))
+    net.deposit(T1, "x", reg.alloc_qubit([1.0, 0.0]))
+    net.send_classical(M2, R2, "0", "o")
+    net.send_qubit(T1, R2, "x", "q")  # collides with the qubit R2 holds
+    with pytest.raises(NetworkError):
+        net.run_until_idle()
+    assert [str(e) for e in net.trace[3:]] == ["4 M2 R2 classical o 1"]
+    assert net.pending == 0 and len(net.trace) == 4
 
 
 def test_payload_validation(net):
