@@ -9,10 +9,10 @@ a single XOR-combined message that every receiver can invert locally.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 from operator import xor
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .qstate import Gate, QubitId, StateRegistry, X, Z, as_state
 from .simnet import QNetwork, TraceEntry
@@ -31,10 +31,9 @@ def xor_combine(messages: Sequence[str]) -> str:
     if not messages:
         raise ValueError("cannot combine zero messages")
     try:
-        values = [_TWO_BIT_VALUE[m] for m in messages]
+        return _TWO_BITS[reduce(xor, map(_TWO_BIT_VALUE.__getitem__, messages))]
     except (KeyError, TypeError):
         raise ValueError(f"XOR combines 2-bit messages only, got {list(messages)!r}") from None
-    return _TWO_BITS[functools.reduce(xor, values)]
 
 
 def assign_swappers(n_pairs: int) -> dict[int, NodeId]:
@@ -77,19 +76,41 @@ def read_out(reg: StateRegistry, half: QubitId, bits: str, rotation: Gate | None
     return fidelity
 
 
-SwapPolicy = Callable[[QNetwork, StateRegistry, int, NodeId, QubitId, QubitId], str]
+class Pair(NamedTuple):
+    """One transceiver pair's nodes and the tags its round uses."""
+    k: int
+    t: NodeId
+    r: NodeId
+    assister: NodeId
+    phi_keep: str    # Tk's kept half of its own pair
+    phi_give: str    # the half Tk sends to the assister...
+    phi_swap: str    # ...where it arrives under this tag
+    psi_assist: str  # M2's half for the assister...
+    psi_own: str     # M2's half for Rk, held under the same tag there
+    psi_swap: str    # ...where the assister's half arrives
+    swap: str        # the assister's 2 correction bits to Tk
+    eta: str         # Tk's payload
+    broadcast: str   # Tk's teleport bits, broadcast to its neighbours
 
 
-def honest_swap(net: QNetwork, reg: StateRegistry, k: int, assister: NodeId,
+@lru_cache(maxsize=None)  # one table per network size, shared by every round
+def pair_table(n_pairs: int) -> tuple[Pair, ...]:
+    """Each pair's record, pair k at index k - 1."""
+    swappers = assign_swappers(n_pairs)
+    return tuple(Pair(k, NodeId.transmitter(k), NodeId.receiver(k), swappers[k],
+                      f"phi{k}.keep", f"phi{k}.give", f"phi{k}.swap", f"psi{k}.assist",
+                      f"psi{k}.own", f"psi{k}.swap", f"swap{k}", f"eta{k}", f"B{k}")
+                 for k in range(1, n_pairs + 1))
+
+
+SwapPolicy = Callable[[QNetwork, StateRegistry, Pair, QubitId, QubitId], str]
+
+
+def honest_swap(net: QNetwork, reg: StateRegistry, pair: Pair,
                 phi_half: QubitId, psi_half: QubitId) -> str:
     """Swap policy of a faithful assister: teleport the source half's
     entanglement onto the transmitter's kept qubit, which applies the bits."""
     return teleport_encode(reg, psi_half, phi_half)
-
-
-@functools.lru_cache(maxsize=None)  # a round asks for 21 tags per pair
-def _tag(prefix: str, k: int, role: str = "") -> str:
-    return f"{prefix}{k}.{role}" if role else f"{prefix}{k}"
 
 
 def distribute_entanglements(net: QNetwork, reg: StateRegistry,
@@ -104,47 +125,40 @@ def distribute_entanglements(net: QNetwork, reg: StateRegistry,
     dishonest ``swap`` policy breaks the promise of exact pairs, which is
     what the insider attack in qsre does.
     """
-    n = net.topology.n_pairs
-    swappers = assign_swappers(n)
+    pairs = pair_table(net.topology.n_pairs)
     source = NodeId.source()
-    for k in range(1, n + 1):
-        t = NodeId.transmitter(k)
+    for p in pairs:
         keep, give = reg.create_bell_pair()
-        net.deposit(t, _tag("phi", k, "keep"), keep)
-        net.deposit(t, _tag("phi", k, "give"), give)
-        net.send_qubit(t, swappers[k], _tag("phi", k, "give"), _tag("phi", k, "swap"))
+        net.deposit(p.t, p.phi_keep, keep)
+        net.deposit(p.t, p.phi_give, give)
+        net.send_qubit(p.t, p.assister, p.phi_give, p.phi_swap)
         left, right = reg.create_bell_pair()
-        net.deposit(source, _tag("psi", k, "assist"), left)
-        net.deposit(source, _tag("psi", k, "own"), right)
-        net.send_qubit(source, swappers[k], _tag("psi", k, "assist"), _tag("psi", k, "swap"))
-        net.send_qubit(source, NodeId.receiver(k), _tag("psi", k, "own"), _tag("psi", k, "own"))
+        net.deposit(source, p.psi_assist, left)
+        net.deposit(source, p.psi_own, right)
+        net.send_qubit(source, p.assister, p.psi_assist, p.psi_swap)
+        net.send_qubit(source, p.r, p.psi_own, p.psi_own)
     net.run_until_idle()
 
-    for k in range(1, n + 1):
-        assister = swappers[k]
-        phi_half = net.take(assister, _tag("phi", k, "swap"))
-        psi_half = net.take(assister, _tag("psi", k, "swap"))
-        msg = swap(net, reg, k, assister, phi_half, psi_half)
-        net.send_classical(assister, NodeId.transmitter(k), msg, _tag("swap", k))
+    for p in pairs:
+        phi_half = net.take(p.assister, p.phi_swap)
+        psi_half = net.take(p.assister, p.psi_swap)
+        net.send_classical(p.assister, p.t, swap(net, reg, p, phi_half, psi_half), p.swap)
     net.run_until_idle()
 
-    for k in range(1, n + 1):
-        t = NodeId.transmitter(k)
-        kept = net.qubits[t][_tag("phi", k, "keep")]
-        teleport_decode(reg, kept, net.message(t, _tag("swap", k)))
+    for p in pairs:
+        teleport_decode(reg, net.qubits[p.t][p.phi_keep], net.message(p.t, p.swap))
 
 
 def teleport_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequence[complex]],
                       rotations: Sequence[Gate | None]) -> None:
     """Phase two: each Tk rotates and teleports its payload, broadcasting the bits."""
-    for k, (state, rotation) in enumerate(zip(states, rotations), 1):
-        t = NodeId.transmitter(k)
+    for p, state, rotation in zip(pair_table(net.topology.n_pairs), states, rotations):
         payload = reg.alloc_qubit(state)
-        net.deposit(t, _tag("eta", k), payload)
+        net.deposit(p.t, p.eta, payload)
         if rotation is not None:
             reg.apply_gate(rotation, [payload])
-        state_q, kept = net.take(t, _tag("eta", k)), net.take(t, _tag("phi", k, "keep"))
-        net.broadcast_classical(t, teleport_encode(reg, state_q, kept), _tag("B", k))
+        state_q, kept = net.take(p.t, p.eta), net.take(p.t, p.phi_keep)
+        net.broadcast_classical(p.t, teleport_encode(reg, state_q, kept), p.broadcast)
     net.run_until_idle()
 
 
@@ -164,10 +178,9 @@ def decode_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequence
     """Phase four: each Rk XORs out the broadcasts it overheard and reads out
     its pair half with them; returns each fidelity."""
     fidelities = []
-    for k, (state, rotation) in enumerate(zip(states, rotations), 1):
-        r = NodeId.receiver(k)
-        own = xor_combine([net.message(r, "combined"), *net.messages_tagged(r, "B")])
-        fidelities.append(read_out(reg, net.take(r, _tag("psi", k, "own")), own, rotation, state))
+    for p, state, rotation in zip(pair_table(net.topology.n_pairs), states, rotations):
+        own = xor_combine([net.message(p.r, "combined"), *net.messages_tagged(p.r, "B")])
+        fidelities.append(read_out(reg, net.take(p.r, p.psi_own), own, rotation, state))
     return fidelities
 
 

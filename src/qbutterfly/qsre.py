@@ -18,16 +18,15 @@ import numpy as np
 
 from .iedtc import (
     SUCCESS_FIDELITY,
-    _tag,
-    assign_swappers,
+    Pair,
     honest_swap,
+    pair_table,
     read_out,
     run_round,
     teleport_encode,
 )
 from .qstate import Gate, QubitId, StateRegistry, random_state, rx, ry
 from .simnet import QNetwork
-from .topology import NodeId
 
 EAVESDROP_THRESHOLD = 0.99
 
@@ -91,7 +90,7 @@ class AttackStats:
         return self.legit_successes / self.trials
 
 
-def substituting_swap(net: QNetwork, reg: StateRegistry, k: int, assister: NodeId,
+def substituting_swap(net: QNetwork, reg: StateRegistry, pair: Pair,
                       phi_half: QubitId, psi_half: QubitId) -> str:
     """Swap policy of a malicious assister on pair 1; honest on every other pair.
 
@@ -102,10 +101,10 @@ def substituting_swap(net: QNetwork, reg: StateRegistry, k: int, assister: NodeI
     Creating the pair before the swap and discarding after it keeps the
     registry's random draws in the order of the honest round.
     """
-    if k != 1:
-        return honest_swap(net, reg, k, assister, phi_half, psi_half)
+    if pair.k != 1:
+        return honest_swap(net, reg, pair, phi_half, psi_half)
     keep, give = reg.create_bell_pair()
-    net.deposit(assister, _tag("psi", k, "swap"), keep)
+    net.deposit(pair.assister, pair.psi_swap, keep)
     msg = teleport_encode(reg, give, phi_half)
     reg.release(psi_half)
     return msg
@@ -127,7 +126,7 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
     counting as a decoy.
     """
     n = net.topology.n_pairs
-    eve = assign_swappers(n)[1]
+    attacked = pair_table(n)[0]  # its assister is the eavesdropper
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (1 <= magnitude_bits <= 63):
@@ -159,8 +158,8 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
 
         # Eve reads out as a connected receiver, with the pair-1 broadcast.
         guess = random_guess(magnitude_bits, rng) if use_qsre else None
-        broadcast = net.message(eve, _tag("B", 1))
-        fidelity = read_out(reg, net.take(eve, _tag("psi", 1, "swap")), broadcast, guess,
+        broadcast = net.message(attacked.assister, attacked.broadcast)
+        fidelity = read_out(reg, net.take(attacked.assister, attacked.psi_swap), broadcast, guess,
                             payload_ref)
         if fidelity >= EAVESDROP_THRESHOLD:
             eve_hits += 1

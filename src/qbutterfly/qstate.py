@@ -10,9 +10,10 @@ A cluster's first qubit is the high bit of its amplitude index, so qubit q
 at position i of a k-qubit cluster has stride 2**(k - 1 - i): the index
 step that flips its bit.  A single-qubit gate multiplies its 2x2 matrix,
 built once with the Gate, into ``amps.reshape(-1, 2, stride)``, which puts
-q's bit on the middle axis.  CNOT gathers through a cached permutation,
-and both measurements through one cached Gray-code order of the measured
-bits (``_gray_order``).  A Bell measurement is one such gather and one
+q's bit on the middle axis, except that X gathers and Z multiplies by
+cached signs.  CNOT gathers through a cached permutation, and both
+measurements through one cached Gray-code order of the measured bits
+(``_gray_order``).  A Bell measurement is one such gather and one
 projection: its CNOT and H are never applied.
 """
 from __future__ import annotations
@@ -55,7 +56,6 @@ _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _HADAMARD = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
-_PAULIS = (_PAULI_X, _PAULI_Y, _PAULI_Z)
 _FIXED = {GateKind.X: _PAULI_X, GateKind.Y: _PAULI_Y, GateKind.Z: _PAULI_Z,
           GateKind.H: _HADAMARD, GateKind.CNOT: None}
 # H|0>|0> from the single-qubit kernel's own product, signed zeros included.
@@ -102,6 +102,7 @@ Y = Gate(GateKind.Y)
 Z = Gate(GateKind.Z)
 H = Gate(GateKind.H)
 CNOT = Gate(GateKind.CNOT)
+_PAULIS = (X, Y, Z)
 
 
 def rx(theta: float) -> Gate:
@@ -151,6 +152,22 @@ def _cnot_permutation(dim: int, control_stride: int, target_stride: int) -> np.n
 
 
 @functools.lru_cache(maxsize=None)
+def _flip_order(dim: int, stride: int) -> np.ndarray:
+    # Gather indices of X: swap the qubit's 0 and 1 halves.
+    order = np.arange(dim) ^ stride
+    order.flags.writeable = False  # the cache hands this one array to every caller
+    return order
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_signs(dim: int, stride: int) -> np.ndarray:
+    # Z as a product: -1 where the qubit's bit is 1.
+    signs = np.where(np.arange(dim) & stride, -1.0, 1.0).astype(complex)
+    signs.flags.writeable = False  # the cache hands this one array to every caller
+    return signs
+
+
+@functools.lru_cache(maxsize=None)
 def _gray_order(dim: int, *strides: int) -> np.ndarray:
     # Gather indices that list the chosen bits in Gray-code order, the first
     # stride highest, each block holding the other bits in amplitude order.
@@ -171,9 +188,10 @@ class StateRegistry:
     Each live qubit maps straight to the cluster object that holds it;
     clusters carry no ids, and a cluster lives as long as a qubit maps to it.
     A single-qubit gate on q is ``gate.matrix @ view`` on the (high, q, low)
-    view of the module docstring.  CNOT gathers the amplitudes through a
-    cached order that swaps the target halves where the control bit is 1,
-    after a merge that appends the second cluster's qubits as the low bits.
+    view of the module docstring, or the same amplitudes by gather (X) or
+    sign product (Z).  CNOT gathers through a cached order that swaps the
+    target halves where the control bit is 1, after a merge that appends
+    the second cluster's qubits as the low bits.
     Measuring q gathers q's 0 half then its 1 half, draws the outcome from
     the 1 half's weight and keeps the chosen half, renormalized.
 
@@ -282,16 +300,21 @@ class StateRegistry:
         if gate.matrix is None:
             self._apply_cnot(targets[0], targets[1])
         else:
-            self._apply_single(gate.matrix, targets[0])
+            self._apply_single(gate, targets[0])
         self.gate_count += 1
         if self.noise_prob:
             self._inject_noise(gate, targets)
 
-    def _apply_single(self, matrix: np.ndarray, q: QubitId) -> None:
+    def _apply_single(self, gate: Gate, q: QubitId) -> None:
         cluster = self._cluster_of[q]
-        qubits = cluster.qubits
+        qubits, amps, kind = cluster.qubits, cluster.amps, gate.kind
         stride = 1 << (len(qubits) - 1 - qubits.index(q))
-        cluster.amps = (matrix @ cluster.amps.reshape(-1, 2, stride)).reshape(-1)
+        if kind is GateKind.X:
+            cluster.amps = amps[_flip_order(amps.size, stride)]
+        elif kind is GateKind.Z:
+            cluster.amps = amps * _phase_signs(amps.size, stride)
+        else:
+            cluster.amps = (gate.matrix @ amps.reshape(-1, 2, stride)).reshape(-1)
 
     def _apply_cnot(self, control: QubitId, target: QubitId) -> None:
         cluster = self._cluster_of[control]

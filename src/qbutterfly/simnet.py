@@ -165,9 +165,13 @@ class QNetwork:
         try:
             return self.inbox[node][tag]
         except KeyError:
+            if node not in self.inbox:
+                raise _outsider(node) from None
             raise NetworkError(f"{node} has no message tagged {tag!r}") from None
 
     def messages_tagged(self, node: NodeId, prefix: str) -> list[str]:
+        if node not in self.inbox:
+            raise _outsider(node)
         return [m for tag, m in self.inbox[node].items() if tag.startswith(prefix)]
 
     # -- sending ---------------------------------------------------------------
@@ -256,7 +260,7 @@ def _outsider(node: NodeId) -> NetworkError:
 
 
 def _check_bits(bits: str) -> None:
-    if any(c not in "01" for c in bits):
+    if bits.strip("01"):
         raise ValueError(f"classical payload must be a bit string, got {bits!r}")
 
 

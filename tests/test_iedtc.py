@@ -15,6 +15,7 @@ from qbutterfly.iedtc import (
     assign_swappers,
     decode_payloads,
     distribute_entanglements,
+    pair_table,
     relay_combined,
     run_round,
     teleport_decode,
@@ -93,6 +94,20 @@ def test_swapper_is_reachable_and_never_own_receiver(n):
         assert assister != NodeId.receiver(k)
         link = topo.find_link(NodeId.transmitter(k), assister)
         assert link is not None  # the correction bits can flow back directly
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pair_table_holds_each_pairs_nodes_and_distinct_tags(n):
+    table, swappers = pair_table(n), assign_swappers(n)
+    assert [p.k for p in table] == list(range(1, n + 1))
+    for p in table:
+        assert (p.t, p.r, p.assister) == (
+            NodeId.transmitter(p.k), NodeId.receiver(p.k), swappers[p.k])
+    tags = [tag for p in table for tag in p[4:]]
+    assert len(tags) == 9 * n == len(set(tags))
+    assert table[-1][4:] == (f"phi{n}.keep", f"phi{n}.give", f"phi{n}.swap", f"psi{n}.assist",
+                             f"psi{n}.own", f"psi{n}.swap", f"swap{n}", f"eta{n}", f"B{n}")
+    assert pair_table(n) is table  # built once per size
 
 
 # -- swap and teleport micro-steps ----------------------------------------------

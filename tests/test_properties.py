@@ -198,6 +198,32 @@ def test_cluster_kernels_match_dense_oracle(data, n, seed):
         check()
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), seed=SEEDS)
+def test_x_and_z_kernels_equal_the_matrix_product(n, seed):
+    # X runs as a gather and Z as a sign product, as a gate and as a noise
+    # Pauli; either way each must give exactly what gate.matrix @ view gives.
+    rng = np.random.default_rng(seed)
+    reg = StateRegistry()
+    qubits = [reg.alloc_qubit(random_state(rng)) for _ in range(n)]
+    for a, b in zip(qubits, qubits[1:]):
+        reg.apply_gate(CNOT, [a, b])  # one cluster, qubits in allocation order
+
+    def inject(gate, pauli, q):
+        reg._draw_noise = lambda *_: [(q, pauli)]  # the hook draws this Pauli on q
+        reg._inject_noise(gate, [q])
+
+    for position, q in enumerate(qubits):
+        stride = 2 ** (n - 1 - position)
+        for pauli, gate in ((0, X), (2, Z)):
+            for apply in (lambda: reg.apply_gate(gate, [q]), lambda: inject(gate, pauli, q)):
+                order, before = reg.cluster_state(q)
+                assert order == tuple(qubits)
+                expected = (gate.matrix @ before.reshape(-1, 2, stride)).reshape(-1)
+                apply()
+                assert np.array_equal(reg.cluster_state(q)[1], expected)
+
+
 # -- XOR coding and whole rounds -------------------------------------------------
 
 

@@ -4,7 +4,7 @@ from collections.abc import Sequence
 import pytest
 
 from qbutterfly.qstate import QubitId, StateRegistry
-from qbutterfly.simnet import NetworkError, QNetwork, TraceEntry, serialize_trace
+from qbutterfly.simnet import NetworkError, QNetwork, TraceEntry, _check_bits, serialize_trace
 from qbutterfly.topology import NodeId, build_butterfly
 
 T1, T2 = NodeId.transmitter(1), NodeId.transmitter(2)
@@ -146,8 +146,14 @@ def test_inbox_queries(net):
     net.run_until_idle()
     assert net.messages_tagged(M1, "B") == ["00", "01"]
     assert net.messages_tagged(M1, "zzz") == []
-    with pytest.raises(NetworkError):
+    with pytest.raises(NetworkError, match="^M1 has no message tagged 'missing'$"):
         net.message(M1, "missing")
+
+
+@pytest.mark.parametrize("query", ["message", "messages_tagged"])
+def test_inbox_queries_refuse_a_node_outside_the_network(net, query):
+    with pytest.raises(NetworkError, match="^R9 is not part of this network$"):
+        getattr(net, query)(NodeId.receiver(9), "B")
 
 
 def test_reset_clears_state(net):
@@ -250,6 +256,17 @@ def test_payload_validation(net):
     assert net.pending == 0
     net.send_classical(T1, M1, "0101", "t")
     assert net.pending == 1
+
+
+@pytest.mark.parametrize("bits", ["a01", "0a1", "01a", " 01", "0 1", "01 ", "\n01", "01\t", "2"])
+def test_bit_check_rejects_any_other_character_anywhere(bits):
+    with pytest.raises(ValueError, match="must be a bit string"):
+        _check_bits(bits)
+
+
+@pytest.mark.parametrize("bits", ["", "0", "1", "0110"])
+def test_bit_check_accepts_bit_strings_and_the_empty_string(bits):
+    _check_bits(bits)
 
 
 def test_trace_serialization(net):
