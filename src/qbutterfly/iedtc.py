@@ -56,22 +56,22 @@ def teleport_encode(reg: StateRegistry, state: QubitId, half: QubitId) -> str:
 
 
 def teleport_decode(reg: StateRegistry, half: QubitId, bits: str) -> None:
-    """Apply the conditional corrections (X if b2, then Z if b1) to the held half."""
+    """Correct the held half (X if b2, then Z if b1), unchecked: it is in custody."""
     if bits[1] == "1":
-        reg.apply_gate(X, [half])
+        reg._apply_gate(X, (half,))
     if bits[0] == "1":
-        reg.apply_gate(Z, [half])
+        reg._apply_gate(Z, (half,))
 
 
 def read_out(reg: StateRegistry, half: QubitId, bits: str, rotation: Gate | None,
              reference: Sequence[complex]) -> float:
     """Correct the half by its teleport bits, undo the rotation if any, and
-    release the half; returns its fidelity to the reference.  A receiver
-    reads out its payload this way, and so does the eavesdropper in qsre."""
+    release the half; returns its fidelity to the reference (a checked state).
+    A receiver reads out its payload this way, and so does qsre's eavesdropper."""
     teleport_decode(reg, half, bits)
     if rotation is not None:
-        reg.apply_gate(rotation.inverse(), [half])
-    fidelity = reg.fidelity(half, reference)
+        reg._apply_gate(rotation.inverse(), (half,))
+    fidelity = reg._fidelity(half, reference)
     reg.release(half)
     return fidelity
 
@@ -151,12 +151,13 @@ def distribute_entanglements(net: QNetwork, reg: StateRegistry,
 
 def teleport_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequence[complex]],
                       rotations: Sequence[Gate | None]) -> None:
-    """Phase two: each Tk rotates and teleports its payload, broadcasting the bits."""
+    """Phase two: each Tk rotates and teleports its payload (a state
+    ``run_round`` checked), broadcasting the bits."""
     for p, state, rotation in zip(pair_table(net.topology.n_pairs), states, rotations):
-        payload = reg.alloc_qubit(state)
+        payload = reg._alloc(state)
         net.deposit(p.t, p.eta, payload)
         if rotation is not None:
-            reg.apply_gate(rotation, [payload])
+            reg._apply_gate(rotation, (payload,))
         state_q, kept = net.take(p.t, p.eta), net.take(p.t, p.phi_keep)
         net.broadcast_classical(p.t, teleport_encode(reg, state_q, kept), p.broadcast)
     net.run_until_idle()
@@ -220,7 +221,7 @@ def run_round(net: QNetwork, reg: StateRegistry,
         rotations = [None] * n
     elif len(rotations) != n:
         raise ValueError(f"need {n} rotation entries, got {len(rotations)}")
-    states = [as_state(s) for s in input_states]  # before any qubit exists
+    states = [as_state(s) for s in input_states]  # the one check, before any qubit exists
     result = RoundResult()
     try:
         distribute_entanglements(net, reg, swap)

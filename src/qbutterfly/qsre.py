@@ -11,6 +11,7 @@ state must guess among 2 * 2 * 2**D rotations.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +32,9 @@ from .simnet import QNetwork
 EAVESDROP_THRESHOLD = 0.99
 
 
+@functools.lru_cache(maxsize=1024)  # every chunk of 3..8 bits (504), not unbounded 65-bit keys
 def rotation_gate(chunk: str) -> Gate:
-    """The rx or ry gate a key chunk of 2 + D bits names."""
+    """The rx or ry gate a key chunk of 2 + D bits names (frozen, so shared)."""
     if len(chunk) < 3 or any(c not in "01" for c in chunk):
         raise ValueError(f"rotation chunk needs >= 3 bits of 0/1, got {chunk!r}")
     sign = -1.0 if chunk[1] == "1" else 1.0
@@ -145,7 +147,7 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
             if key is not None:
                 rotation = derive_rotation(key, magnitude_bits, t)
             else:
-                bits = "".join(str(b) for b in rng.integers(0, 2, size=chunk_width))
+                bits = "".join(map(str, rng.integers(0, 2, size=chunk_width).tolist()))
                 rotation = rotation_gate(bits)
         else:
             rotation = None

@@ -14,7 +14,10 @@ q's bit on the middle axis, except that X gathers and Z multiplies by
 cached signs.  CNOT gathers through a cached permutation, and both
 measurements through one cached Gray-code order of the measured bits
 (``_gray_order``).  A Bell measurement is one such gather and one
-projection: its CNOT and H are never applied.
+projection: its CNOT and H are never applied.  A Bell pair starts as one
+shared read-only (|00>+|11>)/sqrt(2) unless its H drew a fault.  Public
+methods check every input; ``iedtc``'s round calls the unchecked steps they
+are built from on what it has checked (see ``StateRegistry``).
 """
 from __future__ import annotations
 
@@ -60,7 +63,7 @@ _FIXED = {GateKind.X: _PAULI_X, GateKind.Y: _PAULI_Y, GateKind.Z: _PAULI_Z,
           GateKind.H: _HADAMARD, GateKind.CNOT: None}
 # H|0>|0> from the single-qubit kernel's own product, signed zeros included.
 _H_ON_00 = (_HADAMARD @ np.eye(4, dtype=complex)[0].reshape(1, 2, 2)).reshape(-1)
-_H_ON_00.flags.writeable = False  # shared by every Bell pair; kernels never write amps in place
+_H_ON_00.flags.writeable = False  # shared by Bell pairs; kernels never write amps in place
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ class Gate:
 
     def inverse(self) -> "Gate":
         """The same rotation with -theta; X, Y, Z, H and CNOT are their own inverses."""
-        return self if self.theta is None else Gate(self.kind, -self.theta)
+        return self if self.theta is None else _rotation(self.kind, -self.theta)
 
 
 X = Gate(GateKind.X)
@@ -103,6 +106,7 @@ Z = Gate(GateKind.Z)
 H = Gate(GateKind.H)
 CNOT = Gate(GateKind.CNOT)
 _PAULIS = (X, Y, Z)
+_rotation = functools.lru_cache(maxsize=1024)(Gate)  # bounded: angles can be any float
 
 
 def rx(theta: float) -> Gate:
@@ -149,6 +153,11 @@ def _cnot_permutation(dim: int, control_stride: int, target_stride: int) -> np.n
     perm = np.where(idx & control_stride, idx ^ target_stride, idx)
     perm.flags.writeable = False  # the cache hands this one array to every caller
     return perm
+
+
+# The CNOT kernel's output on H|0>|0>, where each Bell pair with a clean H starts.
+_PHI_PLUS = _H_ON_00[_cnot_permutation(4, 2, 1)]
+_PHI_PLUS.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,8 +219,12 @@ class StateRegistry:
     (``alloc_qubit``, ``apply_gate``, ``measure``, ``bell_measure``,
     ``release``, ``fidelity``, ``pair_fidelity``) validate states, arity,
     distinct targets and liveness.  The steps they are built from
-    (``_apply_gate``, ``_measure``, the kernels and ``_draw_noise``), and
-    ``create_bell_pair``, whose qubits are fresh, run unchecked.
+    (``_alloc``, ``_apply_gate``, ``_measure``, ``_fidelity``, the kernels
+    and ``_draw_noise``), and ``create_bell_pair``, whose qubits are fresh,
+    run unchecked.  Only ``iedtc`` calls the steps: ``run_round`` validates
+    each payload once, ``teleport_payloads`` allocates and rotates it, and
+    ``teleport_decode`` and ``read_out`` (qsre's eavesdropper's too) correct,
+    unrotate and read the fidelity of halves the round holds in custody.
 
     Noise hook: after each gate, when ``noise_prob`` is nonzero, the
     configured channel may inject Pauli errors, drawn from this registry's
@@ -253,7 +266,10 @@ class StateRegistry:
 
     def alloc_qubit(self, amplitudes: Sequence[complex]) -> QubitId:
         """Allocate a fresh qubit in the given normalized single-qubit state."""
-        amps = as_state(amplitudes)
+        return self._alloc(as_state(amplitudes))
+
+    def _alloc(self, amps: np.ndarray) -> QubitId:
+        # Unchecked: amps came from as_state.
         q = QubitId(self._next_qubit)
         self._next_qubit += 1
         cluster = _Cluster([q], amps.copy())
@@ -265,19 +281,23 @@ class StateRegistry:
     def create_bell_pair(self) -> tuple[QubitId, QubitId]:
         """Allocate two qubits and entangle them into (|00>+|11>)/sqrt(2).
 
-        The pair starts as one cluster already holding H|0>|0>.  H still
-        counts as a gate and its noise hook runs before the CNOT gate, so
-        the draws are those of two allocations and two ``apply_gate`` calls.
+        The pair starts as one cluster holding the CNOT's output, unless H's
+        noise hook drew a fault: then H|0>|0> takes the fault and the CNOT
+        kernel runs.  Both gates count and both hooks draw in order, so the
+        draws and amplitudes are those of two allocations and two gates.
         """
         a, b = QubitId(self._next_qubit), QubitId(self._next_qubit + 1)
         self._next_qubit += 2
         cluster = _Cluster([a, b], _H_ON_00)
         self._cluster_of[a] = self._cluster_of[b] = cluster
         self.peak_alloc = max(self.peak_alloc, len(self._cluster_of))
-        self.gate_count += 1
+        self.gate_count += 2
+        if self.noise_prob and self._inject_noise(H, (a,)):
+            self._apply_cnot(a, b)
+        else:
+            cluster.amps = _PHI_PLUS
         if self.noise_prob:
-            self._inject_noise(H, (a,))
-        self._apply_gate(CNOT, (a, b))
+            self._inject_noise(CNOT, (a, b))
         self._note(cluster)
         return a, b
 
@@ -332,9 +352,11 @@ class StateRegistry:
         self.peak_cluster_dim = max(self.peak_cluster_dim, merged.amps.size)
         return merged
 
-    def _inject_noise(self, gate: Gate, targets: Sequence[QubitId]) -> None:
-        for q, pauli in self._draw_noise(gate, targets):
+    def _inject_noise(self, gate: Gate, targets: Sequence[QubitId]) -> bool:
+        events = self._draw_noise(gate, targets)
+        for q, pauli in events:
             self._apply_single(_PAULIS[pauli], q)
+        return bool(events)
 
     def _draw_noise(self, gate: Gate, targets: Sequence[QubitId]) -> list[tuple[QubitId, int]]:
         # The one noise hook: every gate's Paulis are drawn here, and only
@@ -443,7 +465,10 @@ class StateRegistry:
     def fidelity(self, q: QubitId, reference: Sequence[complex]) -> float:
         """<ref|rho_q|ref> for the qubit's reduced state; non-destructive."""
         self._require_live(q)
-        ref = as_state(reference)
+        return self._fidelity(q, as_state(reference))
+
+    def _fidelity(self, q: QubitId, ref: np.ndarray) -> float:
+        # Unchecked: q is live and ref came from as_state.
         cluster = self._cluster_of[q]
         if len(cluster.qubits) == 1:
             return float(abs(np.vdot(ref, cluster.amps)) ** 2)

@@ -172,7 +172,8 @@ class QNetwork:
     def messages_tagged(self, node: NodeId, prefix: str) -> list[str]:
         if node not in self.inbox:
             raise _outsider(node)
-        return [m for tag, m in self.inbox[node].items() if tag.startswith(prefix)]
+        n = len(prefix)
+        return [m for tag, m in self.inbox[node].items() if tag[:n] == prefix]
 
     # -- sending ---------------------------------------------------------------
 

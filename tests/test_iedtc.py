@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from qbutterfly.iedtc import (
     assign_swappers,
     decode_payloads,
     distribute_entanglements,
+    honest_swap,
     pair_table,
     relay_combined,
     run_round,
@@ -24,7 +26,13 @@ from qbutterfly.iedtc import (
     xor_combine,
 )
 from qbutterfly.qsre import random_guess
-from qbutterfly.qstate import NOISE_ALL_GATES, NOISE_ENTANGLING, StateRegistry, random_state
+from qbutterfly.qstate import (
+    NOISE_ALL_GATES,
+    NOISE_ENTANGLING,
+    StateRegistry,
+    as_state,
+    random_state,
+)
 from qbutterfly.simnet import QNetwork, TraceEntry, serialize_trace
 from qbutterfly.topology import NodeId, build_butterfly
 
@@ -331,6 +339,48 @@ def test_round_end_check_catches_a_leaked_qubit():
     assert result.error == "round end: 3 live qubits, 0 held, 0 in flight, 0 queued"
     assert not result.all_success
     assert result.fidelities == pytest.approx([1.0] * 3, abs=1e-9)
+
+
+def test_round_checks_each_payload_once(monkeypatch):
+    calls = []
+
+    def counting(amplitudes, n_qubits=1):
+        calls.append(n_qubits)
+        return as_state(amplitudes, n_qubits)
+
+    importers = [m for name, m in list(sys.modules.items())
+                 if name.startswith("qbutterfly") and getattr(m, "as_state", None) is as_state]
+    assert {m.__name__ for m in importers} >= {"qbutterfly.qstate", "qbutterfly.iedtc"}
+    for module in importers:
+        monkeypatch.setattr(module, "as_state", counting)
+    rng = np.random.default_rng(4)
+    result = run_round(fresh(3), StateRegistry(seed=4), [random_state(rng) for _ in range(3)])
+    assert result.all_success
+    assert calls == [1, 1, 1]
+
+
+def test_unnormalized_payload_raises_before_any_qubit_exists():
+    net, reg = fresh(3), StateRegistry(seed=1)
+    with pytest.raises(ValueError, match="not normalized"):
+        run_round(net, reg, [[1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
+    assert (reg.live_count, reg.peak_alloc, reg.gate_count, len(net.trace)) == (0, 0, 0, 0)
+
+
+def test_round_fails_when_a_held_half_dies_behind_the_network(assert_nothing_left):
+    # The corrections run unchecked on halves the round holds; a half that
+    # a swap policy released must still fail the round, not pass it.
+    def releasing_swap(net, reg, pair, phi_half, psi_half):
+        if pair.k == 1:
+            reg.release(net.qubits[pair.t][pair.phi_keep])
+        return honest_swap(net, reg, pair, phi_half, psi_half)
+
+    errors = set()
+    for seed in range(8):
+        result = run_round(fresh(2), StateRegistry(seed=seed), [[1.0, 0.0]] * 2,
+                           swap=releasing_swap)
+        assert result.error is not None and not result.all_success
+        errors.add(result.error.split(":")[0])
+    assert errors == {"KeyError", "DeadQubitError"}  # a correction, or the payload's teleport
 
 
 def test_kept_trace_survives_reset_and_the_next_round():

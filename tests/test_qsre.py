@@ -23,6 +23,7 @@ from qbutterfly.qsre import (
 from qbutterfly.qstate import (
     NOISE_ALL_GATES,
     NOISE_ENTANGLING,
+    Gate,
     GateKind,
     StateRegistry,
     random_state,
@@ -99,6 +100,16 @@ def test_spec_gates():
     assert xgate.inverse().theta == pytest.approx(-xgate.theta)
     assert xgate == rotation_gate("0011")
     assert xgate != ygate
+
+
+def test_rotation_gates_are_shared_from_bounded_caches():
+    # Each chunk of 3..8 bits fits the cache; random 65-bit keys must not grow it.
+    maxsize = rotation_gate.cache_info().maxsize
+    assert maxsize is not None and maxsize >= sum(2 ** w for w in range(3, 9))
+    gate = rotation_gate("10110")
+    assert rotation_gate("10110") is gate
+    assert gate.inverse() is gate.inverse()
+    assert gate.inverse() == Gate(gate.kind, -gate.theta) and gate.inverse().inverse() == gate
 
 
 def test_derive_rotation_reads_chunks():

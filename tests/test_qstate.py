@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from qbutterfly import qstate
 from qbutterfly.qstate import (
     CNOT,
     H,
@@ -131,25 +132,31 @@ def test_bell_pair_is_phi_plus():
     assert reg.cluster_dims() == [4]
 
 
+def _assert_pair_is_its_gates(pair, gates):
+    # create_bell_pair against two allocations and two checked gates: equal
+    # amplitudes, counters, peaks and rng position.
+    a, _ = pair.create_bell_pair()
+    c, d = gates.alloc_qubit([1.0, 0.0]), gates.alloc_qubit([1.0, 0.0])
+    gates.apply_gate(H, [c])
+    gates.apply_gate(CNOT, [c, d])
+    (order, amps), (ref_order, ref_amps) = pair.cluster_state(a), gates.cluster_state(c)
+    assert order == ref_order
+    assert np.array_equal(amps, ref_amps)  # the paths may sign a zero differently
+    assert pair.noise_events == gates.noise_events
+    assert pair.gate_count == gates.gate_count == 2
+    assert (pair.peak_alloc, pair.peak_cluster_dim, pair.peak_resident_cluster_dim) == (
+        gates.peak_alloc, gates.peak_cluster_dim, gates.peak_resident_cluster_dim)
+    assert pair.rng.random() == gates.rng.random()
+
+
 @pytest.mark.parametrize("model", [NOISE_ALL_GATES, NOISE_ENTANGLING])
 def test_bell_pair_draws_like_its_gates(model):
-    # create_bell_pair builds its |00> cluster directly; under noise it must
+    # create_bell_pair starts from a shared constant; under noise it must
     # still match two allocations and two checked gates, draw for draw.
     for seed in range(50):
-        pair = StateRegistry(0.5, seed=seed, noise_model=model)
-        gates = StateRegistry(0.5, seed=seed, noise_model=model)
-        a, _ = pair.create_bell_pair()
-        c, d = gates.alloc_qubit([1.0, 0.0]), gates.alloc_qubit([1.0, 0.0])
-        gates.apply_gate(H, [c])
-        gates.apply_gate(CNOT, [c, d])
-        (order, amps), (ref_order, ref_amps) = pair.cluster_state(a), gates.cluster_state(c)
-        assert order == ref_order
-        np.testing.assert_allclose(amps, ref_amps, rtol=0, atol=1e-12)
-        assert pair.noise_events == gates.noise_events
-        assert pair.gate_count == gates.gate_count == 2
-        assert (pair.peak_alloc, pair.peak_cluster_dim, pair.peak_resident_cluster_dim) == (
-            gates.peak_alloc, gates.peak_cluster_dim, gates.peak_resident_cluster_dim)
-        assert pair.rng.random() == gates.rng.random()
+        _assert_pair_is_its_gates(StateRegistry(0.5, seed=seed, noise_model=model),
+                                  StateRegistry(0.5, seed=seed, noise_model=model))
+    _assert_pair_is_its_gates(StateRegistry(), StateRegistry())
 
 
 def _bell_setup(reg, layout, seed):
@@ -230,6 +237,28 @@ _FLIPS = {
     (GateKind.CNOT, 1): [(0, 1), (0, 1), (0, 0)],
     (GateKind.H, 0): [(1, 0), (1, 0), (0, 0)],
 }
+
+
+@pytest.mark.parametrize("slot", list(_FLIPS))
+@pytest.mark.parametrize("pauli", [0, 1, 2])
+def test_bell_pair_takes_each_fault_like_its_gates(slot, pauli):
+    # A fault after H sends the pair through the CNOT kernel; one after the
+    # CNOT lands on the shared constant's copy.  Both must match the gates.
+    pair, gates = _OneFault(0, slot, pauli), _OneFault(0, slot, pauli)
+    pair.seen, gates.seen = [], []
+    _assert_pair_is_its_gates(pair, gates)
+    assert pair.seen == gates.seen == [GateKind.H, GateKind.CNOT]
+
+
+def test_shared_bell_pair_constant_is_read_only():
+    reg = StateRegistry()
+    a, _ = reg.create_bell_pair()
+    shared = reg._cluster_of[a].amps
+    assert shared is qstate._PHI_PLUS and not shared.flags.writeable
+    with pytest.raises(ValueError):
+        shared[0] = 0.0
+    reg.apply_gate(X, [a])  # a gate leaves the constant as it was
+    assert np.array_equal(qstate._PHI_PLUS, BELL)
 
 
 @pytest.mark.parametrize("slot", list(_FLIPS))
