@@ -14,7 +14,7 @@ from functools import lru_cache, reduce
 from operator import xor
 from typing import Callable, NamedTuple, Sequence
 
-from .qstate import Gate, QubitId, StateRegistry, X, Z, as_state
+from .qstate import DeadQubitError, Gate, QubitId, StateRegistry, X, Z, as_state
 from .simnet import QNetwork, TraceEntry
 from .topology import NodeId
 
@@ -230,11 +230,23 @@ def run_round(net: QNetwork, reg: StateRegistry,
         result.fidelities = decode_payloads(net, reg, states, rotations)
         result.error = _custody_error(net, reg)
     except Exception as exc:  # a failed round is a failed trial, with diagnostic
-        result.error = f"{type(exc).__name__}: {exc}"
+        result.error = _diagnostic(exc, reg)
     result.peak_usage = net.peak_usage_total()
     result.peak_alloc = reg.peak_alloc
     result.trace = net.trace  # reset() starts a new view, so this one stays as is
     return result
+
+
+def _diagnostic(exc: Exception, reg: StateRegistry) -> str:
+    """"Type: message" of the error that failed a round.  The unchecked steps
+    raise KeyError on a qubit that is no longer live; that reads as the
+    checked steps' DeadQubitError, at no cost to a round that succeeds."""
+    if type(exc) is KeyError and exc.args and type(exc.args[0]) is int:
+        try:
+            reg._require_live(exc.args[0])
+        except DeadQubitError as dead:
+            exc = dead
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _custody_error(net: QNetwork, reg: StateRegistry) -> str | None:

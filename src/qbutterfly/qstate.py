@@ -274,7 +274,8 @@ class StateRegistry:
         self._next_qubit += 1
         cluster = _Cluster([q], amps.copy())
         self._cluster_of[q] = cluster
-        self.peak_alloc = max(self.peak_alloc, len(self._cluster_of))
+        if len(self._cluster_of) > self.peak_alloc:
+            self.peak_alloc = len(self._cluster_of)
         self._note(cluster)
         return q
 
@@ -290,7 +291,8 @@ class StateRegistry:
         self._next_qubit += 2
         cluster = _Cluster([a, b], _H_ON_00)
         self._cluster_of[a] = self._cluster_of[b] = cluster
-        self.peak_alloc = max(self.peak_alloc, len(self._cluster_of))
+        if len(self._cluster_of) > self.peak_alloc:
+            self.peak_alloc = len(self._cluster_of)
         self.gate_count += 2
         if self.noise_prob and self._inject_noise(H, (a,)):
             self._apply_cnot(a, b)
@@ -349,7 +351,8 @@ class StateRegistry:
         merged = _Cluster(a.qubits + b.qubits, (a.amps.reshape(-1, 1) * b.amps).reshape(-1))
         for q in merged.qubits:
             self._cluster_of[q] = merged
-        self.peak_cluster_dim = max(self.peak_cluster_dim, merged.amps.size)
+        if merged.amps.size > self.peak_cluster_dim:
+            self.peak_cluster_dim = merged.amps.size
         return merged
 
     def _inject_noise(self, gate: Gate, targets: Sequence[QubitId]) -> bool:
@@ -450,8 +453,18 @@ class StateRegistry:
         return b1, b2
 
     def release(self, q: QubitId) -> None:
-        """Discard a qubit (measure-and-forget); partners decohere accordingly."""
-        self.measure(q)
+        """Discard a qubit (measure-and-forget); partners decohere accordingly.
+
+        A qubit with no partner is dropped without working out an outcome
+        that nothing reads, after the one draw its measurement makes, so the
+        RNG stream ends where a measurement leaves it.
+        """
+        self._require_live(q)
+        if len(self._cluster_of[q].qubits) > 1:
+            self._measure(q)
+        else:
+            self.rng.random()
+            del self._cluster_of[q]
 
     # -- inspection ----------------------------------------------------------
 
@@ -520,5 +533,7 @@ class StateRegistry:
         # grown; single-qubit gates keep a cluster's size, and measurement
         # and release only shrink clusters.
         dim = cluster.amps.size
-        self.peak_cluster_dim = max(self.peak_cluster_dim, dim)
-        self.peak_resident_cluster_dim = max(self.peak_resident_cluster_dim, dim)
+        if dim > self.peak_resident_cluster_dim:  # never above peak_cluster_dim
+            self.peak_resident_cluster_dim = dim
+            if dim > self.peak_cluster_dim:
+                self.peak_cluster_dim = dim

@@ -1,7 +1,10 @@
 """Message-passing layer over a topology: tick-based FIFO delivery.
 
-Sends enqueue a plain (src, dst, tag, payload) tuple, whose payload is the
-bit string of a classical message or the QubitId of a qubit.  Nothing is
+Every send queues one plain (src, targets, tag, payload) record, whose
+targets is a tuple of receiving nodes and whose payload is the bit string
+of a classical message or the QubitId of a qubit.  A single send names one
+target; a broadcast is one record whose targets, when nothing is excluded,
+is the neighbour tuple the network builds once per topology.  Nothing is
 delivered until run_until_idle drains the queue, so a protocol phase is
 written as "enqueue everything, then run"; each drain is one tick, and one
 pass empties the queue (delivery never sends), so no event cap is needed.
@@ -11,17 +14,18 @@ Each node holds tagged qubits (``qubits``) and a classical inbox
 custody of its sender for capacity accounting (the fiber port is the
 sender's hardware until the photon is absorbed).
 
-A drain keeps each delivered queue tuple as it is, and notes its first
-index and tick once.  ``trace`` is a read-only ``Trace`` view over those
-records: it builds a ``TraceEntry`` only when one is read, so a round that
-never reads its trace pays for no entries.
+A drain keeps each delivered record as it is, with the running count of
+deliveries after it, and notes its first record and tick once.  ``trace``
+is a read-only ``Trace`` view over those records: it expands a record into
+one ``TraceEntry`` per target only when that entry is read, so a round that
+never reads its trace pays for no entries, and the network keeps one object
+per send, not one per delivery.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterator, Sequence
-from itertools import chain, repeat
 from math import inf
 from typing import Iterable, NamedTuple
 
@@ -45,39 +49,44 @@ class TraceEntry(NamedTuple):
         return f"{self.time} {self.src} {self.dst} {self.kind} {self.tag} {self.size}"
 
 
-Record = tuple[NodeId, NodeId, str, "str | QubitId"]  # (src, dst, tag, payload)
+Record = tuple[NodeId, tuple[NodeId, ...], str, "str | QubitId"]  # (src, targets, tag, payload)
 
 
 class Trace(Sequence[TraceEntry]):
     """Read-only view of deliveries in order; a ``TraceEntry`` is built when read.
 
-    ``records`` are the delivered queue tuples and ``marks`` the (first
-    record index, tick) of each drain, both owned by the network.  A view
-    with no ``stop`` follows the records as they grow; ``reset`` hands the
-    network new lists, so a view taken before it keeps what it saw.
+    ``records`` are the delivered send records, ``ends`` the number of
+    deliveries up to and including each record, and ``marks`` the (first
+    record index, tick) of each drain, all owned by the network; ``start``
+    and ``stop`` count deliveries.  A view with no ``stop`` follows the
+    records as they grow; ``reset`` hands the network new lists, so a view
+    taken before it keeps what it saw.
     """
 
-    __slots__ = ("_records", "_marks", "_start", "_stop")
+    __slots__ = ("_records", "_ends", "_marks", "_start", "_stop")
 
-    def __init__(self, records: list[Record], marks: list[tuple[int, int]],
+    def __init__(self, records: list[Record], ends: list[int], marks: list[tuple[int, int]],
                  start: int = 0, stop: int | None = None):
-        self._records, self._marks, self._start, self._stop = records, marks, start, stop
+        self._records, self._ends, self._marks = records, ends, marks
+        self._start, self._stop = start, stop
 
     def _end(self) -> int:
-        return len(self._records) if self._stop is None else self._stop
+        if self._stop is not None:
+            return self._stop
+        return self._ends[-1] if self._ends else 0
 
     def __len__(self) -> int:
         return self._end() - self._start
 
     def __iter__(self) -> Iterator[TraceEntry]:
-        return chain.from_iterable(self._drains(self._start, self._end()))
+        return iter(self._entries(self._start, self._end()))
 
     def __getitem__(self, key):
         at = range(self._start, self._end())[key]  # raises IndexError as a list would
         if isinstance(at, int):
-            return next(self._drains(at, at + 1))[0]
+            return self._entries(at, at + 1)[0]
         if at.step == 1:
-            return list(chain.from_iterable(self._drains(at.start, at.stop)))
+            return self._entries(at.start, at.stop)
         return list(self)[key]
 
     def __eq__(self, other: object) -> bool:
@@ -85,20 +94,32 @@ class Trace(Sequence[TraceEntry]):
             return list(self) == list(other)
         return NotImplemented
 
-    def _drains(self, lo: int, hi: int) -> Iterator[list[TraceEntry]]:
-        """Entries of records lo..hi-1, one list per drain."""
-        records, marks = self._records, self._marks
+    def _entries(self, lo: int, hi: int) -> list[TraceEntry]:
+        """Entries lo..hi-1; only the records that hold them are expanded."""
+        if lo >= hi:
+            return []
+        records, ends, marks = self._records, self._ends, self._marks
+        first, last = bisect_right(ends, lo), bisect_left(ends, hi)  # records of lo and hi-1
+        held = records[first:last + 1]  # the first and last cut to the entries asked for
+        src, targets, tag, payload = held[-1]
+        held[-1] = (src, targets[:hi - (ends[last - 1] if last else 0)], tag, payload)
+        src, targets, tag, payload = held[0]
+        held[0] = (src, targets[lo - (ends[first - 1] if first else 0):], tag, payload)
         entry = tuple.__new__  # TraceEntry's own __new__ is Python code
-        d = bisect_right(marks, (lo, inf)) - 1  # the drain that delivered record lo
-        while lo < hi:
+        entries: list[TraceEntry] = []
+        d = bisect_right(marks, (first, inf)) - 1  # the drain that delivered record `first`
+        r = first
+        while r <= last:
             tick = marks[d][1]
             d += 1
-            end = min(marks[d][0], hi) if d < len(marks) else hi
-            yield [entry(TraceEntry, (tick, src, dst, "classical", tag, len(payload)))
-                   if payload.__class__ is str else
-                   entry(TraceEntry, (tick, src, dst, "quantum", tag, 1))
-                   for src, dst, tag, payload in records[lo:end]]
-            lo = end
+            stop = min(marks[d][0], last + 1) if d < len(marks) else last + 1
+            entries += [entry(TraceEntry, (tick, src, dst, "classical", tag, len(payload)))
+                        if payload.__class__ is str else
+                        entry(TraceEntry, (tick, src, dst, "quantum", tag, 1))
+                        for src, targets, tag, payload in held[r - first:stop - first]
+                        for dst in targets]
+            r = stop
+        return entries
 
 
 class QNetwork:
@@ -106,6 +127,9 @@ class QNetwork:
 
     def __init__(self, topology: Topology):
         self.topology = topology
+        # Each node's neighbours, built once: the targets of every broadcast
+        # that excludes none of them.
+        self._neighbors = {node: tuple(nbrs) for node, nbrs in topology.adjacency.items()}
         self.reset()
 
     def reset(self) -> None:
@@ -118,8 +142,9 @@ class QNetwork:
         self.now = 0
         self._queue: deque[Record] = deque()
         self._records: list[Record] = []
+        self._ends: list[int] = []  # deliveries up to and including each record
         self._marks: list[tuple[int, int]] = []  # (first record index, tick) per drain
-        self.trace = Trace(self._records, self._marks)
+        self.trace = Trace(self._records, self._ends, self._marks)
         self.qubits: dict[NodeId, dict[str, QubitId]] = {n: {} for n in nodes}
         self.inbox: dict[NodeId, dict[str, str]] = {n: {} for n in nodes}  # arrival order
         self._in_flight: dict[NodeId, int] = dict.fromkeys(nodes, 0)
@@ -180,7 +205,7 @@ class QNetwork:
     def send_classical(self, src: NodeId, dst: NodeId, bits: str, tag: str) -> None:
         self._link(src, dst)
         _check_bits(bits)
-        self._queue.append((src, dst, tag, bits))
+        self._queue.append((src, (dst,), tag, bits))
 
     def send_qubit(self, src: NodeId, dst: NodeId, held_tag: str, tag: str) -> None:
         """Send the qubit src holds under held_tag; it arrives at dst under tag."""
@@ -188,7 +213,7 @@ class QNetwork:
             raise NetworkError(f"link {src}--{dst} is classical; it cannot carry a qubit")
         q = self.take(src, held_tag)
         self._in_flight[src] += 1  # custody stays with sender until delivery
-        self._queue.append((src, dst, tag, q))
+        self._queue.append((src, (dst,), tag, q))
 
     def _link(self, src: NodeId, dst: NodeId) -> LinkKind:
         kind = self.topology.find_link(src, dst)
@@ -199,17 +224,15 @@ class QNetwork:
     def broadcast_classical(self, src: NodeId, bits: str, tag: str,
                             exclude: Iterable[NodeId] = ()) -> list[NodeId]:
         """One classical send to every neighbor (minus exclusions); returns them."""
-        neighbors = self.topology.adjacency.get(src, ())
+        targets = self._neighbors.get(src, ())
         if exclude:
             skip = set(exclude)
-            targets = [n for n in neighbors if n not in skip]
-        else:
-            targets = list(neighbors)
+            targets = tuple(n for n in targets if n not in skip)
         if not targets:
             raise NetworkError(f"{src} has no neighbors to broadcast to")
         _check_bits(bits)  # once: every target is a neighbour, so linked
-        self._queue.extend(zip(repeat(src), targets, repeat(tag), repeat(bits)))
-        return targets
+        self._queue.append((src, targets, tag, bits))
+        return list(targets)
 
     # -- delivery ----------------------------------------------------------------
 
@@ -219,36 +242,48 @@ class QNetwork:
         One drain is one tick, stamped on all its deliveries, which are the
         tail of ``trace`` from this call on.  Delivery never sends, so the
         queue cannot refill during a drain: no event cap needed.  A refused
-        delivery raises; the deliveries before it stay made and recorded,
-        and the messages after it stay queued.
+        delivery raises and is dropped; the deliveries before it stay made
+        and recorded, and those after it, a broadcast's later targets
+        included, stay queued.
         """
-        queue, records, inbox = self._queue, self._records, self.inbox
-        start = len(records)
+        queue, records, ends, inbox = self._queue, self._records, self._ends, self.inbox
+        start = delivered = ends[-1] if ends else 0
         if queue:
             self.now += 1
-            self._marks.append((start, self.now))
+            self._marks.append((len(records), self.now))
         try:
-            for item in queue:
-                src, dst, tag, payload = item
+            for record in queue:
+                src, targets, tag, payload = record
                 if payload.__class__ is str:
-                    box = inbox[dst]
-                    if tag in box:
-                        raise NetworkError(f"{dst} already holds a message tagged {tag!r}")
-                    box[tag] = payload
+                    for dst in targets:
+                        box = inbox[dst]
+                        if tag in box:
+                            raise NetworkError(f"{dst} already holds a message tagged {tag!r}")
+                        box[tag] = payload
                 else:
+                    dst = targets[0]
                     self.deposit(dst, tag, payload)  # a collision leaves custody with src
                     self._in_flight[src] -= 1
+                delivered += len(targets)
+                records.append(record)
+                ends.append(delivered)
         except NetworkError:
-            while (done := queue.popleft()) is not item:
-                records.append(done)
+            while queue.popleft() is not record:  # the delivered records, then this one
+                pass
+            j = targets.index(dst)  # the refused target; the ones before it are delivered
+            if j:
+                records.append((src, targets[:j], tag, payload))
+                ends.append(delivered + j)
+            if j + 1 < len(targets):
+                queue.appendleft((src, targets[j + 1:], tag, payload))
             raise
-        records.extend(queue)
         queue.clear()
-        return Trace(records, self._marks, start, len(records))
+        return Trace(records, ends, self._marks, start, delivered)
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
+        """Messages queued: one per target of each queued send."""
+        return sum(len(targets) for _, targets, _, _ in self._queue)
 
     @property
     def in_flight(self) -> int:

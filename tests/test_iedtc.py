@@ -379,8 +379,9 @@ def test_round_fails_when_a_held_half_dies_behind_the_network(assert_nothing_lef
         result = run_round(fresh(2), StateRegistry(seed=seed), [[1.0, 0.0]] * 2,
                            swap=releasing_swap)
         assert result.error is not None and not result.all_success
+        assert result.error.endswith("is not live (consumed or never allocated)"), result.error
         errors.add(result.error.split(":")[0])
-    assert errors == {"KeyError", "DeadQubitError"}  # a correction, or the payload's teleport
+    assert errors == {"DeadQubitError"}  # from a correction, a readout or the payload's teleport
 
 
 def test_kept_trace_survives_reset_and_the_next_round():
@@ -406,6 +407,10 @@ def test_round_builds_no_trace_entry_until_the_trace_is_read():
     before = entries_alive()
     result = run_round(net, StateRegistry(seed=3), states)
     assert result.all_success and entries_alive() == before
+    # Inside T4's broadcast: an index or slice builds only the entries it returns.
+    one, part = result.trace[60], result.trace[58:63]
+    assert one == part[2] and entries_alive() == before + 1 + len(part)
+    del one, part
     read = list(result.trace)
     assert len(read) == 8 * 8 + 5 * 8 + 1 and entries_alive() == before + len(read)
 

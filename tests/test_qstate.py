@@ -338,6 +338,17 @@ def test_release_leaves_partner_maximally_mixed():
     assert reg.fidelity(b, plus) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_releasing_a_lone_qubit_moves_the_rng_as_measuring_it_does():
+    measured, released = StateRegistry(seed=6), StateRegistry(seed=6)
+    for reg, consume in ((measured, measured.measure), (released, released.release)):
+        q = reg.alloc_qubit(random_state(np.random.default_rng(1)))
+        consume(q)
+        assert not reg.is_live(q) and reg.live_count == 0
+    assert measured.rng.random() == released.rng.random()
+    with pytest.raises(DeadQubitError):
+        released.release(q)
+
+
 def test_rotation_inverses_cancel():
     reg = StateRegistry()
     init = random_state(np.random.default_rng(9))

@@ -175,7 +175,8 @@ def test_reset_clears_state(net):
     assert net.in_flight == 0
     assert all(net.node_usage(n) == 0 for n in net.topology.nodes)
     fresh = QNetwork(net.topology)
-    for name in ("now", "_queue", "trace", "qubits", "inbox", "_in_flight", "node_peaks"):
+    for name in ("now", "_queue", "_ends", "trace", "qubits", "inbox", "_in_flight", "node_peaks",
+                 "_neighbors"):
         assert getattr(net, name) == getattr(fresh, name), name
     assert held_before[T1] == {"h": q}  # a holdings dict read earlier is not mutated
 
@@ -248,6 +249,28 @@ def test_a_refused_delivery_leaves_the_earlier_ones_recorded(net):
         net.run_until_idle()
     assert [str(e) for e in net.trace[3:]] == ["4 M2 R2 classical o 1"]
     assert net.pending == 0 and len(net.trace) == 4
+
+
+def test_a_broadcast_refused_midway_keeps_its_later_targets_queued():
+    net = QNetwork(build_butterfly(3))
+    R3 = NodeId.receiver(3)
+    net.send_classical(T1, R2, "1", "b")
+    net.run_until_idle()
+    targets = net.broadcast_classical(T1, "01", "b")  # to M1, then R2, which holds a "b"
+    net.send_classical(T2, M1, "11", "d")
+    assert targets == [M1, R2, R3] and net.pending == 4
+    targets.clear()  # the returned list is the caller's own
+    with pytest.raises(NetworkError, match="^R2 already holds a message tagged 'b'$"):
+        net.run_until_idle()
+    assert net.inbox[M1] == {"b": "01"} and net.inbox[R2] == {"b": "1"} and net.inbox[R3] == {}
+    assert net.pending == 2  # the refused delivery is dropped; R3's and the send after it stay
+    assert [str(e) for e in net.trace] == ["1 T1 R2 classical b 1", "2 T1 M1 classical b 2"]
+    drained = net.run_until_idle()
+    assert net.pending == 0 and net.inbox[R3] == {"b": "01"}
+    assert [str(e) for e in drained] == ["3 T1 R3 classical b 2", "3 T2 M1 classical d 2"]
+    assert len(net.trace) == 4 and net.trace[1:4] == [net.trace[i] for i in (1, 2, 3)]
+    assert [str(e) for e in net.trace[1:3]] == ["2 T1 M1 classical b 2", "3 T1 R3 classical b 2"]
+    assert net.broadcast_classical(T1, "0", "e") == [M1, R2, R3]
 
 
 def test_payload_validation(net):
