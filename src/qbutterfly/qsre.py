@@ -83,14 +83,6 @@ class AttackStats:
     eavesdrop_successes: int
     legit_successes: int
 
-    @property
-    def eavesdrop_rate(self) -> float:
-        return self.eavesdrop_successes / self.trials
-
-    @property
-    def legit_rate(self) -> float:
-        return self.legit_successes / self.trials
-
 
 def substituting_swap(net: QNetwork, reg: StateRegistry, pair: Pair,
                       phi_half: QubitId, psi_half: QubitId) -> str:

@@ -14,19 +14,17 @@ Each node holds tagged qubits (``qubits``) and a classical inbox
 custody of its sender for capacity accounting (the fiber port is the
 sender's hardware until the photon is absorbed).
 
-A drain keeps each delivered record as it is, with the running count of
-deliveries after it, and notes its first record and tick once.  ``trace``
-is a read-only ``Trace`` view over those records: it expands a record into
-one ``TraceEntry`` per target only when that entry is read, so a round that
+A drain keeps each delivered record as it is, with its tick beside it.
+``trace`` is a read-only ``Trace`` view of the delivered records and their
+ticks: its length sums the records' targets, and it expands each record into
+one ``TraceEntry`` per target only when the trace is read, so a round that
 never reads its trace pays for no entries, and the network keeps one object
 per send, not one per delivery.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterator, Sequence
-from math import inf
 from typing import Iterable, NamedTuple
 
 from .qstate import QubitId
@@ -55,71 +53,43 @@ Record = tuple[NodeId, tuple[NodeId, ...], str, "str | QubitId"]  # (src, target
 class Trace(Sequence[TraceEntry]):
     """Read-only view of deliveries in order; a ``TraceEntry`` is built when read.
 
-    ``records`` are the delivered send records, ``ends`` the number of
-    deliveries up to and including each record, and ``marks`` the (first
-    record index, tick) of each drain, all owned by the network; ``start``
-    and ``stop`` count deliveries.  A view with no ``stop`` follows the
-    records as they grow; ``reset`` hands the network new lists, so a view
-    taken before it keeps what it saw.
+    ``records`` are the delivered send records and ``ticks`` the tick of the
+    drain that delivered each, both owned by the network.  The view holds
+    records ``first`` up to ``last``; with no ``last`` it follows the records
+    as they grow.  Its length is the number of their targets.  ``reset``
+    hands the network new lists, so a view taken before it keeps what it saw.
     """
 
-    __slots__ = ("_records", "_ends", "_marks", "_start", "_stop")
+    __slots__ = ("_records", "_ticks", "_first", "_last")
 
-    def __init__(self, records: list[Record], ends: list[int], marks: list[tuple[int, int]],
-                 start: int = 0, stop: int | None = None):
-        self._records, self._ends, self._marks = records, ends, marks
-        self._start, self._stop = start, stop
-
-    def _end(self) -> int:
-        if self._stop is not None:
-            return self._stop
-        return self._ends[-1] if self._ends else 0
+    def __init__(self, records: list[Record], ticks: list[int], first: int = 0,
+                 last: int | None = None):
+        self._records, self._ticks, self._first, self._last = records, ticks, first, last
 
     def __len__(self) -> int:
-        return self._end() - self._start
+        return sum(len(targets) for _, targets, _, _ in self._records[self._first:self._last])
 
     def __iter__(self) -> Iterator[TraceEntry]:
-        return iter(self._entries(self._start, self._end()))
+        return iter(self._entries())
 
     def __getitem__(self, key):
-        at = range(self._start, self._end())[key]  # raises IndexError as a list would
-        if isinstance(at, int):
-            return self._entries(at, at + 1)[0]
-        if at.step == 1:
-            return self._entries(at.start, at.stop)
-        return list(self)[key]
+        return self._entries()[key]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (Trace, list)):
             return list(self) == list(other)
         return NotImplemented
 
-    def _entries(self, lo: int, hi: int) -> list[TraceEntry]:
-        """Entries lo..hi-1; only the records that hold them are expanded."""
-        if lo >= hi:
-            return []
-        records, ends, marks = self._records, self._ends, self._marks
-        first, last = bisect_right(ends, lo), bisect_left(ends, hi)  # records of lo and hi-1
-        held = records[first:last + 1]  # the first and last cut to the entries asked for
-        src, targets, tag, payload = held[-1]
-        held[-1] = (src, targets[:hi - (ends[last - 1] if last else 0)], tag, payload)
-        src, targets, tag, payload = held[0]
-        held[0] = (src, targets[lo - (ends[first - 1] if first else 0):], tag, payload)
+    def _entries(self) -> list[TraceEntry]:
+        """One entry per target of each held record."""
         entry = tuple.__new__  # TraceEntry's own __new__ is Python code
-        entries: list[TraceEntry] = []
-        d = bisect_right(marks, (first, inf)) - 1  # the drain that delivered record `first`
-        r = first
-        while r <= last:
-            tick = marks[d][1]
-            d += 1
-            stop = min(marks[d][0], last + 1) if d < len(marks) else last + 1
-            entries += [entry(TraceEntry, (tick, src, dst, "classical", tag, len(payload)))
-                        if payload.__class__ is str else
-                        entry(TraceEntry, (tick, src, dst, "quantum", tag, 1))
-                        for src, targets, tag, payload in held[r - first:stop - first]
-                        for dst in targets]
-            r = stop
-        return entries
+        first, last = self._first, self._last
+        return [entry(TraceEntry, (tick, src, dst, "classical", tag, len(payload)))
+                if payload.__class__ is str else
+                entry(TraceEntry, (tick, src, dst, "quantum", tag, 1))
+                for (src, targets, tag, payload), tick
+                in zip(self._records[first:last], self._ticks[first:last])
+                for dst in targets]
 
 
 class QNetwork:
@@ -142,9 +112,8 @@ class QNetwork:
         self.now = 0
         self._queue: deque[Record] = deque()
         self._records: list[Record] = []
-        self._ends: list[int] = []  # deliveries up to and including each record
-        self._marks: list[tuple[int, int]] = []  # (first record index, tick) per drain
-        self.trace = Trace(self._records, self._ends, self._marks)
+        self._ticks: list[int] = []  # the tick that delivered each record
+        self.trace = Trace(self._records, self._ticks)
         self.qubits: dict[NodeId, dict[str, QubitId]] = {n: {} for n in nodes}
         self.inbox: dict[NodeId, dict[str, str]] = {n: {} for n in nodes}  # arrival order
         self._in_flight: dict[NodeId, int] = dict.fromkeys(nodes, 0)
@@ -242,15 +211,15 @@ class QNetwork:
         One drain is one tick, stamped on all its deliveries, which are the
         tail of ``trace`` from this call on.  Delivery never sends, so the
         queue cannot refill during a drain: no event cap needed.  A refused
-        delivery raises and is dropped; the deliveries before it stay made
-        and recorded, and those after it, a broadcast's later targets
-        included, stay queued.
+        delivery raises and is dropped, a qubit's included, so it is no longer
+        in flight; the deliveries before it stay made and recorded, and those
+        after it, a broadcast's later targets included, stay queued.
         """
-        queue, records, ends, inbox = self._queue, self._records, self._ends, self.inbox
-        start = delivered = ends[-1] if ends else 0
+        queue, records, ticks, inbox = self._queue, self._records, self._ticks, self.inbox
+        first = len(records)
         if queue:
             self.now += 1
-            self._marks.append((len(records), self.now))
+        now = self.now
         try:
             for record in queue:
                 src, targets, tag, payload = record
@@ -262,23 +231,22 @@ class QNetwork:
                         box[tag] = payload
                 else:
                     dst = targets[0]
-                    self.deposit(dst, tag, payload)  # a collision leaves custody with src
-                    self._in_flight[src] -= 1
-                delivered += len(targets)
+                    self._in_flight[src] -= 1  # delivered, or dropped if deposit refuses it
+                    self.deposit(dst, tag, payload)
                 records.append(record)
-                ends.append(delivered)
+                ticks.append(now)
         except NetworkError:
             while queue.popleft() is not record:  # the delivered records, then this one
                 pass
             j = targets.index(dst)  # the refused target; the ones before it are delivered
             if j:
                 records.append((src, targets[:j], tag, payload))
-                ends.append(delivered + j)
+                ticks.append(now)
             if j + 1 < len(targets):
                 queue.appendleft((src, targets[j + 1:], tag, payload))
             raise
         queue.clear()
-        return Trace(records, ends, self._marks, start, delivered)
+        return Trace(records, ticks, first, len(records))
 
     @property
     def pending(self) -> int:

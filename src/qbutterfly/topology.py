@@ -81,9 +81,6 @@ class Topology:
     nodes: tuple[NodeId, ...]
     adjacency: dict[NodeId, dict[NodeId, LinkKind]]
 
-    def neighbors(self, node: NodeId) -> list[NodeId]:
-        return list(self.adjacency.get(node, ()))
-
     def find_link(self, x: NodeId, y: NodeId) -> LinkKind | None:
         return self.adjacency.get(x, {}).get(y)
 

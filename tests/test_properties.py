@@ -25,7 +25,7 @@ from qbutterfly.qstate import (
     rx,
     ry,
 )
-from qbutterfly.simnet import QNetwork, serialize_trace
+from qbutterfly.simnet import NetworkError, QNetwork, serialize_trace
 from qbutterfly.topology import LinkKind, build_butterfly
 from test_qstate import embed_cnot, embed_single, oracle_matrix
 
@@ -242,30 +242,37 @@ def test_xor_combine_recovers_every_message(msgs):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_trace_matches_an_independent_record_of_the_sends(data):
+    # Tags come from a small pool, so a delivery can find its tag taken at
+    # the receiver: a message collision, a broadcast refused midway, a qubit
+    # collision, or a drain refused at its first record.  The model drops
+    # the refused delivery and keeps the ones after it queued.
     net, reg = QNetwork(build_butterfly(3)), StateRegistry()
     links = [(a, b, kind) for a, nbrs in net.topology.adjacency.items()
              for b, kind in nbrs.items()]
     fiber = [(a, b) for a, b, kind in links if kind is LinkKind.QUANTUM]
     bits = st.text(alphabet="01", min_size=1, max_size=4)
+    tags = st.sampled_from("abc")
+    inbox = {node: set() for node in net.topology.nodes}  # tags each node has received
+    held = {node: set() for node in net.topology.nodes}  # tags of qubits delivered to each
     queued, expected, drains, tick = [], [], [], 0
     for i in range(data.draw(st.integers(min_value=0, max_value=30))):
-        tag = f"t{i}"  # one tag per operation: no delivery collides
         op = data.draw(st.sampled_from(["classical", "qubit", "broadcast", "run"]))
         if op == "classical":
             src, dst, _ = data.draw(st.sampled_from(links))
-            payload = data.draw(bits)
+            payload, tag = data.draw(bits), data.draw(tags)
             net.send_classical(src, dst, payload, tag)
             queued.append((src, dst, "classical", tag, len(payload)))
         elif op == "qubit":
             src, dst = data.draw(st.sampled_from(fiber))
-            net.deposit(src, tag, reg.alloc_qubit([1.0, 0.0]))
-            net.send_qubit(src, dst, tag, tag)
+            tag = data.draw(tags)
+            net.deposit(src, f"h{i}", reg.alloc_qubit([1.0, 0.0]))
+            net.send_qubit(src, dst, f"h{i}", tag)
             queued.append((src, dst, "quantum", tag, 1))
         elif op == "broadcast":
             src = data.draw(st.sampled_from(net.topology.nodes))
-            neighbors = net.topology.neighbors(src)
+            neighbors = list(net.topology.adjacency[src])
             skip = data.draw(st.lists(st.sampled_from(neighbors), max_size=len(neighbors) - 1))
-            payload = data.draw(bits)
+            payload, tag = data.draw(bits), data.draw(tags)
             targets = net.broadcast_classical(src, payload, tag, exclude=skip)
             assert targets == [m for m in neighbors if m not in skip]
             queued += [(src, m, "classical", tag, len(payload)) for m in targets]
@@ -273,10 +280,21 @@ def test_trace_matches_an_independent_record_of_the_sends(data):
             start = len(expected)
             if queued:
                 tick += 1
-            expected += [(tick, *sent) for sent in queued]
-            queued.clear()
-            drains.append((net.run_until_idle(), start, len(expected)))
-    assert net.pending == len(queued)
+            for k, (src, dst, kind, tag, size) in enumerate(queued):
+                taken = inbox[dst] if kind == "classical" else held[dst]
+                if tag in taken:  # refused: dropped, and the rest stay queued
+                    del queued[:k + 1]
+                    with pytest.raises(NetworkError, match="already holds"):
+                        net.run_until_idle()
+                    break
+                taken.add(tag)
+                expected.append((tick, src, dst, kind, tag, size))
+            else:
+                queued.clear()
+                drains.append((net.run_until_idle(), start, len(expected)))
+            assert net.now == tick and net.trace == expected
+        assert net.pending == len(queued)
+        assert net.in_flight == sum(kind == "quantum" for _, _, kind, _, _ in queued)
     assert [tuple(e) for e in net.trace] == expected
     assert len(net.trace) == len(expected) and net.now == tick
     for drained, start, stop in drains:

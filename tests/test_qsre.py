@@ -217,8 +217,8 @@ def test_load_key_file(tmp_path):
 
 def test_attack_stats_rates():
     stats = AttackStats(trials=200, eavesdrop_successes=50, legit_successes=2)
-    assert stats.eavesdrop_rate == pytest.approx(0.25)
-    assert stats.legit_rate == pytest.approx(0.01)
+    assert stats.eavesdrop_successes / stats.trials == pytest.approx(0.25)
+    assert stats.legit_successes / stats.trials == pytest.approx(0.01)
 
 
 def test_attack_validation():
@@ -240,8 +240,8 @@ def test_attack_without_defense_always_wins(assert_nothing_left):
     net = QNetwork(build_butterfly(2))
     reg = StateRegistry(seed=9)
     stats = run_attack(net, reg, 1, use_qsre=False, trials=100, seed=10)
-    assert stats.eavesdrop_rate == 1.0
-    assert stats.legit_rate == 0.0
+    assert stats.eavesdrop_successes / stats.trials == 1.0
+    assert stats.legit_successes / stats.trials == 0.0
     assert_nothing_left(net, reg)  # every trial cleans up after itself
 
 
@@ -263,8 +263,8 @@ def test_attack_rate_matches_analytic_oracle(magnitude_bits, mc_trials, assert_n
     stats = run_attack(net, reg, magnitude_bits, use_qsre=True,
                        trials=mc_trials, seed=30 + magnitude_bits)
     sigma = math.sqrt(expected * (1 - expected) / mc_trials)
-    assert abs(stats.eavesdrop_rate - expected) < 4 * sigma
-    assert stats.legit_rate == 0.0  # the real receiver is left with a decoy
+    assert abs(stats.eavesdrop_successes / stats.trials - expected) < 4 * sigma
+    assert stats.legit_successes / stats.trials == 0.0  # the real receiver is left with a decoy
     assert_nothing_left(net, reg)
 
 
@@ -277,7 +277,7 @@ def test_attack_with_fixed_key_cycles_chunks(assert_nothing_left):
     reg = StateRegistry(seed=51)
     stats = run_attack(net, reg, 1, use_qsre=True, trials=600, seed=52, key=key)
     sigma = math.sqrt(expected * (1 - expected) / 600)
-    assert abs(stats.eavesdrop_rate - expected) < 4 * sigma
+    assert abs(stats.eavesdrop_successes / stats.trials - expected) < 4 * sigma
     assert_nothing_left(net, reg)
 
 
@@ -302,6 +302,6 @@ def test_attack_works_on_larger_networks(assert_nothing_left):
     net = QNetwork(build_butterfly(3))
     reg = StateRegistry(seed=61)
     stats = run_attack(net, reg, 1, use_qsre=False, trials=30, seed=62)
-    assert stats.eavesdrop_rate == 1.0
-    assert stats.legit_rate == 0.0
+    assert stats.eavesdrop_successes / stats.trials == 1.0
+    assert stats.legit_successes / stats.trials == 0.0
     assert_nothing_left(net, reg)

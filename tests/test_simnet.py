@@ -109,7 +109,7 @@ def test_qubit_tag_collision_on_delivery(net):
     with pytest.raises(NetworkError):
         net.run_until_idle()
     assert net.qubits[R2] == {"h": qa}
-    assert net.node_usage(T1) == 1  # the refused qubit stays in the sender's custody
+    assert net.node_usage(T1) == 0  # the refused qubit is dropped, no longer in flight
 
 
 def test_message_tag_collision_on_delivery(net):
@@ -134,7 +134,7 @@ def test_broadcast_exclusion():
     targets = net.broadcast_classical(M2, "11", "c", exclude=[M1])
     assert targets == [NodeId.receiver(1), NodeId.receiver(2), NodeId.receiver(3)]
     with pytest.raises(NetworkError):
-        net.broadcast_classical(M1, "0", "d", exclude=net.topology.neighbors(M1))
+        net.broadcast_classical(M1, "0", "d", exclude=list(net.topology.adjacency[M1]))
     with pytest.raises(NetworkError, match="T9 has no neighbors"):
         net.broadcast_classical(NodeId.transmitter(9), "0", "e")
     assert net.pending == 3  # the refused broadcasts queued nothing
@@ -175,7 +175,7 @@ def test_reset_clears_state(net):
     assert net.in_flight == 0
     assert all(net.node_usage(n) == 0 for n in net.topology.nodes)
     fresh = QNetwork(net.topology)
-    for name in ("now", "_queue", "_ends", "trace", "qubits", "inbox", "_in_flight", "node_peaks",
+    for name in ("now", "_queue", "_ticks", "trace", "qubits", "inbox", "_in_flight", "node_peaks",
                  "_neighbors"):
         assert getattr(net, name) == getattr(fresh, name), name
     assert held_before[T1] == {"h": q}  # a holdings dict read earlier is not mutated
@@ -249,6 +249,7 @@ def test_a_refused_delivery_leaves_the_earlier_ones_recorded(net):
         net.run_until_idle()
     assert [str(e) for e in net.trace[3:]] == ["4 M2 R2 classical o 1"]
     assert net.pending == 0 and len(net.trace) == 4
+    assert net.in_flight == 0  # the refused qubit was dropped with its record
 
 
 def test_a_broadcast_refused_midway_keeps_its_later_targets_queued():

@@ -72,8 +72,9 @@ def test_node_ids():
 def test_links_are_symmetric_and_neighbours_sorted(n):
     topo = build_butterfly(n)
     for x in topo.nodes:
-        assert x not in topo.neighbors(x)
-        assert topo.neighbors(x) == sorted(topo.neighbors(x))
+        neighbours = list(topo.adjacency[x])
+        assert x not in neighbours
+        assert neighbours == sorted(neighbours)
         for y in topo.nodes:
             assert topo.find_link(x, y) == topo.find_link(y, x)
 
@@ -123,8 +124,8 @@ def test_adjacency_rules():
 def test_neighbors_sorted_and_complete():
     topo = build_butterfly(2)
     t1 = NodeId.transmitter(1)
-    assert topo.neighbors(t1) == [NodeId.relay(), NodeId.receiver(2)]
-    assert topo.neighbors(NodeId.source()) == [
+    assert list(topo.adjacency[t1]) == [NodeId.relay(), NodeId.receiver(2)]
+    assert list(topo.adjacency[NodeId.source()]) == [
         NodeId.relay(), NodeId.receiver(1), NodeId.receiver(2)]
 
 
