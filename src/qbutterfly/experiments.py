@@ -90,6 +90,8 @@ class ExperimentConfig:
                 raise ValueError("eavesdrop sweep needs at least one bits value")
             for b in self.bits_range:
                 check_total_bits(b)
+            if self.key_bits is not None and len(self.key_bits) < max(self.bits_range):
+                raise ValueError(f"key holds no complete chunk of width {max(self.bits_range)}")
 
     def settings(self) -> dict:
         """The settings this experiment's sweep reads, as its manifest records them."""

@@ -231,7 +231,7 @@ def run_round(net: QNetwork, reg: StateRegistry,
         result.error = _custody_error(net, reg)
     except Exception as exc:  # a failed round is a failed trial, with diagnostic
         result.error = _diagnostic(exc, reg)
-    result.peak_usage = net.peak_usage_total()
+    result.peak_usage = sum(net.node_peaks.values())
     result.peak_alloc = reg.peak_alloc
     result.trace = net.trace  # reset() starts a new view, so this one stays as is
     return result

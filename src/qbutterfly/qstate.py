@@ -217,7 +217,7 @@ class StateRegistry:
 
     Each operation is checked once, where it enters: the public methods
     (``alloc_qubit``, ``apply_gate``, ``measure``, ``bell_measure``,
-    ``release``, ``fidelity``, ``pair_fidelity``) validate states, arity,
+    ``release``, ``fidelity``, ``cluster_state``) validate states, arity,
     distinct targets and liveness.  The steps they are built from
     (``_alloc``, ``_apply_gate``, ``_measure``, ``_fidelity``, the kernels
     and ``_draw_noise``), and ``create_bell_pair``, whose qubits are fresh,
@@ -472,9 +472,6 @@ class StateRegistry:
     def live_count(self) -> int:
         return len(self._cluster_of)
 
-    def is_live(self, q: QubitId) -> bool:
-        return q in self._cluster_of
-
     def fidelity(self, q: QubitId, reference: Sequence[complex]) -> float:
         """<ref|rho_q|ref> for the qubit's reduced state; non-destructive."""
         self._require_live(q)
@@ -483,44 +480,19 @@ class StateRegistry:
     def _fidelity(self, q: QubitId, ref: np.ndarray) -> float:
         # Unchecked: q is live and ref came from as_state.
         cluster = self._cluster_of[q]
-        if len(cluster.qubits) == 1:
+        qubits = cluster.qubits
+        if len(qubits) == 1:
             return float(abs(np.vdot(ref, cluster.amps)) ** 2)
-        return float(np.real(ref.conj() @ self._reduced(q) @ ref))
-
-    def pair_fidelity(self, q1: QubitId, q2: QubitId, reference: Sequence[complex]) -> float:
-        """<ref|rho_{q1,q2}|ref> for a two-qubit reference (q1 is the high bit)."""
-        if q1 == q2:
-            raise ValueError("pair_fidelity needs two distinct qubits")
-        self._require_live(q1)
-        self._require_live(q2)
-        ref = as_state(reference, n_qubits=2)
-        if self._cluster_of[q1] is self._cluster_of[q2]:
-            rho = self._reduced(q1, q2)
-        else:
-            rho = np.kron(self._reduced(q1), self._reduced(q2))
-        return float(np.real(ref.conj() @ rho @ ref))
-
-    def _reduced(self, *qs: QubitId) -> np.ndarray:
-        # Density matrix of the qubits qs of one cluster, qs[0] the high bit.
-        # Each step moves one qubit's bit from the columns to the rows; a bit
-        # already moved halves the stride of every bit above it.
-        qubits = self._cluster_of[qs[0]].qubits
-        strides = [1 << (len(qubits) - 1 - qubits.index(q)) for q in qs]
-        psi = self._cluster_of[qs[0]].amps.reshape(1, -1)
-        for i, s in enumerate(strides):
-            s >>= sum(t < s for t in strides[:i])
-            psi = psi.reshape(len(psi), -1, 2, s).transpose(0, 2, 1, 3).reshape(2 * len(psi), -1)
-        return psi @ psi.conj().T
+        # q's reduced density matrix: its bit moves from the columns to the rows.
+        psi = cluster.amps.reshape(-1, 2, 1 << (len(qubits) - 1 - qubits.index(q)))
+        psi = psi.transpose(1, 0, 2).reshape(2, -1)
+        return float(np.real(ref.conj() @ (psi @ psi.conj().T) @ ref))
 
     def cluster_state(self, q: QubitId) -> tuple[tuple[QubitId, ...], np.ndarray]:
         """Qubit ordering and a copy of the amplitude vector of q's cluster."""
         self._require_live(q)
         cluster = self._cluster_of[q]
         return tuple(cluster.qubits), cluster.amps.copy()
-
-    def cluster_dims(self) -> list[int]:
-        """Amplitude count of each live cluster, ascending."""
-        return sorted(c.amps.size for c in {id(c): c for c in self._cluster_of.values()}.values())
 
     # -- internals -----------------------------------------------------------
 

@@ -144,15 +144,6 @@ class QNetwork:
             raise NetworkError(f"{node} holds no qubit tagged {tag!r}")
         return held.pop(tag)
 
-    def node_usage(self, node: NodeId) -> int:
-        if node not in self.qubits:
-            raise _outsider(node)
-        return len(self.qubits[node]) + self._in_flight[node]
-
-    def peak_usage_total(self) -> int:
-        """Sum over nodes of each node's own peak qubit holding (incl. in-flight)."""
-        return sum(self.node_peaks.values())
-
     # -- classical inbox -----------------------------------------------------
 
     def message(self, node: NodeId, tag: str) -> str:
@@ -193,7 +184,9 @@ class QNetwork:
     def broadcast_classical(self, src: NodeId, bits: str, tag: str,
                             exclude: Iterable[NodeId] = ()) -> list[NodeId]:
         """One classical send to every neighbor (minus exclusions); returns them."""
-        targets = self._neighbors.get(src, ())
+        if src not in self._neighbors:
+            raise _outsider(src)
+        targets = self._neighbors[src]
         if exclude:
             skip = set(exclude)
             targets = tuple(n for n in targets if n not in skip)

@@ -94,22 +94,17 @@ def build_butterfly(n_pairs: int) -> Topology:
     relay = NodeId.relay()
     source = NodeId.source()
     nodes = tuple(transmitters + receivers + [relay, source])
-    adjacency: dict[NodeId, dict[NodeId, LinkKind]] = {node: {} for node in nodes}
-
-    def connect(x: NodeId, y: NodeId, kind: LinkKind) -> None:
-        adjacency[x][y] = kind
-        adjacency[y][x] = kind
-
-    for i, t in enumerate(transmitters, start=1):
-        for j, r in enumerate(receivers, start=1):
-            if i != j:
-                connect(t, r, LinkKind.QUANTUM)
-        connect(t, relay, LinkKind.CLASSICAL)
-    for r in receivers:
-        connect(r, source, LinkKind.QUANTUM)
-    connect(relay, source, LinkKind.CLASSICAL)
-    by_node = {node: {m: nbrs[m] for m in sorted(nbrs)} for node, nbrs in adjacency.items()}
-    return Topology(n_pairs, nodes, by_node)
+    quantum, classical = LinkKind.QUANTUM, LinkKind.CLASSICAL
+    # Each map is written in sorted NodeId order, (index, label): M1 or M2 at
+    # index 0 first, then the far side's transceivers but the partner, by index.
+    adjacency: dict[NodeId, dict[NodeId, LinkKind]] = {}
+    for side, hub, link, far in ((transmitters, relay, classical, receivers),
+                                 (receivers, source, quantum, transmitters)):
+        for k, node in enumerate(side):
+            adjacency[node] = {hub: link, **dict.fromkeys(far[:k] + far[k + 1:], quantum)}
+    adjacency[relay] = {source: classical, **dict.fromkeys(transmitters, classical)}
+    adjacency[source] = {relay: classical, **dict.fromkeys(receivers, quantum)}
+    return Topology(n_pairs, nodes, adjacency)
 
 
 def _links(topology: Topology) -> list[tuple[NodeId, NodeId, LinkKind]]:

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import pair_fidelity
 
 from qbutterfly.experiments import (
     ExperimentConfig,
@@ -143,7 +144,7 @@ def test_05_every_measurement_branch_is_exact(capfd):
         assist, own = reg.create_bell_pair()
         msg = teleport_encode(reg, assist, give)
         teleport_decode(reg, keep, msg)
-        fid = reg.pair_fidelity(keep, own, BELL)
+        fid = pair_fidelity(reg, keep, own, BELL)
         assert fid == pytest.approx(1.0, abs=1e-9), (msg, fid)
         swap_seen[(int(msg[0]), int(msg[1]))] = fid
 

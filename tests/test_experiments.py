@@ -69,6 +69,10 @@ def test_config_validation():
         ExperimentConfig("accuracy", noise_levels=(0.1,), bits_range=(9,))
     with pytest.raises(ValueError):
         ExperimentConfig("accuracy", noise_levels=(0.1,), noise_model="thermal")
+    # a key too short for the widest point fails before any point runs
+    with pytest.raises(ValueError, match="^key holds no complete chunk of width 6$"):
+        ExperimentConfig("eavesdrop", bits_range=(3, 4, 5, 6), key_bits="01101")
+    ExperimentConfig("eavesdrop", bits_range=(3, 4, 5, 6), key_bits="011010")
 
 
 def test_accuracy_sweep_noiseless_is_perfect():

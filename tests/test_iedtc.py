@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import pair_fidelity
 
 import qbutterfly.iedtc
 from qbutterfly.iedtc import (
@@ -128,7 +129,7 @@ def test_entanglement_swap_exact_for_every_outcome():
         assist, own = reg.create_bell_pair()
         msg = teleport_encode(reg, assist, give)
         teleport_decode(reg, keep, msg)
-        fid = reg.pair_fidelity(keep, own, BELL)
+        fid = pair_fidelity(reg, keep, own, BELL)
         seen.setdefault(msg, fid)
         assert fid == pytest.approx(1.0, abs=1e-9)
     assert set(seen) == {"00", "01", "10", "11"}
@@ -142,7 +143,7 @@ def test_swap_without_corrections_gives_wrong_pair():
         msg = teleport_encode(reg, assist, give)
         if msg != "00":
             # uncorrected state is a different Bell state, orthogonal to phi+
-            assert reg.pair_fidelity(keep, own, BELL) == pytest.approx(0.0, abs=1e-9)
+            assert pair_fidelity(reg, keep, own, BELL) == pytest.approx(0.0, abs=1e-9)
             break
     else:
         pytest.fail("never sampled a nontrivial outcome")
@@ -152,7 +153,7 @@ def test_unswapped_halves_are_uncorrelated():
     reg = StateRegistry(seed=1)
     a, _ = reg.create_bell_pair()
     c, _ = reg.create_bell_pair()
-    assert reg.pair_fidelity(a, c, BELL) == pytest.approx(0.25, abs=1e-12)
+    assert pair_fidelity(reg, a, c, BELL) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_teleport_exact_for_every_outcome():
@@ -192,7 +193,7 @@ def test_distribution_leaves_exact_shared_pairs(n):
     for k in range(1, n + 1):
         kept = net.qubits[NodeId.transmitter(k)][f"phi{k}.keep"]
         r_half = net.qubits[NodeId.receiver(k)][f"psi{k}.own"]
-        assert reg.pair_fidelity(kept, r_half, BELL) == pytest.approx(1.0, abs=1e-9)
+        assert pair_fidelity(reg, kept, r_half, BELL) == pytest.approx(1.0, abs=1e-9)
     # 3 qubit transfers and 1 correction message per pair, none on the bottleneck
     assert len(net.trace) == 4 * n
     relay, source = NodeId.relay(), NodeId.source()
@@ -458,6 +459,21 @@ def test_honest_round_leaves_nothing_behind(n, assert_nothing_left):
             result = run_round(net, reg, [random_state(rng) for _ in range(n)])
             assert result.error is None
             assert_nothing_left(net, reg)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_node_peaks_are_fixed_but_at_the_source(n):
+    # Every transmitter peaks at 2 qubits and every receiver at 3, at any n;
+    # M1 holds none, and M2, which emits every pair in one tick, holds 2n.
+    net = fresh(n)
+    rng = np.random.default_rng(n)
+    result = run_round(net, StateRegistry(seed=n), [random_state(rng) for _ in range(n)])
+    assert result.all_success
+    want = {NodeId.relay(): 0, NodeId.source(): 2 * n}
+    for k in range(1, n + 1):
+        want[NodeId.transmitter(k)], want[NodeId.receiver(k)] = 2, 3
+    assert net.node_peaks == want
+    assert result.peak_usage == 7 * n
 
 
 def test_noisy_rounds_mostly_fail_at_full_noise():

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import pair_fidelity, partial_trace
 
 from qbutterfly import qstate
 from qbutterfly.qstate import (
@@ -83,6 +84,14 @@ def registry_vector(reg, qubits):
     return np.transpose(amps.reshape([2] * k), perm).reshape(-1)
 
 
+def cluster_dims(reg, qubits):
+    """Amplitude count of each cluster holding one of `qubits`, ascending;
+    the qubits must be every live one."""
+    clusters = dict(map(reg.cluster_state, qubits))
+    assert sum(len(order) for order in clusters) == reg.live_count
+    return sorted(amps.size for amps in clusters.values())
+
+
 def test_scripted_circuit_matches_dense_oracle():
     reg = StateRegistry()
     rng = np.random.default_rng(17)
@@ -129,7 +138,7 @@ def test_bell_pair_is_phi_plus():
     order, amps = reg.cluster_state(a)
     assert order == (a, b)
     assert np.allclose(amps, BELL, atol=1e-12)
-    assert reg.cluster_dims() == [4]
+    assert cluster_dims(reg, [a, b]) == [4]
 
 
 def _assert_pair_is_its_gates(pair, gates):
@@ -343,7 +352,7 @@ def test_releasing_a_lone_qubit_moves_the_rng_as_measuring_it_does():
     for reg, consume in ((measured, measured.measure), (released, released.release)):
         q = reg.alloc_qubit(random_state(np.random.default_rng(1)))
         consume(q)
-        assert not reg.is_live(q) and reg.live_count == 0
+        assert reg.live_count == 0
     assert measured.rng.random() == released.rng.random()
     with pytest.raises(DeadQubitError):
         released.release(q)
@@ -420,29 +429,6 @@ def test_fidelity_of_known_states():
     assert reg.fidelity(b, ref) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_pair_fidelity_joint_and_cross_cluster():
-    reg = StateRegistry()
-    a, b = reg.create_bell_pair()
-    assert reg.pair_fidelity(a, b, BELL) == pytest.approx(1.0, abs=1e-12)
-    # halves of two unrelated pairs: rho = I/4, overlap with any pure state 0.25
-    c, d = reg.create_bell_pair()
-    assert reg.pair_fidelity(a, c, BELL) == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        reg.pair_fidelity(a, a, BELL)
-
-
-def partial_trace(psi, keep):
-    """Density matrix of the qubits `keep` of the dense state psi (qubit 0 =
-    most significant), keep[0] the high bit, by an explicit einsum trace."""
-    n = int(round(math.log2(psi.size)))
-    t = psi.reshape([2] * n)
-    rows, cols = "abcdefgh"[:n], "ijklmnop"[:n]
-    traced = "".join(cols[i] if i in keep else rows[i] for i in range(n))
-    out = "".join(rows[i] for i in keep) + "".join(cols[i] for i in keep)
-    rho = np.einsum(f"{rows},{traced}->{out}", t, t.conj())
-    return rho.reshape(2 ** len(keep), 2 ** len(keep))
-
-
 def test_reduced_states_match_dense_oracle():
     # Unequal, non-maximally-mixed marginals, so a swapped or misplaced axis
     # in the reduced-state code changes the overlaps.
@@ -454,27 +440,29 @@ def test_reduced_states_match_dense_oracle():
     reg.apply_gate(rx(0.9), [qs[2]])
     reg.apply_gate(CNOT, [qs[2], qs[1]])
     reg.apply_gate(ry(-0.4), [qs[0]])
-    assert reg.cluster_dims() == [8]
+    assert cluster_dims(reg, qs) == [8]
     psi = registry_vector(reg, qs)
     for i, q in enumerate(qs):
         ref = random_state(rng)
         want = np.real(ref.conj() @ partial_trace(psi, [i]) @ ref)
         assert reg.fidelity(q, ref) == pytest.approx(want, abs=1e-12)
+    # The pair_fidelity helper that Bell-pair checks read agrees with the
+    # trace of the reordered vector, for every ordered pair.
     for i in range(3):
         for j in range(3):
             if i == j:
                 continue
             ref = np.kron(random_state(rng), random_state(rng))
             want = np.real(ref.conj() @ partial_trace(psi, [i, j]) @ ref)
-            assert reg.pair_fidelity(qs[i], qs[j], ref) == pytest.approx(want, abs=1e-12)
+            assert pair_fidelity(reg, qs[i], qs[j], ref) == pytest.approx(want, abs=1e-12)
 
 
 def test_cluster_factoring_keeps_pairs_independent():
     reg = StateRegistry()
     pairs = [reg.create_bell_pair() for _ in range(5)]
-    assert len(reg.cluster_dims()) == 5
-    assert reg.cluster_dims() == [4] * 5
-    assert sum(reg.cluster_dims()) == 20  # not 4**5
+    dims = cluster_dims(reg, [q for pair in pairs for q in pair])
+    assert dims == [4] * 5
+    assert sum(dims) == 20  # not 4**5
     assert reg.peak_cluster_dim == 4
     assert reg.live_count == 10
     assert reg.peak_alloc == 10
@@ -492,8 +480,7 @@ def test_transient_merge_tracked_separately_from_resident():
     reg.bell_measure(b, c)  # merges two 4-dim clusters mid-measurement
     assert reg.peak_cluster_dim == 16
     assert reg.peak_resident_cluster_dim == 4
-    assert len(reg.cluster_dims()) == 1  # a and d now share one cluster
-    assert reg.cluster_dims() == [4]
+    assert cluster_dims(reg, [a, d]) == [4]  # a and d now share one cluster
 
 
 def _assert_gather_order(order, blocks):
@@ -527,7 +514,7 @@ def _merged_dim(reg, q1, q2):
 
 
 def test_peaks_match_brute_force_reference():
-    # Both peaks recomputed from cluster_dims() after every operation; a
+    # Both peaks recomputed from the live clusters after every operation; a
     # two-qubit operation's transient merge is read from cluster_state first.
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -558,11 +545,6 @@ def test_peaks_match_brute_force_reference():
                 live = [q for k, q in enumerate(live) if k not in (i, j)]
             else:
                 (reg.measure if rng.random() < 0.5 else reg.release)(live.pop(i))
-            top = max(reg.cluster_dims(), default=0)
-            resident = max(resident, top)
-            transient = max(transient, top, merge)
-            assert reg.peak_resident_cluster_dim == resident
-            assert reg.peak_cluster_dim == transient
             # The distinct clusters partition the live qubits, each normalized.
             clusters = {}
             for q in live:
@@ -571,8 +553,11 @@ def test_peaks_match_brute_force_reference():
                 assert abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL
                 clusters[order] = amps.size
             assert sum(len(order) for order in clusters) == reg.live_count == len(live)
-            assert len(reg.cluster_dims()) == len(clusters)
-            assert sum(reg.cluster_dims()) == sum(clusters.values())
+            top = max(clusters.values(), default=0)
+            resident = max(resident, top)
+            transient = max(transient, top, merge)
+            assert reg.peak_resident_cluster_dim == resident
+            assert reg.peak_cluster_dim == transient
 
 
 def test_chain_entanglement_grows_and_collapses():
@@ -581,10 +566,10 @@ def test_chain_entanglement_grows_and_collapses():
     reg.apply_gate(H, [qs[0]])
     reg.apply_gate(CNOT, [qs[0], qs[1]])
     reg.apply_gate(CNOT, [qs[1], qs[2]])
-    assert reg.cluster_dims() == [8]
+    assert cluster_dims(reg, qs) == [8]
     assert reg.peak_resident_cluster_dim == 8
     reg.measure(qs[0])
-    assert reg.cluster_dims() == [4]
+    assert cluster_dims(reg, qs[1:]) == [4]
 
 
 def test_consumed_qubits_are_dead():
@@ -600,7 +585,9 @@ def test_consumed_qubits_are_dead():
     for dead in (a, b):
         with pytest.raises(DeadQubitError):
             reg.fidelity(dead, [1.0, 0.0])
-    assert not reg.is_live(q)
+    with pytest.raises(DeadQubitError):
+        reg.cluster_state(q)
+    assert reg.live_count == 0
 
 
 def test_qubit_ids_are_never_reused():
@@ -691,7 +678,7 @@ def test_entangling_noise_fires_only_on_cnot():
         reg = StateRegistry(noise_prob=1.0, seed=seed)
         a, b = reg.create_bell_pair()
         assert reg.noise_events == 1
-        assert reg.pair_fidelity(a, b, BELL) == pytest.approx(0.0, abs=1e-12)
+        assert pair_fidelity(reg, a, b, BELL) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_all_gates_noise_hits_every_target():
@@ -700,7 +687,7 @@ def test_all_gates_noise_hits_every_target():
         a, b = reg.create_bell_pair()
         assert reg.noise_events == 3  # one for H, one per CNOT target
         # Pauli images of Bell states are Bell states: fidelity is 0 or 1
-        fid = reg.pair_fidelity(a, b, BELL)
+        fid = pair_fidelity(reg, a, b, BELL)
         assert min(abs(fid), abs(fid - 1.0)) < 1e-12
 
 

@@ -54,7 +54,7 @@ def test_deposit_take_and_collisions(net):
         net.take(T1, "a")
     outsider = NodeId.transmitter(9)
     for call in (lambda: net.deposit(outsider, "a", q1), lambda: net.take(outsider, "a"),
-                 lambda: net.node_usage(outsider)):
+                 lambda: net.broadcast_classical(outsider, "01", "x")):
         with pytest.raises(NetworkError, match="^T9 is not part of this network$"):
             call()
 
@@ -86,17 +86,15 @@ def test_qubit_custody_moves_on_delivery(net):
     reg = StateRegistry()
     q = reg.alloc_qubit([1.0, 0.0])
     net.deposit(T1, "h", q)
-    assert net.node_usage(T1) == 1
+    assert net.qubits[T1] == {"h": q}
     net.send_qubit(T1, R2, "h", "h")
     # in flight: still the sender's hardware problem
-    assert net.node_usage(T1) == 1
-    assert net.node_usage(R2) == 0
+    assert net.qubits[T1] == {} and net._in_flight[T1] == 1 == net.in_flight
+    assert net.qubits[R2] == {}
     net.run_until_idle()
-    assert net.node_usage(T1) == 0
-    assert net.node_usage(R2) == 1
+    assert net.qubits[T1] == {} and net.in_flight == 0
     assert net.qubits[R2] == {"h": q}
     assert net.node_peaks[T1] == 1 and net.node_peaks[R2] == 1
-    assert net.peak_usage_total() == sum(net.node_peaks.values())
 
 
 def test_qubit_tag_collision_on_delivery(net):
@@ -109,7 +107,8 @@ def test_qubit_tag_collision_on_delivery(net):
     with pytest.raises(NetworkError):
         net.run_until_idle()
     assert net.qubits[R2] == {"h": qa}
-    assert net.node_usage(T1) == 0  # the refused qubit is dropped, no longer in flight
+    assert net.qubits[T1] == {}
+    assert net.in_flight == 0  # the refused qubit is dropped, no longer in flight
 
 
 def test_message_tag_collision_on_delivery(net):
@@ -133,9 +132,9 @@ def test_broadcast_exclusion():
     net = QNetwork(build_butterfly(3))
     targets = net.broadcast_classical(M2, "11", "c", exclude=[M1])
     assert targets == [NodeId.receiver(1), NodeId.receiver(2), NodeId.receiver(3)]
-    with pytest.raises(NetworkError):
+    with pytest.raises(NetworkError, match="^M1 has no neighbors to broadcast to$"):
         net.broadcast_classical(M1, "0", "d", exclude=list(net.topology.adjacency[M1]))
-    with pytest.raises(NetworkError, match="T9 has no neighbors"):
+    with pytest.raises(NetworkError, match="^T9 is not part of this network$"):
         net.broadcast_classical(NodeId.transmitter(9), "0", "e")
     assert net.pending == 3  # the refused broadcasts queued nothing
 
@@ -171,9 +170,9 @@ def test_reset_clears_state(net):
     assert net.trace == []
     assert net.qubits[T1] == {}
     assert net.inbox[M1] == {}
-    assert net.peak_usage_total() == 0
+    assert not any(net.node_peaks.values())
     assert net.in_flight == 0
-    assert all(net.node_usage(n) == 0 for n in net.topology.nodes)
+    assert not any(net.qubits.values())
     fresh = QNetwork(net.topology)
     for name in ("now", "_queue", "_ticks", "trace", "qubits", "inbox", "_in_flight", "node_peaks",
                  "_neighbors"):

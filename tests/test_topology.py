@@ -1,4 +1,6 @@
 """Tests for the butterfly topology builder and resource accounting."""
+import hashlib
+
 import pytest
 
 from qbutterfly.topology import (
@@ -27,6 +29,9 @@ link M2 R2 quantum
 link R1 T2 quantum
 link T1 R2 quantum
 """
+
+# SHA-256 of serialize_topology(build_butterfly(n)) joined for n = 2..10.
+SERIALIZED_2_TO_10_SHA256 = "2aef77afe11fb4e6b445138a760ee723268752dfaa7ecd20abff8feaf0890bbb"
 
 N3_SERIALIZED = """\
 node M1
@@ -68,7 +73,8 @@ def test_node_ids():
         NodeId.receiver(-1)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+# At n = 50 label order and index order differ: R10 sorts before R2 by label.
+@pytest.mark.parametrize("n", [*range(2, 9), 50])
 def test_links_are_symmetric_and_neighbours_sorted(n):
     topo = build_butterfly(n)
     for x in topo.nodes:
@@ -158,3 +164,9 @@ def test_serialize_topology_is_stable():
     assert serialize_topology(build_butterfly(3)) == N3_SERIALIZED
     # serialization is deterministic across rebuilds
     assert serialize_topology(build_butterfly(3)) == serialize_topology(build_butterfly(3))
+
+
+def test_serialized_topologies_up_to_ten_pairs_are_pinned():
+    text = "".join(serialize_topology(build_butterfly(n)) for n in range(2, 11))
+    assert text.count("\n") == 573
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED_2_TO_10_SHA256
