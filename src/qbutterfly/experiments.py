@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown noise model {self.noise_model!r}")
         if self.n_pairs < 2:
             raise ValueError("n_pairs must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.experiment == "accuracy":
             if self.bits_range or self.key_bits is not None:
                 raise ValueError("an accuracy sweep reads no bits_range or key_bits")

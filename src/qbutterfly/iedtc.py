@@ -82,15 +82,13 @@ class Pair(NamedTuple):
     t: NodeId
     r: NodeId
     assister: NodeId
-    phi_keep: str    # Tk's kept half of its own pair
-    phi_give: str    # the half Tk sends to the assister...
-    phi_swap: str    # ...where it arrives under this tag
-    psi_assist: str  # M2's half for the assister...
-    psi_own: str     # M2's half for Rk, held under the same tag there
-    psi_swap: str    # ...where the assister's half arrives
-    swap: str        # the assister's 2 correction bits to Tk
-    eta: str         # Tk's payload
-    broadcast: str   # Tk's teleport bits, broadcast to its neighbours
+    phi_keep: str   # Tk's kept half of its own pair
+    phi_swap: str   # Tk's half for the assister, under this tag at both
+    psi_own: str    # M2's half for Rk, under this tag at both
+    psi_swap: str   # M2's half for the assister, under this tag at both
+    swap: str       # the assister's 2 correction bits to Tk
+    eta: str        # Tk's payload
+    broadcast: str  # Tk's teleport bits, broadcast to its neighbours
 
 
 @lru_cache(maxsize=None)  # one table per network size, shared by every round
@@ -98,8 +96,8 @@ def pair_table(n_pairs: int) -> tuple[Pair, ...]:
     """Each pair's record, pair k at index k - 1."""
     swappers = assign_swappers(n_pairs)
     return tuple(Pair(k, NodeId.transmitter(k), NodeId.receiver(k), swappers[k],
-                      f"phi{k}.keep", f"phi{k}.give", f"phi{k}.swap", f"psi{k}.assist",
-                      f"psi{k}.own", f"psi{k}.swap", f"swap{k}", f"eta{k}", f"B{k}")
+                      f"phi{k}.keep", f"phi{k}.swap", f"psi{k}.own", f"psi{k}.swap",
+                      f"swap{k}", f"eta{k}", f"B{k}")
                  for k in range(1, n_pairs + 1))
 
 
@@ -130,13 +128,13 @@ def distribute_entanglements(net: QNetwork, reg: StateRegistry,
     for p in pairs:
         keep, give = reg.create_bell_pair()
         net.deposit(p.t, p.phi_keep, keep)
-        net.deposit(p.t, p.phi_give, give)
-        net.send_qubit(p.t, p.assister, p.phi_give, p.phi_swap)
+        net.deposit(p.t, p.phi_swap, give)
+        net.send_qubit(p.t, p.assister, p.phi_swap)
         left, right = reg.create_bell_pair()
-        net.deposit(source, p.psi_assist, left)
+        net.deposit(source, p.psi_swap, left)
         net.deposit(source, p.psi_own, right)
-        net.send_qubit(source, p.assister, p.psi_assist, p.psi_swap)
-        net.send_qubit(source, p.r, p.psi_own, p.psi_own)
+        net.send_qubit(source, p.assister, p.psi_swap)
+        net.send_qubit(source, p.r, p.psi_own)
     net.run_until_idle()
 
     for p in pairs:

@@ -127,12 +127,11 @@ def random_state(rng: np.random.Generator) -> np.ndarray:
     return np.array([math.cos(half), np.exp(1j * phi) * math.sin(half)], dtype=complex)
 
 
-def as_state(amplitudes: Sequence[complex], n_qubits: int = 1) -> np.ndarray:
-    """The amplitudes as a complex vector; ValueError unless a normalized n-qubit state."""
+def as_state(amplitudes: Sequence[complex]) -> np.ndarray:
+    """The amplitudes as a complex vector; ValueError unless a normalized one-qubit state."""
     amps = np.asarray(amplitudes, dtype=complex)
-    if amps.shape != (2 ** n_qubits,):
-        raise ValueError(f"a {n_qubits}-qubit state needs {2 ** n_qubits} amplitudes, "
-                         f"got shape {amps.shape}")
+    if amps.shape != (2,):
+        raise ValueError(f"a one-qubit state needs 2 amplitudes, got shape {amps.shape}")
     if not abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) <= NORM_ATOL:  # NaN fails too
         raise ValueError("state vector is not normalized")
     return amps

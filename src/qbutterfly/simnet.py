@@ -14,16 +14,15 @@ Each node holds tagged qubits (``qubits``) and a classical inbox
 custody of its sender for capacity accounting (the fiber port is the
 sender's hardware until the photon is absorbed).
 
-A drain keeps each delivered record as it is, with its tick beside it.
-``trace`` is a read-only ``Trace`` view of the delivered records and their
-ticks: its length sums the records' targets, and it expands each record into
-one ``TraceEntry`` per target only when the trace is read, so a round that
-never reads its trace pays for no entries, and the network keeps one object
-per send, not one per delivery.
+The network keeps one (tick, delivered records) entry per drain and
+nothing beside it.  ``trace`` is a read-only ``Trace`` view of those
+drains: its length sums the records' targets, and it expands each record
+into one ``TraceEntry`` per target only when the trace is read, so a round
+that never reads its trace pays for no entries, and the network keeps one
+object per send, not one per delivery.
 """
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator, Sequence
 from typing import Iterable, NamedTuple
 
@@ -53,21 +52,20 @@ Record = tuple[NodeId, tuple[NodeId, ...], str, "str | QubitId"]  # (src, target
 class Trace(Sequence[TraceEntry]):
     """Read-only view of deliveries in order; a ``TraceEntry`` is built when read.
 
-    ``records`` are the delivered send records and ``ticks`` the tick of the
-    drain that delivered each, both owned by the network.  The view holds
-    records ``first`` up to ``last``; with no ``last`` it follows the records
-    as they grow.  Its length is the number of their targets.  ``reset``
-    hands the network new lists, so a view taken before it keeps what it saw.
+    ``drains`` is a list of (tick, delivered records) entries.  The network's
+    ``trace`` holds the network's own list, so it grows with each drain;
+    ``run_until_idle`` returns a view of its one drain, which later drains
+    leave as it is.  ``reset`` starts a new list, so a view taken before it
+    keeps what it saw.  The length is the number of the records' targets.
     """
 
-    __slots__ = ("_records", "_ticks", "_first", "_last")
+    __slots__ = ("_drains",)
 
-    def __init__(self, records: list[Record], ticks: list[int], first: int = 0,
-                 last: int | None = None):
-        self._records, self._ticks, self._first, self._last = records, ticks, first, last
+    def __init__(self, drains: list[tuple[int, list[Record]]]):
+        self._drains = drains
 
     def __len__(self) -> int:
-        return sum(len(targets) for _, targets, _, _ in self._records[self._first:self._last])
+        return sum(len(targets) for _, records in self._drains for _, targets, _, _ in records)
 
     def __iter__(self) -> Iterator[TraceEntry]:
         return iter(self._entries())
@@ -83,12 +81,11 @@ class Trace(Sequence[TraceEntry]):
     def _entries(self) -> list[TraceEntry]:
         """One entry per target of each held record."""
         entry = tuple.__new__  # TraceEntry's own __new__ is Python code
-        first, last = self._first, self._last
         return [entry(TraceEntry, (tick, src, dst, "classical", tag, len(payload)))
                 if payload.__class__ is str else
                 entry(TraceEntry, (tick, src, dst, "quantum", tag, 1))
-                for (src, targets, tag, payload), tick
-                in zip(self._records[first:last], self._ticks[first:last])
+                for tick, records in self._drains
+                for src, targets, tag, payload in records
                 for dst in targets]
 
 
@@ -103,17 +100,16 @@ class QNetwork:
         self.reset()
 
     def reset(self) -> None:
-        """Empty the queue, holdings, inboxes, accounting and trace; topology stays.
+        """Empty the queue, holdings, inboxes, accounting and drains; topology stays.
 
         Each container is new, not cleared, so a trace or holdings dict
         handed out earlier (``RoundResult.trace``) keeps its entries.
         """
-        nodes = self.topology.nodes
+        nodes = self._neighbors
         self.now = 0
-        self._queue: deque[Record] = deque()
-        self._records: list[Record] = []
-        self._ticks: list[int] = []  # the tick that delivered each record
-        self.trace = Trace(self._records, self._ticks)
+        self._queue: list[Record] = []
+        self._drains: list[tuple[int, list[Record]]] = []  # (tick, delivered records) per drain
+        self.trace = Trace(self._drains)
         self.qubits: dict[NodeId, dict[str, QubitId]] = {n: {} for n in nodes}
         self.inbox: dict[NodeId, dict[str, str]] = {n: {} for n in nodes}  # arrival order
         self._in_flight: dict[NodeId, int] = dict.fromkeys(nodes, 0)
@@ -167,11 +163,11 @@ class QNetwork:
         _check_bits(bits)
         self._queue.append((src, (dst,), tag, bits))
 
-    def send_qubit(self, src: NodeId, dst: NodeId, held_tag: str, tag: str) -> None:
-        """Send the qubit src holds under held_tag; it arrives at dst under tag."""
+    def send_qubit(self, src: NodeId, dst: NodeId, tag: str) -> None:
+        """Send the qubit src holds under tag; it arrives at dst under the same tag."""
         if self._link(src, dst) is not LinkKind.QUANTUM:
             raise NetworkError(f"link {src}--{dst} is classical; it cannot carry a qubit")
-        q = self.take(src, held_tag)
+        q = self.take(src, tag)
         self._in_flight[src] += 1  # custody stays with sender until delivery
         self._queue.append((src, (dst,), tag, q))
 
@@ -201,21 +197,20 @@ class QNetwork:
     def run_until_idle(self) -> Trace:
         """Deliver all queued messages in FIFO order; returns this call's deliveries.
 
-        One drain is one tick, stamped on all its deliveries, which are the
-        tail of ``trace`` from this call on.  Delivery never sends, so the
-        queue cannot refill during a drain: no event cap needed.  A refused
-        delivery raises and is dropped, a qubit's included, so it is no longer
-        in flight; the deliveries before it stay made and recorded, and those
-        after it, a broadcast's later targets included, stay queued.
+        One drain is one tick: the queue, delivered, is kept as one (tick,
+        records) entry, which the returned view holds.  Delivery never sends,
+        so the queue cannot refill during a drain: no event cap needed.  A
+        refused delivery raises and is dropped, a qubit's included, so it is
+        no longer in flight; the deliveries before it stay made and recorded,
+        and those after it, a broadcast's later targets included, stay queued.
         """
-        queue, records, ticks, inbox = self._queue, self._records, self._ticks, self.inbox
-        first = len(records)
-        if queue:
-            self.now += 1
-        now = self.now
+        queue, self._queue, inbox = self._queue, [], self.inbox
+        if not queue:
+            return Trace([])
+        self.now += 1
+        self._drains.append((self.now, queue))
         try:
-            for record in queue:
-                src, targets, tag, payload = record
+            for i, (src, targets, tag, payload) in enumerate(queue):
                 if payload.__class__ is str:
                     for dst in targets:
                         box = inbox[dst]
@@ -226,20 +221,14 @@ class QNetwork:
                     dst = targets[0]
                     self._in_flight[src] -= 1  # delivered, or dropped if deposit refuses it
                     self.deposit(dst, tag, payload)
-                records.append(record)
-                ticks.append(now)
         except NetworkError:
-            while queue.popleft() is not record:  # the delivered records, then this one
-                pass
             j = targets.index(dst)  # the refused target; the ones before it are delivered
-            if j:
-                records.append((src, targets[:j], tag, payload))
-                ticks.append(now)
+            self._queue = queue[i + 1:]
             if j + 1 < len(targets):
-                queue.appendleft((src, targets[j + 1:], tag, payload))
+                self._queue.insert(0, (src, targets[j + 1:], tag, payload))
+            queue[i:] = [(src, targets[:j], tag, payload)] if j else []  # what the drain delivered
             raise
-        queue.clear()
-        return Trace(records, ticks, first, len(records))
+        return Trace(self._drains[-1:])
 
     @property
     def pending(self) -> int:

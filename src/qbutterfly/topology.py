@@ -74,11 +74,10 @@ class LinkKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Topology:
-    """Each node's neighbours and link kinds, in sorted NodeId order; that order
-    fixes the send order of a broadcast and with it the delivery trace."""
+    """The nodes, as the adjacency's keys, and each one's neighbours and link kinds
+    in sorted NodeId order; that order fixes a broadcast's send order and trace."""
 
     n_pairs: int
-    nodes: tuple[NodeId, ...]
     adjacency: dict[NodeId, dict[NodeId, LinkKind]]
 
     def find_link(self, x: NodeId, y: NodeId) -> LinkKind | None:
@@ -93,7 +92,6 @@ def build_butterfly(n_pairs: int) -> Topology:
     receivers = [NodeId.receiver(i) for i in range(1, n_pairs + 1)]
     relay = NodeId.relay()
     source = NodeId.source()
-    nodes = tuple(transmitters + receivers + [relay, source])
     quantum, classical = LinkKind.QUANTUM, LinkKind.CLASSICAL
     # Each map is written in sorted NodeId order, (index, label): M1 or M2 at
     # index 0 first, then the far side's transceivers but the partner, by index.
@@ -104,7 +102,7 @@ def build_butterfly(n_pairs: int) -> Topology:
             adjacency[node] = {hub: link, **dict.fromkeys(far[:k] + far[k + 1:], quantum)}
     adjacency[relay] = {source: classical, **dict.fromkeys(transmitters, classical)}
     adjacency[source] = {relay: classical, **dict.fromkeys(receivers, quantum)}
-    return Topology(n_pairs, nodes, adjacency)
+    return Topology(n_pairs, adjacency)
 
 
 def _links(topology: Topology) -> list[tuple[NodeId, NodeId, LinkKind]]:
@@ -146,6 +144,6 @@ def reference_resources(protocol: str, n_pairs: int) -> ResourceTriple:
 
 def serialize_topology(topology: Topology) -> str:
     """Stable line-oriented description: one node per line, then one link per line."""
-    lines = [f"node {node}" for node in sorted(topology.nodes)]
+    lines = [f"node {node}" for node in sorted(topology.adjacency)]
     lines.extend(sorted(f"link {a} {b} {kind.value}" for a, b, kind in _links(topology)))
     return "\n".join(lines) + "\n"

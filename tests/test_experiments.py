@@ -53,6 +53,8 @@ def test_config_validation():
         ExperimentConfig("accuracy", noise_levels=(0.1,), n_pairs=1)
     with pytest.raises(ValueError):
         ExperimentConfig("accuracy", noise_levels=(0.1,), trials=0)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):  # not numpy's own message
+        ExperimentConfig("accuracy", noise_levels=(0.1,), seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig("eavesdrop", bits_range=(2,))
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -113,9 +114,9 @@ def test_pair_table_holds_each_pairs_nodes_and_distinct_tags(n):
         assert (p.t, p.r, p.assister) == (
             NodeId.transmitter(p.k), NodeId.receiver(p.k), swappers[p.k])
     tags = [tag for p in table for tag in p[4:]]
-    assert len(tags) == 9 * n == len(set(tags))
-    assert table[-1][4:] == (f"phi{n}.keep", f"phi{n}.give", f"phi{n}.swap", f"psi{n}.assist",
-                             f"psi{n}.own", f"psi{n}.swap", f"swap{n}", f"eta{n}", f"B{n}")
+    assert len(tags) == 7 * n == len(set(tags))
+    assert table[-1][4:] == (f"phi{n}.keep", f"phi{n}.swap", f"psi{n}.own", f"psi{n}.swap",
+                             f"swap{n}", f"eta{n}", f"B{n}")
     assert pair_table(n) is table  # built once per size
 
 
@@ -294,7 +295,7 @@ def test_round_input_validation():
             run_round(net, reg, [[1.0, 0.0], bad])
         assert reg.live_count == 0
         assert net.pending == 0
-        assert all(net.qubits[node] == {} for node in net.topology.nodes)
+        assert all(net.qubits[node] == {} for node in net.topology.adjacency)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -345,9 +346,9 @@ def test_round_end_check_catches_a_leaked_qubit():
 def test_round_checks_each_payload_once(monkeypatch):
     calls = []
 
-    def counting(amplitudes, n_qubits=1):
-        calls.append(n_qubits)
-        return as_state(amplitudes, n_qubits)
+    def counting(amplitudes):
+        calls.append(amplitudes)
+        return as_state(amplitudes)
 
     importers = [m for name, m in list(sys.modules.items())
                  if name.startswith("qbutterfly") and getattr(m, "as_state", None) is as_state]
@@ -355,9 +356,10 @@ def test_round_checks_each_payload_once(monkeypatch):
     for module in importers:
         monkeypatch.setattr(module, "as_state", counting)
     rng = np.random.default_rng(4)
-    result = run_round(fresh(3), StateRegistry(seed=4), [random_state(rng) for _ in range(3)])
+    states = [random_state(rng) for _ in range(3)]
+    result = run_round(fresh(3), StateRegistry(seed=4), states)
     assert result.all_success
-    assert calls == [1, 1, 1]
+    assert len(calls) == 3 and all(c is s for c, s in zip(calls, states))
 
 
 def test_unnormalized_payload_raises_before_any_qubit_exists():
@@ -383,6 +385,28 @@ def test_round_fails_when_a_held_half_dies_behind_the_network(assert_nothing_lef
         assert result.error.endswith("is not live (consumed or never allocated)"), result.error
         errors.add(result.error.split(":")[0])
     assert errors == {"DeadQubitError"}  # from a correction, a readout or the payload's teleport
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_a_round_is_five_drains(n, monkeypatch):
+    # Entanglement halves, swap bits, teleport broadcasts, the one bottleneck
+    # message and the relay's broadcast: one tick each.
+    views, run_until_idle = [], QNetwork.run_until_idle
+
+    def keeping(net):
+        views.append(run_until_idle(net))
+        return views[-1]
+
+    monkeypatch.setattr(QNetwork, "run_until_idle", keeping)
+    net, rng = fresh(n), np.random.default_rng(n)
+    result = run_round(net, StateRegistry(seed=n), [random_state(rng) for _ in range(n)])
+    assert result.all_success and net.now == 5
+    assert Counter(e.time for e in result.trace) == {1: 3 * n, 2: n, 3: n * n, 4: 1, 5: n}
+    by_tick = [[e for e in result.trace if e.time == tick] for tick in range(1, 6)]
+    assert len(views) == 5 and all(view == entries for view, entries in zip(views, by_tick))
+    net.reset()
+    run_round(net, StateRegistry(seed=n), [random_state(rng) for _ in range(n)])
+    assert len(views) == 10 and all(view == entries for view, entries in zip(views, by_tick))
 
 
 def test_kept_trace_survives_reset_and_the_next_round():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from qbutterfly.iedtc import run_round, xor_combine
@@ -245,44 +245,57 @@ def test_trace_matches_an_independent_record_of_the_sends(data):
     # Tags come from a small pool, so a delivery can find its tag taken at
     # the receiver: a message collision, a broadcast refused midway, a qubit
     # collision, or a drain refused at its first record.  The model drops
-    # the refused delivery and keeps the ones after it queued.
+    # the refused delivery and keeps the ones after it queued.  A qubit keeps
+    # its tag from the sender's deposit on, so the deposit can be refused too.
     net, reg = QNetwork(build_butterfly(3)), StateRegistry()
     links = [(a, b, kind) for a, nbrs in net.topology.adjacency.items()
              for b, kind in nbrs.items()]
     fiber = [(a, b) for a, b, kind in links if kind is LinkKind.QUANTUM]
+    nodes = list(net.topology.adjacency)
     bits = st.text(alphabet="01", min_size=1, max_size=4)
     tags = st.sampled_from("abc")
-    inbox = {node: set() for node in net.topology.nodes}  # tags each node has received
-    held = {node: set() for node in net.topology.nodes}  # tags of qubits delivered to each
-    queued, expected, drains, tick = [], [], [], 0
+    inbox = {node: set() for node in nodes}  # tags each node has received
+    held = {node: set() for node in nodes}  # tags of qubits delivered to each
+    queued, expected, drains, tick = [], [], [], 0  # queued: (send, src, dst, kind, tag, size)
     for i in range(data.draw(st.integers(min_value=0, max_value=30))):
         op = data.draw(st.sampled_from(["classical", "qubit", "broadcast", "run"]))
         if op == "classical":
             src, dst, _ = data.draw(st.sampled_from(links))
             payload, tag = data.draw(bits), data.draw(tags)
             net.send_classical(src, dst, payload, tag)
-            queued.append((src, dst, "classical", tag, len(payload)))
+            queued.append((i, src, dst, "classical", tag, len(payload)))
         elif op == "qubit":
             src, dst = data.draw(st.sampled_from(fiber))
             tag = data.draw(tags)
-            net.deposit(src, f"h{i}", reg.alloc_qubit([1.0, 0.0]))
-            net.send_qubit(src, dst, f"h{i}", tag)
-            queued.append((src, dst, "quantum", tag, 1))
+            q = reg.alloc_qubit([1.0, 0.0])
+            if tag in held[src]:  # the sender already holds a qubit under this tag
+                event("refused: the sender's deposit")
+                with pytest.raises(NetworkError, match="already holds"):
+                    net.deposit(src, tag, q)
+            else:
+                net.deposit(src, tag, q)
+                net.send_qubit(src, dst, tag)
+                queued.append((i, src, dst, "quantum", tag, 1))
         elif op == "broadcast":
-            src = data.draw(st.sampled_from(net.topology.nodes))
+            src = data.draw(st.sampled_from(nodes))
             neighbors = list(net.topology.adjacency[src])
             skip = data.draw(st.lists(st.sampled_from(neighbors), max_size=len(neighbors) - 1))
             payload, tag = data.draw(bits), data.draw(tags)
             targets = net.broadcast_classical(src, payload, tag, exclude=skip)
             assert targets == [m for m in neighbors if m not in skip]
-            queued += [(src, m, "classical", tag, len(payload)) for m in targets]
+            queued += [(i, src, m, "classical", tag, len(payload)) for m in targets]
         else:
             start = len(expected)
             if queued:
                 tick += 1
-            for k, (src, dst, kind, tag, size) in enumerate(queued):
+            for k, (send, src, dst, kind, tag, size) in enumerate(queued):
                 taken = inbox[dst] if kind == "classical" else held[dst]
                 if tag in taken:  # refused: dropped, and the rest stay queued
+                    event(f"refused: a {kind} delivery")
+                    if k == 0:
+                        event("refused: a drain's first record")
+                    elif queued[k - 1][0] == send:
+                        event("refused: a broadcast midway")
                     del queued[:k + 1]
                     with pytest.raises(NetworkError, match="already holds"):
                         net.run_until_idle()
@@ -294,7 +307,7 @@ def test_trace_matches_an_independent_record_of_the_sends(data):
                 drains.append((net.run_until_idle(), start, len(expected)))
             assert net.now == tick and net.trace == expected
         assert net.pending == len(queued)
-        assert net.in_flight == sum(kind == "quantum" for _, _, kind, _, _ in queued)
+        assert net.in_flight == sum(kind == "quantum" for _, _, _, kind, _, _ in queued)
     assert [tuple(e) for e in net.trace] == expected
     assert len(net.trace) == len(expected) and net.now == tick
     for drained, start, stop in drains:

@@ -31,16 +31,16 @@ def test_qubit_send_requires_quantum_link(net):
     q = reg.alloc_qubit([1.0, 0.0])
     net.deposit(T1, "payload", q)
     with pytest.raises(NetworkError):
-        net.send_qubit(T1, M1, "payload", "payload")  # classical-only link
+        net.send_qubit(T1, M1, "payload")  # classical-only link
     assert net.qubits[T1] == {"payload": q}  # a refused send leaves the qubit held
-    net.send_qubit(T1, R2, "payload", "payload")
+    net.send_qubit(T1, R2, "payload")
 
 
 def test_qubit_send_requires_possession(net):
     q = StateRegistry().alloc_qubit([1.0, 0.0])
     net.deposit(R2, "payload", q)  # held under that tag, but not by the sender
     with pytest.raises(NetworkError):
-        net.send_qubit(T1, R2, "payload", "payload")
+        net.send_qubit(T1, R2, "payload")
     assert net.qubits[R2] == {"payload": q}
 
 
@@ -87,7 +87,7 @@ def test_qubit_custody_moves_on_delivery(net):
     q = reg.alloc_qubit([1.0, 0.0])
     net.deposit(T1, "h", q)
     assert net.qubits[T1] == {"h": q}
-    net.send_qubit(T1, R2, "h", "h")
+    net.send_qubit(T1, R2, "h")
     # in flight: still the sender's hardware problem
     assert net.qubits[T1] == {} and net._in_flight[T1] == 1 == net.in_flight
     assert net.qubits[R2] == {}
@@ -102,8 +102,8 @@ def test_qubit_tag_collision_on_delivery(net):
     qa = reg.alloc_qubit([1.0, 0.0])
     qb = reg.alloc_qubit([1.0, 0.0])
     net.deposit(R2, "h", qa)
-    net.deposit(T1, "x", qb)
-    net.send_qubit(T1, R2, "x", "h")
+    net.deposit(T1, "h", qb)
+    net.send_qubit(T1, R2, "h")  # R2 already holds an "h"
     with pytest.raises(NetworkError):
         net.run_until_idle()
     assert net.qubits[R2] == {"h": qa}
@@ -162,7 +162,7 @@ def test_reset_clears_state(net):
     net.send_classical(T1, M1, "01", "m")
     net.run_until_idle()
     net.deposit(T2, "g", reg.alloc_qubit([1.0, 0.0]))
-    net.send_qubit(T2, R1, "g", "g")  # still in flight at the reset
+    net.send_qubit(T2, R1, "g")  # still in flight at the reset
     held_before = net.qubits
     net.reset()
     assert net.now == 0
@@ -174,8 +174,8 @@ def test_reset_clears_state(net):
     assert net.in_flight == 0
     assert not any(net.qubits.values())
     fresh = QNetwork(net.topology)
-    for name in ("now", "_queue", "_ticks", "trace", "qubits", "inbox", "_in_flight", "node_peaks",
-                 "_neighbors"):
+    for name in ("now", "_queue", "_drains", "trace", "qubits", "inbox", "_in_flight",
+                 "node_peaks", "_neighbors"):
         assert getattr(net, name) == getattr(fresh, name), name
     assert held_before[T1] == {"h": q}  # a holdings dict read earlier is not mutated
 
@@ -200,8 +200,8 @@ def test_each_drain_returns_its_own_tail_of_the_trace(net):
 
 def test_trace_is_a_sequence_view_built_on_read(net):
     reg = StateRegistry()
-    net.deposit(T1, "h", reg.alloc_qubit([1.0, 0.0]))
-    net.send_qubit(T1, R2, "h", "q")
+    net.deposit(T1, "q", reg.alloc_qubit([1.0, 0.0]))
+    net.send_qubit(T1, R2, "q")
     net.send_classical(T1, M1, "101", "a")
     net.run_until_idle()
     net.broadcast_classical(M2, "0", "b", exclude=[M1])
@@ -241,9 +241,9 @@ def test_a_refused_delivery_leaves_the_earlier_ones_recorded(net):
     (entry,) = net.run_until_idle()
     assert str(entry) == "3 T2 R1 classical n 2"
     net.deposit(R2, "q", reg.alloc_qubit([1.0, 0.0]))
-    net.deposit(T1, "x", reg.alloc_qubit([1.0, 0.0]))
+    net.deposit(T1, "q", reg.alloc_qubit([1.0, 0.0]))
     net.send_classical(M2, R2, "0", "o")
-    net.send_qubit(T1, R2, "x", "q")  # collides with the qubit R2 holds
+    net.send_qubit(T1, R2, "q")  # collides with the qubit R2 holds
     with pytest.raises(NetworkError):
         net.run_until_idle()
     assert [str(e) for e in net.trace[3:]] == ["4 M2 R2 classical o 1"]

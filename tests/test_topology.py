@@ -77,21 +77,21 @@ def test_node_ids():
 @pytest.mark.parametrize("n", [*range(2, 9), 50])
 def test_links_are_symmetric_and_neighbours_sorted(n):
     topo = build_butterfly(n)
-    for x in topo.nodes:
+    for x in topo.adjacency:
         neighbours = list(topo.adjacency[x])
         assert x not in neighbours
         assert neighbours == sorted(neighbours)
-        for y in topo.nodes:
+        for y in topo.adjacency:
             assert topo.find_link(x, y) == topo.find_link(y, x)
 
 
 def test_small_network_shapes():
     topo = build_butterfly(2)
     assert topo.n_pairs == 2
-    assert len(topo.nodes) == 6
+    assert len(topo.adjacency) == 6
     assert link_counts(topo) == (7, 4)
     topo3 = build_butterfly(3)
-    assert len(topo3.nodes) == 8
+    assert len(topo3.adjacency) == 8
     assert link_counts(topo3) == (13, 9)
 
 
