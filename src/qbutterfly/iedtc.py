@@ -15,7 +15,7 @@ from operator import xor
 from typing import Callable, NamedTuple, Sequence
 
 from .qstate import DeadQubitError, Gate, QubitId, StateRegistry, X, Z, as_state
-from .simnet import QNetwork, TraceEntry
+from .simnet import NetworkError, QNetwork, TraceEntry
 from .topology import NodeId
 
 SUCCESS_FIDELITY = 1.0 - 1e-9
@@ -26,25 +26,14 @@ _TWO_BIT_VALUE = {m: v for v, m in enumerate(_TWO_BITS)}
 
 
 def xor_combine(messages: Sequence[str]) -> str:
-    """Bitwise XOR of 2-bit messages: the relay's bottleneck message from every
-    broadcast, or a receiver's own from that and the broadcasts it overheard."""
+    """Bitwise XOR of 2-bit messages: M1's bottleneck message from every pair's
+    broadcast, or Rk's own bits from that and every other pair's broadcast."""
     if not messages:
         raise ValueError("cannot combine zero messages")
     try:
         return _TWO_BITS[reduce(xor, map(_TWO_BIT_VALUE.__getitem__, messages))]
     except (KeyError, TypeError):
         raise ValueError(f"XOR combines 2-bit messages only, got {list(messages)!r}") from None
-
-
-def assign_swappers(n_pairs: int) -> dict[int, NodeId]:
-    """Assister for each pair k: the cyclically previous receiver.
-
-    A_k = R_{k-1} and A_1 = R_N, so every assister differs from its pair's
-    own receiver and is quantum-connected to the pair's transmitter.
-    """
-    if n_pairs < 2:
-        raise ValueError("swap assignment needs at least 2 transceiver pairs")
-    return {k: NodeId.receiver(k - 1 if k > 1 else n_pairs) for k in range(1, n_pairs + 1)}
 
 
 def teleport_encode(reg: StateRegistry, state: QubitId, half: QubitId) -> str:
@@ -93,9 +82,12 @@ class Pair(NamedTuple):
 
 @lru_cache(maxsize=None)  # one table per network size, shared by every round
 def pair_table(n_pairs: int) -> tuple[Pair, ...]:
-    """Each pair's record, pair k at index k - 1."""
-    swappers = assign_swappers(n_pairs)
-    return tuple(Pair(k, NodeId.transmitter(k), NodeId.receiver(k), swappers[k],
+    """Each pair's record, pair k at index k - 1.  Pair k's assister is R_{k-1}
+    and pair 1's is R_N: never the pair's own receiver, always Tk's neighbour."""
+    if n_pairs < 2:
+        raise ValueError("swap assignment needs at least 2 transceiver pairs")
+    return tuple(Pair(k, NodeId.transmitter(k), NodeId.receiver(k),
+                      NodeId.receiver(k - 1 if k > 1 else n_pairs),
                       f"phi{k}.keep", f"phi{k}.swap", f"psi{k}.own", f"psi{k}.swap",
                       f"swap{k}", f"eta{k}", f"B{k}")
                  for k in range(1, n_pairs + 1))
@@ -162,23 +154,28 @@ def teleport_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequen
 
 
 def relay_combined(net: QNetwork) -> None:
-    """Phase three: M1 XORs the broadcasts into the one message that crosses
-    the bottleneck, and M2 broadcasts it to every receiver."""
+    """Phase three: M1 XORs each pair's broadcast, read by its tag, into the one
+    bottleneck message; M2 relays what it received.  A lost message raises."""
     relay, source = NodeId.relay(), NodeId.source()
-    combined = xor_combine(net.messages_tagged(relay, "B"))
-    net.send_classical(relay, source, combined, "combined")
+    broadcasts = [net.message(relay, p.broadcast) for p in pair_table(net.topology.n_pairs)]
+    net.send_classical(relay, source, xor_combine(broadcasts), "combined")
     net.run_until_idle()
-    net.broadcast_classical(source, combined, "combined", exclude=[relay])
+    net.broadcast_classical(source, net.message(source, "combined"), "combined", exclude=[relay])
     net.run_until_idle()
 
 
 def decode_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequence[complex]],
                     rotations: Sequence[Gate | None]) -> list[float]:
-    """Phase four: each Rk XORs out the broadcasts it overheard and reads out
-    its pair half with them; returns each fidelity."""
+    """Phase four: each Rk XORs every other pair's broadcast, read by its tag, out
+    of "combined" and reads out its half; a lost message raises.  Returns fidelities."""
+    pairs = pair_table(net.topology.n_pairs)
     fidelities = []
-    for p, state, rotation in zip(pair_table(net.topology.n_pairs), states, rotations):
-        own = xor_combine([net.message(p.r, "combined"), *net.messages_tagged(p.r, "B")])
+    for p, state, rotation in zip(pairs, states, rotations):
+        box = net.inbox[p.r]
+        try:
+            own = xor_combine([box["combined"], *[box[q.broadcast] for q in pairs if q is not p]])
+        except KeyError as lost:
+            raise NetworkError(f"{p.r} has no message tagged {lost.args[0]!r}") from None
         fidelities.append(read_out(reg, net.take(p.r, p.psi_own), own, rotation, state))
     return fidelities
 

@@ -477,8 +477,10 @@ class StateRegistry:
         return self._fidelity(q, as_state(reference))
 
     def _fidelity(self, q: QubitId, ref: np.ndarray) -> float:
-        # Unchecked: q is live and ref came from as_state.
+        # q is live and ref came from as_state; the cluster's norm is checked as there.
         cluster = self._cluster_of[q]
+        if not abs(math.sqrt(np.vdot(cluster.amps, cluster.amps).real) - 1.0) <= NORM_ATOL:
+            raise ValueError(f"qubit {q}'s cluster is not normalized")
         qubits = cluster.qubits
         if len(qubits) == 1:
             return float(abs(np.vdot(ref, cluster.amps)) ** 2)

@@ -9,10 +9,11 @@ delivered until run_until_idle drains the queue, so a protocol phase is
 written as "enqueue everything, then run"; each drain is one tick, and one
 pass empties the queue (delivery never sends), so no event cap is needed.
 Each node holds tagged qubits (``qubits``) and a classical inbox
-(``inbox``).  A delivered qubit enters its receiver's holdings through
-``deposit``, as a qubit created there does; a qubit in flight stays in the
-custody of its sender for capacity accounting (the fiber port is the
-sender's hardware until the photon is absorbed).
+(``inbox``); a protocol reads each by the tag it was sent under, and a
+missing tag raises NetworkError.  A delivered qubit enters its receiver's
+holdings through ``deposit``, as a qubit created there does; a qubit in
+flight stays in the custody of its sender for capacity accounting (the
+fiber port is the sender's hardware until the photon is absorbed).
 
 The network keeps one (tick, delivered records) entry per drain and
 nothing beside it.  ``trace`` is a read-only ``Trace`` view of those
@@ -111,7 +112,7 @@ class QNetwork:
         self._drains: list[tuple[int, list[Record]]] = []  # (tick, delivered records) per drain
         self.trace = Trace(self._drains)
         self.qubits: dict[NodeId, dict[str, QubitId]] = {n: {} for n in nodes}
-        self.inbox: dict[NodeId, dict[str, str]] = {n: {} for n in nodes}  # arrival order
+        self.inbox: dict[NodeId, dict[str, str]] = {n: {} for n in nodes}
         self._in_flight: dict[NodeId, int] = dict.fromkeys(nodes, 0)
         self.node_peaks: dict[NodeId, int] = dict.fromkeys(nodes, 0)
 
@@ -149,12 +150,6 @@ class QNetwork:
             if node not in self.inbox:
                 raise _outsider(node) from None
             raise NetworkError(f"{node} has no message tagged {tag!r}") from None
-
-    def messages_tagged(self, node: NodeId, prefix: str) -> list[str]:
-        if node not in self.inbox:
-            raise _outsider(node)
-        n = len(prefix)
-        return [m for tag, m in self.inbox[node].items() if tag[:n] == prefix]
 
     # -- sending ---------------------------------------------------------------
 

@@ -15,7 +15,6 @@ from conftest import pair_fidelity
 import qbutterfly.iedtc
 from qbutterfly.iedtc import (
     SUCCESS_FIDELITY,
-    assign_swappers,
     decode_payloads,
     distribute_entanglements,
     honest_swap,
@@ -90,17 +89,20 @@ def test_xor_recovery_exhaustive_small():
 # -- swapper assignment ----------------------------------------------------------
 
 def test_assign_swappers_cyclic():
-    assert assign_swappers(2) == {1: NodeId.receiver(2), 2: NodeId.receiver(1)}
-    assert assign_swappers(3) == {
-        1: NodeId.receiver(3), 2: NodeId.receiver(1), 3: NodeId.receiver(2)}
+    # Pair k's assister is the previous receiver R_{k-1}; pair 1's is R_n.
+    assert [p.assister for p in pair_table(2)] == [NodeId.receiver(2), NodeId.receiver(1)]
+    assert [p.assister for p in pair_table(3)] == [
+        NodeId.receiver(3), NodeId.receiver(1), NodeId.receiver(2)]
     with pytest.raises(ValueError):
-        assign_swappers(1)
+        pair_table(1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_swapper_is_reachable_and_never_own_receiver(n):
     topo = build_butterfly(n)
-    for k, assister in assign_swappers(n).items():
+    for k in range(1, n + 1):
+        assister = pair_table(n)[k - 1].assister
+        assert assister == NodeId.receiver(k - 1 if k > 1 else n)
         assert assister != NodeId.receiver(k)
         link = topo.find_link(NodeId.transmitter(k), assister)
         assert link is not None  # the correction bits can flow back directly
@@ -108,11 +110,12 @@ def test_swapper_is_reachable_and_never_own_receiver(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_pair_table_holds_each_pairs_nodes_and_distinct_tags(n):
-    table, swappers = pair_table(n), assign_swappers(n)
+    table = pair_table(n)
     assert [p.k for p in table] == list(range(1, n + 1))
     for p in table:
+        # The assister is the previous receiver, R_{k-1}, and R_n for pair 1.
         assert (p.t, p.r, p.assister) == (
-            NodeId.transmitter(p.k), NodeId.receiver(p.k), swappers[p.k])
+            NodeId.transmitter(p.k), NodeId.receiver(p.k), NodeId.receiver(p.k - 1 or n))
     tags = [tag for p in table for tag in p[4:]]
     assert len(tags) == 7 * n == len(set(tags))
     assert table[-1][4:] == (f"phi{n}.keep", f"phi{n}.swap", f"psi{n}.own", f"psi{n}.swap",
@@ -341,6 +344,56 @@ def test_round_end_check_catches_a_leaked_qubit():
     assert result.error == "round end: 3 live qubits, 0 held, 0 in flight, 0 queued"
     assert not result.all_success
     assert result.fidelities == pytest.approx([1.0] * 3, abs=1e-9)
+
+
+@pytest.mark.parametrize("dropped, error", [
+    (None, "NetworkError: M1 has no message tagged 'B2'"),
+    (NodeId.receiver(1), "NetworkError: R1 has no message tagged 'B2'"),
+], ids=["whole-broadcast", "one-receiver"])
+def test_a_lost_broadcast_fails_the_round(monkeypatch, dropped, error):
+    # T2's teleport bits never leave T2 (dropped is None), so M1 cannot form
+    # the bottleneck message, or they never reach R1, so R1 cannot decode.
+    broadcast = QNetwork.broadcast_classical
+
+    def lossy(net, src, bits, tag, exclude=()):
+        if src != NodeId.transmitter(2):
+            return broadcast(net, src, bits, tag, exclude)
+        return [] if dropped is None else broadcast(net, src, bits, tag, [dropped])
+
+    monkeypatch.setattr(QNetwork, "broadcast_classical", lossy)
+    result = run_round(fresh(3), StateRegistry(seed=1), [[0.6, 0.8]] * 3)
+    assert result.error == error
+    assert not result.all_success
+
+
+def test_a_lost_bottleneck_message_fails_the_round(monkeypatch):
+    # M1's combined message never reaches M2, so M2 has nothing to relay.
+    send = QNetwork.send_classical
+
+    def drop_bottleneck(net, src, dst, bits, tag):
+        if (src, dst) != (NodeId.relay(), NodeId.source()):
+            send(net, src, dst, bits, tag)
+
+    monkeypatch.setattr(QNetwork, "send_classical", drop_bottleneck)
+    result = run_round(fresh(3), StateRegistry(seed=1), [[0.6, 0.8]] * 3)
+    assert result.error == "NetworkError: M2 has no message tagged 'combined'"
+    assert not result.all_success
+    assert not [e for e in result.trace if e.tag == "combined"]
+
+
+class LeakyGates(StateRegistry):
+    """A registry whose single-qubit gates lose 1 % of each amplitude."""
+
+    def _apply_single(self, gate, q):
+        super()._apply_single(gate, q)
+        self._cluster_of[q].amps = self._cluster_of[q].amps * 0.99
+
+
+def test_a_leaking_kernel_fails_the_readout():
+    # Seed 1 makes the receivers apply corrections, so the leak reaches a readout.
+    result = run_round(fresh(2), LeakyGates(seed=1), [[0.6, 0.8]] * 2)
+    assert result.error == "ValueError: qubit 3's cluster is not normalized"
+    assert not result.all_success
 
 
 def test_round_checks_each_payload_once(monkeypatch):

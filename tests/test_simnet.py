@@ -143,16 +143,15 @@ def test_inbox_queries(net):
     net.send_classical(T1, M1, "00", "B1")
     net.send_classical(T2, M1, "01", "B2")
     net.run_until_idle()
-    assert net.messages_tagged(M1, "B") == ["00", "01"]
-    assert net.messages_tagged(M1, "zzz") == []
+    assert (net.message(M1, "B1"), net.message(M1, "B2")) == ("00", "01")
+    assert net.inbox[M1] == {"B1": "00", "B2": "01"}
     with pytest.raises(NetworkError, match="^M1 has no message tagged 'missing'$"):
         net.message(M1, "missing")
 
 
-@pytest.mark.parametrize("query", ["message", "messages_tagged"])
-def test_inbox_queries_refuse_a_node_outside_the_network(net, query):
+def test_inbox_query_refuses_a_node_outside_the_network(net):
     with pytest.raises(NetworkError, match="^R9 is not part of this network$"):
-        getattr(net, query)(NodeId.receiver(9), "B")
+        net.message(NodeId.receiver(9), "B")
 
 
 def test_reset_clears_state(net):
