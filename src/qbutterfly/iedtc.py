@@ -15,7 +15,7 @@ from operator import xor
 from typing import Callable, NamedTuple, Sequence
 
 from .qstate import DeadQubitError, Gate, QubitId, StateRegistry, X, Z, as_state
-from .simnet import NetworkError, QNetwork, TraceEntry
+from .simnet import NetworkError, QNetwork, Trace
 from .topology import NodeId
 
 SUCCESS_FIDELITY = 1.0 - 1e-9
@@ -185,7 +185,7 @@ class RoundResult:
     fidelities: list[float] = field(default_factory=list)
     peak_usage: int = 0        # sum over nodes of per-node peak holdings
     peak_alloc: int = 0        # network-wide simultaneous live qubits
-    trace: Sequence[TraceEntry] = ()  # net.trace: entries are built when read
+    trace: Trace = Trace([])  # net.trace: entries are built when iterated
     error: str | None = None
 
     @property
@@ -204,10 +204,9 @@ def run_round(net: QNetwork, reg: StateRegistry,
     swap: the assisters' policy during distribution.  A pair succeeds when
     the receiver-side fidelity reaches 1 within 1e-9.  A round that ends
     with a message queued, a qubit in flight, or a live qubit no node holds
-    fails with an error starting "round end".  ``trace`` is the network's
-    own read-only view of its deliveries, the same object as ``net.trace``;
-    it builds each ``TraceEntry`` when read, and the next ``reset`` leaves it
-    as it is.
+    fails with an error starting "round end".  ``trace`` is ``net.trace``
+    itself, a sized iterable of the round's deliveries; it builds each
+    ``TraceEntry`` when iterated, and the next ``reset`` leaves it as it is.
     """
     n = net.topology.n_pairs
     if len(input_states) != n:

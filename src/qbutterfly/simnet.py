@@ -15,16 +15,17 @@ holdings through ``deposit``, as a qubit created there does; a qubit in
 flight stays in the custody of its sender for capacity accounting (the
 fiber port is the sender's hardware until the photon is absorbed).
 
-The network keeps one (tick, delivered records) entry per drain and
-nothing beside it.  ``trace`` is a read-only ``Trace`` view of those
-drains: its length sums the records' targets, and it expands each record
-into one ``TraceEntry`` per target only when the trace is read, so a round
-that never reads its trace pays for no entries, and the network keeps one
-object per send, not one per delivery.
+The network keeps one list of delivered records per drain and nothing
+beside it: a drain's tick is its place in that list, and the clock ``now``
+is the number of drains.  ``trace`` is a ``Trace`` over those drains: its
+length sums the records' targets, and it expands each record into one
+``TraceEntry`` per target only when the trace is iterated, so a round that
+never reads its trace pays for no entries, and the network keeps one object
+per send, not one per delivery.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from typing import Iterable, NamedTuple
 
 from .qstate import QubitId
@@ -50,44 +51,35 @@ class TraceEntry(NamedTuple):
 Record = tuple[NodeId, tuple[NodeId, ...], str, "str | QubitId"]  # (src, targets, tag, payload)
 
 
-class Trace(Sequence[TraceEntry]):
-    """Read-only view of deliveries in order; a ``TraceEntry`` is built when read.
+class Trace:
+    """Sized iterable of deliveries in order; a ``TraceEntry`` is built when read.
 
-    ``drains`` is a list of (tick, delivered records) entries.  The network's
-    ``trace`` holds the network's own list, so it grows with each drain;
-    ``run_until_idle`` returns a view of its one drain, which later drains
-    leave as it is.  ``reset`` starts a new list, so a view taken before it
-    keeps what it saw.  The length is the number of the records' targets.
+    ``drains`` is a list of delivered-record lists, one per drain, and
+    ``first`` is the tick of its first drain.  The network's ``trace`` holds
+    the network's own list, so it grows with each drain; ``run_until_idle``
+    returns a view of its one drain, which later drains leave as it is.
+    ``reset`` starts a new list, so a view taken before it keeps what it saw.
+    The length is the number of the records' targets.
     """
 
-    __slots__ = ("_drains",)
+    __slots__ = ("_drains", "_first")
 
-    def __init__(self, drains: list[tuple[int, list[Record]]]):
+    def __init__(self, drains: list[list[Record]], first: int = 1):
         self._drains = drains
+        self._first = first
 
     def __len__(self) -> int:
-        return sum(len(targets) for _, records in self._drains for _, targets, _, _ in records)
+        return sum(len(targets) for records in self._drains for _, targets, _, _ in records)
 
     def __iter__(self) -> Iterator[TraceEntry]:
-        return iter(self._entries())
-
-    def __getitem__(self, key):
-        return self._entries()[key]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Trace, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def _entries(self) -> list[TraceEntry]:
         """One entry per target of each held record."""
         entry = tuple.__new__  # TraceEntry's own __new__ is Python code
-        return [entry(TraceEntry, (tick, src, dst, "classical", tag, len(payload)))
-                if payload.__class__ is str else
-                entry(TraceEntry, (tick, src, dst, "quantum", tag, 1))
-                for tick, records in self._drains
-                for src, targets, tag, payload in records
-                for dst in targets]
+        return iter([entry(TraceEntry, (tick, src, dst, "classical", tag, len(payload)))
+                     if payload.__class__ is str else
+                     entry(TraceEntry, (tick, src, dst, "quantum", tag, 1))
+                     for tick, records in enumerate(self._drains, self._first)
+                     for src, targets, tag, payload in records
+                     for dst in targets])
 
 
 class QNetwork:
@@ -107,9 +99,8 @@ class QNetwork:
         handed out earlier (``RoundResult.trace``) keeps its entries.
         """
         nodes = self._neighbors
-        self.now = 0
         self._queue: list[Record] = []
-        self._drains: list[tuple[int, list[Record]]] = []  # (tick, delivered records) per drain
+        self._drains: list[list[Record]] = []  # delivered records per drain; tick = place + 1
         self.trace = Trace(self._drains)
         self.qubits: dict[NodeId, dict[str, QubitId]] = {n: {} for n in nodes}
         self.inbox: dict[NodeId, dict[str, str]] = {n: {} for n in nodes}
@@ -173,8 +164,8 @@ class QNetwork:
         return kind
 
     def broadcast_classical(self, src: NodeId, bits: str, tag: str,
-                            exclude: Iterable[NodeId] = ()) -> list[NodeId]:
-        """One classical send to every neighbor (minus exclusions); returns them."""
+                            exclude: Iterable[NodeId] = ()) -> None:
+        """One classical send to every neighbor (minus exclusions)."""
         if src not in self._neighbors:
             raise _outsider(src)
         targets = self._neighbors[src]
@@ -185,25 +176,23 @@ class QNetwork:
             raise NetworkError(f"{src} has no neighbors to broadcast to")
         _check_bits(bits)  # once: every target is a neighbour, so linked
         self._queue.append((src, targets, tag, bits))
-        return list(targets)
 
     # -- delivery ----------------------------------------------------------------
 
     def run_until_idle(self) -> Trace:
         """Deliver all queued messages in FIFO order; returns this call's deliveries.
 
-        One drain is one tick: the queue, delivered, is kept as one (tick,
-        records) entry, which the returned view holds.  Delivery never sends,
-        so the queue cannot refill during a drain: no event cap needed.  A
-        refused delivery raises and is dropped, a qubit's included, so it is
-        no longer in flight; the deliveries before it stay made and recorded,
+        One drain is one tick: the queue, delivered, is kept as one drain,
+        which the returned view holds.  Delivery never sends, so the queue
+        cannot refill during a drain: no event cap needed.  A refused
+        delivery raises and is dropped, a qubit's included, so it is no
+        longer in flight; the deliveries before it stay made and recorded,
         and those after it, a broadcast's later targets included, stay queued.
         """
         queue, self._queue, inbox = self._queue, [], self.inbox
         if not queue:
             return Trace([])
-        self.now += 1
-        self._drains.append((self.now, queue))
+        self._drains.append(queue)
         try:
             for i, (src, targets, tag, payload) in enumerate(queue):
                 if payload.__class__ is str:
@@ -223,7 +212,12 @@ class QNetwork:
                 self._queue.insert(0, (src, targets[j + 1:], tag, payload))
             queue[i:] = [(src, targets[:j], tag, payload)] if j else []  # what the drain delivered
             raise
-        return Trace(self._drains[-1:])
+        return Trace(self._drains[-1:], self.now)
+
+    @property
+    def now(self) -> int:
+        """The tick of the last drain: the number of drains since the reset."""
+        return len(self._drains)
 
     @property
     def pending(self) -> int:

@@ -34,9 +34,9 @@ class NodeId(NamedTuple):
     def kind(self) -> NodeKind:
         return _KIND_OF_LABEL[self.label[0] if self.index else self.label]
 
-    # Cached: a round asks for each node several times, and building one
-    # goes through the enum and an f-string.  Each cache holds one
-    # immutable key per index ever requested, or one for M1 and M2.
+    # Cached: every round asks for M1 and M2 (three calls), each of which
+    # would otherwise go through the enum and build a new key.  Each cache
+    # holds one immutable key per index ever requested, or one for M1 and M2.
     @classmethod
     @functools.lru_cache(maxsize=None)
     def transmitter(cls, n: int) -> "NodeId":

