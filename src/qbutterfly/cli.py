@@ -132,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
             write_csv(rows, args.out)
             for row in rows:
                 print(f"noise={row.x:.4f}  accuracy={row.estimate:.3f} "
-                      f"+/- {row.ci_half_width:.3f}  ({row.successes}/{row.trials})")
+                      f"[{row.ci_low:.3f}, {row.ci_high:.3f}]  ({row.successes}/{row.trials})")
         elif args.command == "eavesdrop":
             key_bits = load_key_file(args.key_file) if args.key_file else None
             cfg = ExperimentConfig(
@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
             write_csv(rows, args.out)
             for row in rows:
                 print(f"bits={int(row.x)}  eavesdrop_rate={row.estimate:.3f} "
-                      f"+/- {row.ci_half_width:.3f}  ({row.successes}/{row.trials})")
+                      f"[{row.ci_low:.3f}, {row.ci_high:.3f}]  ({row.successes}/{row.trials})")
         else:
             n_range = parse_int_range(args.n)
             settings = {"n_range": list(n_range)}

@@ -1,13 +1,18 @@
 """Monte-Carlo sweeps, confidence intervals, and file outputs.
 
-Every trial is independently seeded from (master seed, sweep point, trial
-index) through numpy's SeedSequence, so identical configurations reproduce
-identical CSV bytes regardless of execution order.
+Every accuracy trial runs on one generator, seeded through numpy's
+SeedSequence by the single integer (master seed, the noise level's exact
+64-bit pattern, trial index); it draws the trial's payloads and then the
+registry's noise and outcomes.  Every eavesdrop point is seeded from
+(master seed, key bits).  So a point's row depends on its own value and not
+on the sweep around it, and identical configurations reproduce identical CSV
+bytes regardless of execution order.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -25,22 +30,33 @@ Z_95 = 1.96
 EXPERIMENTS = ("accuracy", "eavesdrop")
 
 
-def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
-    """(estimate, 95% normal-approximation half-width) for a success count."""
+def _wilson_low(successes: int, trials: int) -> float:
+    z2 = Z_95 * Z_95
+    spread = Z_95 * math.sqrt(z2 + 4 * successes * (trials - successes) / trials)
+    return (2 * successes + z2 - spread) / (2 * (trials + z2))
+
+
+def binomial_ci(successes: int, trials: int) -> tuple[float, float, float]:
+    """(estimate, low, high): a success count's 95% Wilson score interval.
+
+    It never shrinks to a point: 0 successes read low = 0 < high, and all
+    successes low < high = 1.  The high bound is computed as one minus the
+    failures' low bound, so both ends are exact.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (0 <= successes <= trials):
         raise ValueError(f"successes {successes} outside [0, {trials}]")
-    p = successes / trials
-    half = Z_95 * (p * (1.0 - p) / trials) ** 0.5
-    return p, half
+    return (successes / trials, max(0.0, _wilson_low(successes, trials)),
+            min(1.0, 1.0 - _wilson_low(trials - successes, trials)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     x: float
     estimate: float
-    ci_half_width: float
+    ci_low: float
+    ci_high: float
     trials: int
     successes: int
 
@@ -116,13 +132,14 @@ def run_accuracy_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     net = QNetwork(build_butterfly(cfg.n_pairs))
     rows = []
     for level in cfg.noise_levels:
-        salt = int(round(level * 1_000_000))
+        # One integer, not a list: SeedSequence spreads a list's ints over
+        # as many 32-bit words as each needs, so two lists can collide.
+        point_key = (cfg.seed << 128) | (int(np.float64(level).view(np.uint64)) << 64)
         successes = 0
         for t in range(cfg.trials):
-            trial_seed = _derived_seed(cfg.seed, salt, t)
-            reg = StateRegistry(level, seed=trial_seed, noise_model=cfg.noise_model)
-            input_rng = np.random.default_rng(_derived_seed(cfg.seed, salt + 1, t))
-            inputs = [random_state(input_rng) for _ in range(cfg.n_pairs)]
+            rng = np.random.default_rng(np.random.SeedSequence(point_key | t))
+            inputs = [random_state(rng) for _ in range(cfg.n_pairs)]
+            reg = StateRegistry(level, seed=rng, noise_model=cfg.noise_model)
             net.reset()
             result = run_round(net, reg, inputs)
             if result.error is not None:
@@ -130,8 +147,8 @@ def run_accuracy_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                                    f"{result.error}")
             if result.all_success:
                 successes += 1
-        estimate, half = binomial_ci(successes, cfg.trials)
-        rows.append(SweepRow(level, estimate, half, cfg.trials, successes))
+        rows.append(SweepRow(level, *binomial_ci(successes, cfg.trials), cfg.trials,
+                             successes))
     return rows
 
 
@@ -148,8 +165,8 @@ def run_eavesdrop_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         reg = StateRegistry(0.0, seed=_derived_seed(cfg.seed, bits, 0))
         stats = run_attack(net, reg, bits - 2, True, cfg.trials,
                            _derived_seed(cfg.seed, bits, 1), key=cfg.key_bits)
-        estimate, half = binomial_ci(stats.eavesdrop_successes, stats.trials)
-        rows.append(SweepRow(bits, estimate, half, stats.trials, stats.eavesdrop_successes))
+        rows.append(SweepRow(bits, *binomial_ci(stats.eavesdrop_successes, stats.trials),
+                             stats.trials, stats.eavesdrop_successes))
     return rows
 
 
@@ -193,16 +210,18 @@ def run_resource_report(n_range: Sequence[int]) -> list[ResourceRow]:
     return rows
 
 
-def _fmt(value) -> str:
+def _fmt(value, exact: bool) -> str:
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, float):
+    if isinstance(value, float) and not exact:
         return f"{value:.6f}"
     return str(value)
 
 
 def write_csv(rows: Sequence[SweepRow] | Sequence[ResourceRow], path: str) -> None:
-    """One CSV line per row, headed by the row type's field names."""
+    """One CSV line per row, headed by the row type's field names.  A sweep
+    row's ``x`` prints exactly (shortest round-trip repr), other floats at 6
+    decimals, so every sweep point reads apart from its neighbours."""
     if not rows:
         raise ValueError("no rows to write")
     header = [f.name for f in fields(rows[0])]
@@ -210,7 +229,7 @@ def write_csv(rows: Sequence[SweepRow] | Sequence[ResourceRow], path: str) -> No
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(getattr(row, name)) for name in header])
+            writer.writerow([_fmt(getattr(row, name), name == "x") for name in header])
 
 
 def write_manifest(experiment: str, settings: dict, outputs: Sequence[str], elapsed: float,

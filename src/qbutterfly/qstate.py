@@ -244,7 +244,7 @@ class StateRegistry:
     Measurements themselves are noise-free under both models.
     """
 
-    def __init__(self, noise_prob: float = 0.0, seed: int = 0,
+    def __init__(self, noise_prob: float = 0.0, seed: int | np.random.Generator = 0,
                  noise_model: str = NOISE_ENTANGLING):
         if not (0.0 <= noise_prob <= 1.0):
             raise ValueError(f"noise_prob must be in [0, 1], got {noise_prob}")

@@ -184,10 +184,10 @@ def test_06_accuracy_curve_tracks_references(capfd):
         if abs(row.estimate - anchor) > ACCURACY_BAND:
             problems.append(f"p={row.x}: {row.estimate:.3f} vs {anchor}")
     for a, b in zip(rows2, rows2[1:]):
-        if b.estimate > a.estimate + a.ci_half_width + b.ci_half_width:
+        if b.ci_low > a.ci_high:
             problems.append(f"non-monotone at p={b.x}")
     for r2, r3 in zip(rows2, rows3):
-        if r3.estimate > r2.estimate + r2.ci_half_width + r3.ci_half_width:
+        if r3.ci_low > r2.ci_high:
             problems.append(f"3-pair curve above 2-pair at p={r3.x}")
     if elapsed >= 600.0:
         problems.append(f"too slow: {elapsed:.0f}s")

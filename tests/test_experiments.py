@@ -2,7 +2,10 @@
 import csv
 import hashlib
 import json
+import math
+from statistics import NormalDist
 
+import numpy as np
 import pytest
 
 import qbutterfly.experiments
@@ -22,15 +25,38 @@ from qbutterfly.experiments import (
 from test_iedtc import KeepOnRelease
 
 
+def score_bound(successes, trials, side):
+    """The q on ``side`` (-1 below, +1 above) of the estimate whose score
+    |estimate - q| / sqrt(q (1 - q) / trials) is 1.96, found by bisection."""
+    est = successes / trials
+    if (side < 0 and successes == 0) or (side > 0 and successes == trials):
+        return est
+    lo, hi = (0.0, est) if side < 0 else (est, 1.0)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        inside = abs(est - mid) <= 1.96 * math.sqrt(mid * (1 - mid) / trials)
+        if inside == (side < 0):
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
 def test_binomial_ci_values():
-    est, half = binomial_ci(925, 1000)
-    assert est == pytest.approx(0.925)
-    assert half == pytest.approx(0.0163252, abs=1e-6)
-    est, half = binomial_ci(447, 1000)
-    assert est == pytest.approx(0.447)
-    assert half == pytest.approx(0.0308157, abs=1e-6)
-    assert binomial_ci(0, 10) == (0.0, 0.0)
-    assert binomial_ci(10, 10) == (1.0, 0.0)
+    # The 95% Wilson score interval, checked against a bisection of the score test.
+    for successes, trials in [(925, 1000), (447, 1000), (1, 7), (3, 10), (0, 10), (10, 10),
+                              (0, 1), (1, 1), (0, 200), (200, 200), (5, 123456)]:
+        est, low, high = binomial_ci(successes, trials)
+        assert est == successes / trials
+        assert low == pytest.approx(score_bound(successes, trials, -1), abs=1e-12)
+        assert high == pytest.approx(score_bound(successes, trials, +1), abs=1e-12)
+        assert 0.0 <= low < high <= 1.0
+    assert binomial_ci(925, 1000)[1:] == pytest.approx((0.9069987, 0.9397484), abs=1e-7)
+    # no certainty at the ends: 0/N and N/N each keep a nonzero width
+    for trials in (1, 10, 200, 1000, 10**6):
+        assert binomial_ci(0, trials)[1] == 0.0 < binomial_ci(0, trials)[2]
+        assert binomial_ci(trials, trials)[1] < binomial_ci(trials, trials)[2] == 1.0
+    assert binomial_ci(0, 10)[2] == pytest.approx(1.96 ** 2 / (10 + 1.96 ** 2))
 
 
 def test_binomial_ci_validation():
@@ -80,7 +106,8 @@ def test_config_validation():
 def test_accuracy_sweep_noiseless_is_perfect():
     cfg = ExperimentConfig("accuracy", noise_levels=(0.0,), trials=25, seed=7)
     (row,) = run_accuracy_sweep(cfg)
-    assert row == SweepRow(0.0, 1.0, 0.0, 25, 25)
+    assert row == SweepRow(0.0, *binomial_ci(25, 25), 25, 25)
+    assert row.ci_low < row.estimate == row.ci_high == 1.0
 
 
 def test_accuracy_sweep_is_reproducible():
@@ -90,7 +117,75 @@ def test_accuracy_sweep_is_reproducible():
     assert first == second
     assert all(0.0 <= r.estimate <= 1.0 for r in first)
     # more noise should not help (coarse check at small trial counts)
-    assert first[1].estimate <= first[0].estimate + first[0].ci_half_width + first[1].ci_half_width
+    assert first[1].ci_low <= first[0].ci_high
+
+
+def test_each_sweep_point_reads_as_a_one_point_sweep():
+    # A row depends on its own point only, not on the sweep around it.
+    acc = dict(experiment="accuracy", trials=40, seed=42)
+    for model in ("entangling", "all-gates"):
+        rows = run_accuracy_sweep(ExperimentConfig(
+            noise_levels=parse_float_range("0.03:0.05:0.01"), noise_model=model, **acc))
+        assert [row.x for row in rows] == [0.03, 0.04, 0.05]
+        for row in rows:
+            assert run_accuracy_sweep(ExperimentConfig(
+                noise_levels=(row.x,), noise_model=model, **acc)) == [row]
+    rows = run_eavesdrop_sweep(ExperimentConfig("eavesdrop", bits_range=parse_int_range("3:5"),
+                                                trials=40, seed=42))
+    assert [row.x for row in rows] == [3, 4, 5]
+    for row in rows:
+        assert run_eavesdrop_sweep(ExperimentConfig(
+            "eavesdrop", bits_range=(row.x,), trials=40, seed=42)) == [row]
+
+
+def test_levels_one_ulp_apart_draw_different_payloads(monkeypatch):
+    # Each trial's stream is keyed by the level's exact bits, not a rounding of it.
+    payloads = {}
+
+    def recording_round(net, reg, inputs, *args, **kwargs):
+        payloads[reg.noise_prob] = inputs
+        return qbutterfly.iedtc.run_round(net, reg, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(qbutterfly.experiments, "run_round", recording_round)
+    low = 0.05
+    high = float(np.nextafter(low, 1.0))
+    run_accuracy_sweep(ExperimentConfig("accuracy", noise_levels=(low, high), trials=1, seed=42))
+    assert set(payloads) == {low, high}
+    assert not np.allclose(payloads[low], payloads[high])
+
+
+def entangling_accuracy(p, n):
+    """Exact accuracy of an n-pair round under the entangling model: each
+    pair arrives exactly with probability a(p), independently of the others."""
+    a = 0.25 * (1 + (1 - 4 * p / 3) ** 2 * (2 * (1 - 2 * p / 3) ** 2 + (1 - 4 * p / 3) ** 2))
+    return a ** n
+
+
+# Exact n=2 accuracy under the all-gates model (16 fault slots per pair).
+ALL_GATES_N2 = {0.01: 0.8003, 0.02: 0.6457, 0.05: 0.3590, 0.10: 0.1679}
+TEN_LEVELS = tuple(round(0.01 * i, 2) for i in range(1, 11))
+
+
+def test_seed42_accuracy_lies_within_a_bonferroni_z_bound_of_the_exact_values():
+    # z is fixed before looking: a two-sided 1 % family-wise level over all
+    # 24 points, each scored with the sd of its exact value.  Never re-seed
+    # or re-key the streams to make this pass.
+    sweeps = [("entangling", 2, {p: entangling_accuracy(p, 2) for p in TEN_LEVELS}),
+              ("entangling", 3, {p: entangling_accuracy(p, 3) for p in TEN_LEVELS}),
+              ("all-gates", 2, ALL_GATES_N2)]
+    trials = 1000
+    z = NormalDist().inv_cdf(1 - 0.01 / (2 * sum(len(exact) for *_, exact in sweeps)))
+    assert z == pytest.approx(3.53, abs=0.01)
+    scores = {}
+    for model, n, exact in sweeps:
+        rows = run_accuracy_sweep(ExperimentConfig(
+            "accuracy", n_pairs=n, noise_levels=tuple(exact), trials=trials, seed=42,
+            noise_model=model))
+        for row in rows:
+            q = exact[row.x]
+            scores[model, n, row.x] = (row.estimate - q) / math.sqrt(q * (1 - q) / trials)
+    worst = max(scores, key=lambda k: abs(scores[k]))
+    assert abs(scores[worst]) <= z, (worst, scores[worst])
 
 
 def test_accuracy_sweep_raises_when_a_round_fails(monkeypatch):
@@ -158,16 +253,18 @@ def test_resource_report_matches_closed_forms():
 
 
 def test_sweep_csv_roundtrip(tmp_path):
-    rows = [SweepRow(0.01, 0.925, 0.0163252, 1000, 925)]
+    rows = [SweepRow(0.01, 0.925, 0.9069987, 0.9397484, 1000, 925)]
     path = tmp_path / "sweep.csv"
     write_csv(rows, str(path))
     with open(path, newline="") as fh:
         records = list(csv.DictReader(fh))
     assert len(records) == 1
     rec = records[0]
-    assert rec["x"] == "0.010000"
+    assert list(rec) == ["x", "estimate", "ci_low", "ci_high", "trials", "successes"]
+    assert rec["x"] == "0.01"  # the sweep point prints exactly
     assert rec["estimate"] == "0.925000"
-    assert rec["ci_half_width"] == "0.016325"
+    assert rec["ci_low"] == "0.906999"
+    assert rec["ci_high"] == "0.939748"
     assert rec["trials"] == "1000"
     assert rec["successes"] == "925"
 
@@ -268,6 +365,15 @@ def test_cli_accuracy_and_manifest(tmp_path, capsys):
     assert json.loads(manifest.read_text())["experiment"] == "accuracy"
 
 
+def test_cli_tells_apart_levels_closer_than_a_millionth(tmp_path):
+    out = tmp_path / "close.csv"
+    assert main(["accuracy", "--noise", "0.0500001:0.0500003:0.0000001", "--trials", "200",
+                 "--seed", "42", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        xs = [row["x"] for row in csv.DictReader(fh)]
+    assert xs == ["0.0500001", "0.0500002", "0.0500003"]
+
+
 def test_cli_eavesdrop_with_key_file(tmp_path, capsys):
     key_file = tmp_path / "key.txt"
     key_file.write_text("1011 0100\n")
@@ -294,13 +400,13 @@ def test_cli_resources_with_topology_dump(tmp_path, capsys):
 
 SEED42_OUTPUTS = [
     (["eavesdrop", "--bits", "3:8", "--trials", "100", "--seed", "42"],
-     "550717b2a1f5beb6e5801feba4e252e9398e963a541d730f7bc52657dd6a92e4"),
+     "31ca347216f37f59039b306ad52afbc44ed22f247431de776d91274bc1725dad"),
     (["accuracy", "--n", "2", "--noise", "0.0:0.10:0.05", "--trials", "200", "--seed", "42",
       "--noise-model", "entangling"],
-     "f67f5b76cd33b56b938dd1cae63c708abb77ddd1209498d9ad9cf488efdb7ade"),
+     "dbc30e477180a6ccb82b7def404887d1129838dfb95b6d7002a38165e4fa366e"),
     (["accuracy", "--n", "2", "--noise", "0.0:0.10:0.05", "--trials", "200", "--seed", "42",
       "--noise-model", "all-gates"],
-     "65609fa66fdbb6446cf09d0205b806a77543a3ea019dcd6b1f25b3bf85d03d60"),
+     "4b60d280f5735c12c7c01d66b9cd6bf0a9645344fd4cb68bc193d489536f6eca"),
     (["resources", "--n", "2:5"],
      "fbbd8b5969bffef5f3d17521737d5c8be0b47c84e544552b0c7d3422c0eff2ba"),
 ]
