@@ -20,6 +20,7 @@ from .experiments import (
     ExperimentConfig,
     check_noise_level,
     check_total_bits,
+    format_cell,
     run_accuracy_sweep,
     run_eavesdrop_sweep,
     run_resource_report,
@@ -131,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
             rows = run_accuracy_sweep(cfg)
             write_csv(rows, args.out)
             for row in rows:
-                print(f"noise={row.x:.4f}  accuracy={row.estimate:.3f} "
+                print(f"noise={format_cell(row.x, exact=True)}  accuracy={row.estimate:.3f} "
                       f"[{row.ci_low:.3f}, {row.ci_high:.3f}]  ({row.successes}/{row.trials})")
         elif args.command == "eavesdrop":
             key_bits = load_key_file(args.key_file) if args.key_file else None

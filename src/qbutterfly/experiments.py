@@ -2,11 +2,11 @@
 
 Every accuracy trial runs on one generator, seeded through numpy's
 SeedSequence by the single integer (master seed, the noise level's exact
-64-bit pattern, trial index); it draws the trial's payloads and then the
-registry's noise and outcomes.  Every eavesdrop point is seeded from
-(master seed, key bits).  So a point's row depends on its own value and not
-on the sweep around it, and identical configurations reproduce identical CSV
-bytes regardless of execution order.
+64-bit pattern, trial index), and draws the trial's payloads and then its
+noise and outcomes as one lane of a round of up to ``BATCH``, as it would
+alone.  Every eavesdrop point is seeded from (master seed, key bits).  So a
+point's row depends on its own value and not on the sweep around it, and
+identical configurations reproduce identical CSV bytes regardless of order.
 """
 from __future__ import annotations
 
@@ -19,13 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .iedtc import run_round
+from .iedtc import SUCCESS_FIDELITY, run_round
 from .qsre import run_attack
 from .qstate import NOISE_ENTANGLING, NOISE_MODELS, StateRegistry, random_state
 from .simnet import QNetwork
 from .topology import build_butterfly, link_counts, reference_resources
 
 Z_95 = 1.96
+BATCH = 64  # accuracy trials per round, each in its own lane
 
 EXPERIMENTS = ("accuracy", "eavesdrop")
 
@@ -53,12 +54,15 @@ def binomial_ci(successes: int, trials: int) -> tuple[float, float, float]:
 
 @dataclass(frozen=True, slots=True)
 class SweepRow:
+    """A sweep point and its counts; the estimate and interval are read from them."""
     x: float
-    estimate: float
-    ci_low: float
-    ci_high: float
     trials: int
     successes: int
+
+    estimate = property(lambda self: binomial_ci(self.successes, self.trials)[0])
+    ci_low = property(lambda self: binomial_ci(self.successes, self.trials)[1])
+    ci_high = property(lambda self: binomial_ci(self.successes, self.trials)[2])
+    COLUMNS = ("x", "estimate", "ci_low", "ci_high", "trials", "successes")  # the CSV's
 
 
 def check_noise_level(level: float) -> None:
@@ -126,29 +130,31 @@ def _derived_seed(master_seed: int, salt: int, t: int) -> int:
 
 
 def run_accuracy_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
-    """Fraction of rounds in which every pair arrives exactly, per noise level."""
+    """Fraction of rounds in which every pair arrives exactly, per noise level.
+    An errored round of ``BATCH`` lanes fails the sweep, naming its first trial."""
     if cfg.experiment != "accuracy":
         raise ValueError("config is not an accuracy configuration")
-    net = QNetwork(build_butterfly(cfg.n_pairs))
+    n = cfg.n_pairs
+    net = QNetwork(build_butterfly(n))
     rows = []
     for level in cfg.noise_levels:
         # One integer, not a list: SeedSequence spreads a list's ints over
         # as many 32-bit words as each needs, so two lists can collide.
         point_key = (cfg.seed << 128) | (int(np.float64(level).view(np.uint64)) << 64)
         successes = 0
-        for t in range(cfg.trials):
-            rng = np.random.default_rng(np.random.SeedSequence(point_key | t))
-            inputs = [random_state(rng) for _ in range(cfg.n_pairs)]
-            reg = StateRegistry(level, seed=rng, noise_model=cfg.noise_model)
+        for first in range(0, cfg.trials, BATCH):
+            rngs = [np.random.default_rng(np.random.SeedSequence(point_key | t))
+                    for t in range(first, min(first + BATCH, cfg.trials))]
+            inputs = [[random_state(rng) for _ in range(n)] for rng in rngs]
+            reg = StateRegistry(level, seed=rngs, noise_model=cfg.noise_model)
             net.reset()
-            result = run_round(net, reg, inputs)
+            result = run_round(net, reg, list(zip(*inputs)))  # each pair's state per lane
             if result.error is not None:
-                raise RuntimeError(f"accuracy round failed at noise {level}, trial {t}: "
+                raise RuntimeError(f"accuracy round failed at noise {level}, trial {first}: "
                                    f"{result.error}")
-            if result.all_success:
-                successes += 1
-        rows.append(SweepRow(level, *binomial_ci(successes, cfg.trials), cfg.trials,
-                             successes))
+            exact = np.reshape(result.fidelities, (len(rngs), n)) >= SUCCESS_FIDELITY
+            successes += int(exact.all(axis=1).sum())
+        rows.append(SweepRow(level, cfg.trials, successes))
     return rows
 
 
@@ -165,8 +171,7 @@ def run_eavesdrop_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         reg = StateRegistry(0.0, seed=_derived_seed(cfg.seed, bits, 0))
         stats = run_attack(net, reg, bits - 2, True, cfg.trials,
                            _derived_seed(cfg.seed, bits, 1), key=cfg.key_bits)
-        rows.append(SweepRow(bits, *binomial_ci(stats.eavesdrop_successes, stats.trials),
-                             stats.trials, stats.eavesdrop_successes))
+        rows.append(SweepRow(bits, stats.trials, stats.eavesdrop_successes))
     return rows
 
 
@@ -210,7 +215,8 @@ def run_resource_report(n_range: Sequence[int]) -> list[ResourceRow]:
     return rows
 
 
-def _fmt(value, exact: bool) -> str:
+def format_cell(value, exact: bool) -> str:
+    """A CSV cell: floats at 6 decimals unless exact, booleans in lower case."""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float) and not exact:
@@ -219,17 +225,17 @@ def _fmt(value, exact: bool) -> str:
 
 
 def write_csv(rows: Sequence[SweepRow] | Sequence[ResourceRow], path: str) -> None:
-    """One CSV line per row, headed by the row type's field names.  A sweep
-    row's ``x`` prints exactly (shortest round-trip repr), other floats at 6
-    decimals, so every sweep point reads apart from its neighbours."""
+    """One CSV line per row, headed by ``SweepRow.COLUMNS`` or the row's field names.
+    A sweep row's ``x`` prints exactly (shortest round-trip repr), other floats
+    at 6 decimals, so every sweep point reads apart from its neighbours."""
     if not rows:
         raise ValueError("no rows to write")
-    header = [f.name for f in fields(rows[0])]
+    header = rows[0].COLUMNS if isinstance(rows[0], SweepRow) else [f.name for f in fields(rows[0])]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(getattr(row, name), name == "x") for name in header])
+            writer.writerow([format_cell(getattr(row, name), name == "x") for name in header])
 
 
 def write_manifest(experiment: str, settings: dict, outputs: Sequence[str], elapsed: float,

@@ -6,6 +6,10 @@ Rk.  No quantum link Tk--Rk exists, so a neighbor receiver (the assister)
 swaps entanglement sourced at M2 onto Tk's own Bell pair; Tk then teleports
 its payload and the 2-bit teleport messages cross the M1--M2 bottleneck as
 a single XOR-combined message that every receiver can invert locally.
+
+A round runs in every lane of its registry (see ``qstate``): the network and
+the round-end check run once, a classical payload holds one bit string per
+lane, and encoding, corrections and read-out run per lane.
 """
 from __future__ import annotations
 
@@ -13,6 +17,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import xor
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .qstate import DeadQubitError, Gate, QubitId, StateRegistry, X, Z, as_state
 from .simnet import NetworkError, QNetwork, Trace
@@ -36,33 +42,34 @@ def xor_combine(messages: Sequence[str]) -> str:
         raise ValueError(f"XOR combines 2-bit messages only, got {list(messages)!r}") from None
 
 
-def teleport_encode(reg: StateRegistry, state: QubitId, half: QubitId) -> str:
-    """Bell-measure payload against the local pair half, consuming both; returns
-    "b1b2", b1 from the H side.  Entanglement swapping is this same step with
-    one half of a Bell pair as the payload."""
-    b1, b2 = reg.bell_measure(state, half)
-    return f"{b1}{b2}"
+def teleport_encode(reg: StateRegistry, state: QubitId, half: QubitId) -> tuple[str, ...]:
+    """Bell-measure payload against the local pair half, consuming both, both
+    in custody; returns each lane's "b1b2", b1 from the H side.  Entanglement
+    swapping is this same step with one half of a Bell pair as the payload."""
+    return tuple([_TWO_BITS[2 * b1 + b2] for b1, b2 in reg._bell_measure(state, half)])
 
 
-def teleport_decode(reg: StateRegistry, half: QubitId, bits: str) -> None:
-    """Correct the held half (X if b2, then Z if b1), unchecked: it is in custody."""
-    if bits[1] == "1":
-        reg._apply_gate(X, (half,))
-    if bits[0] == "1":
-        reg._apply_gate(Z, (half,))
+def teleport_decode(reg: StateRegistry, half: QubitId, bits: Sequence[str]) -> None:
+    """Correct the held half in each lane by that lane's bits (X if b2, then Z
+    if b1), unchecked: it is in custody."""
+    for lane, b in enumerate(bits):
+        if b[1] == "1":
+            reg._apply_gate(X, (half,), (lane,))
+        if b[0] == "1":
+            reg._apply_gate(Z, (half,), (lane,))
 
 
-def read_out(reg: StateRegistry, half: QubitId, bits: str, rotation: Gate | None,
-             reference: Sequence[complex]) -> float:
+def read_out(reg: StateRegistry, half: QubitId, bits: Sequence[str], rotation: Gate | None,
+             references: Sequence[np.ndarray]) -> list[float]:
     """Correct the half by its teleport bits, undo the rotation if any, and
-    release the half; returns its fidelity to the reference (a checked state).
-    A receiver reads out its payload this way, and so does qsre's eavesdropper."""
+    release the half; returns each lane's fidelity to its reference (a checked
+    state).  A receiver reads out its payload this way, and so does qsre's eavesdropper."""
     teleport_decode(reg, half, bits)
     if rotation is not None:
-        reg._apply_gate(rotation.inverse(), (half,))
-    fidelity = reg._fidelity(half, reference)
+        reg._apply_gate(rotation.inverse(), (half,), reg.lanes)
+    fidelities = reg._fidelity(half, references)
     reg.release(half)
-    return fidelity
+    return fidelities
 
 
 class Pair(NamedTuple):
@@ -93,11 +100,11 @@ def pair_table(n_pairs: int) -> tuple[Pair, ...]:
                  for k in range(1, n_pairs + 1))
 
 
-SwapPolicy = Callable[[QNetwork, StateRegistry, Pair, QubitId, QubitId], str]
+SwapPolicy = Callable[[QNetwork, StateRegistry, Pair, QubitId, QubitId], tuple[str, ...]]
 
 
 def honest_swap(net: QNetwork, reg: StateRegistry, pair: Pair,
-                phi_half: QubitId, psi_half: QubitId) -> str:
+                phi_half: QubitId, psi_half: QubitId) -> tuple[str, ...]:
     """Swap policy of a faithful assister: teleport the source half's
     entanglement onto the transmitter's kept qubit, which applies the bits."""
     return teleport_encode(reg, psi_half, phi_half)
@@ -139,15 +146,15 @@ def distribute_entanglements(net: QNetwork, reg: StateRegistry,
         teleport_decode(reg, net.qubits[p.t][p.phi_keep], net.message(p.t, p.swap))
 
 
-def teleport_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequence[complex]],
+def teleport_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequence[np.ndarray]],
                       rotations: Sequence[Gate | None]) -> None:
-    """Phase two: each Tk rotates and teleports its payload (a state
-    ``run_round`` checked), broadcasting the bits."""
+    """Phase two: each Tk rotates and teleports its payload (a state per
+    lane, which ``run_round`` checked), broadcasting the bits."""
     for p, state, rotation in zip(pair_table(net.topology.n_pairs), states, rotations):
         payload = reg._alloc(state)
         net.deposit(p.t, p.eta, payload)
         if rotation is not None:
-            reg._apply_gate(rotation, (payload,))
+            reg._apply_gate(rotation, (payload,), reg.lanes)
         state_q, kept = net.take(p.t, p.eta), net.take(p.t, p.phi_keep)
         net.broadcast_classical(p.t, teleport_encode(reg, state_q, kept), p.broadcast)
     net.run_until_idle()
@@ -158,31 +165,34 @@ def relay_combined(net: QNetwork) -> None:
     bottleneck message; M2 relays what it received.  A lost message raises."""
     relay, source = NodeId.relay(), NodeId.source()
     broadcasts = [net.message(relay, p.broadcast) for p in pair_table(net.topology.n_pairs)]
-    net.send_classical(relay, source, xor_combine(broadcasts), "combined")
+    net.send_classical(relay, source, tuple(map(xor_combine, zip(*broadcasts))), "combined")
     net.run_until_idle()
     net.broadcast_classical(source, net.message(source, "combined"), "combined", exclude=[relay])
     net.run_until_idle()
 
 
-def decode_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequence[complex]],
+def decode_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequence[np.ndarray]],
                     rotations: Sequence[Gate | None]) -> list[float]:
     """Phase four: each Rk XORs every other pair's broadcast, read by its tag, out
-    of "combined" and reads out its half; a lost message raises.  Returns fidelities."""
+    of "combined" and reads out its half; a lost message raises.  Returns the
+    fidelities lane by lane, each lane's pairs in order."""
     pairs = pair_table(net.topology.n_pairs)
-    fidelities = []
-    for p, state, rotation in zip(pairs, states, rotations):
+    tags = [p.broadcast for p in pairs]
+    fidelities = [0.0] * (len(reg.lanes) * len(pairs))
+    for k, (p, refs, rotation) in enumerate(zip(pairs, states, rotations)):
         box = net.inbox[p.r]
         try:
-            own = xor_combine([box["combined"], *[box[q.broadcast] for q in pairs if q is not p]])
+            each_lane = zip(box["combined"], *map(box.__getitem__, tags[:k] + tags[k + 1:]))
+            own = tuple(map(xor_combine, each_lane))
         except KeyError as lost:
             raise NetworkError(f"{p.r} has no message tagged {lost.args[0]!r}") from None
-        fidelities.append(read_out(reg, net.take(p.r, p.psi_own), own, rotation, state))
+        fidelities[k::len(pairs)] = read_out(reg, net.take(p.r, p.psi_own), own, rotation, refs)
     return fidelities
 
 
 @dataclass
 class RoundResult:
-    fidelities: list[float] = field(default_factory=list)
+    fidelities: list[float] = field(default_factory=list)  # lane by lane, n pairs each
     peak_usage: int = 0        # sum over nodes of per-node peak holdings
     peak_alloc: int = 0        # network-wide simultaneous live qubits
     trace: Trace = Trace([])  # net.trace: entries are built when iterated
@@ -197,10 +207,12 @@ def run_round(net: QNetwork, reg: StateRegistry,
               input_states: Sequence[Sequence[complex]],
               rotations: Sequence[Gate | None] | None = None,
               swap: SwapPolicy = honest_swap) -> RoundResult:
-    """One full protocol round on a fresh/reset network: its four phases.
+    """One full protocol round on a fresh/reset network: its four phases, in
+    every lane of ``reg``.
 
-    input_states: one payload state per pair.  rotations: optional per-pair
-    rotation gate, applied at the transmitter and inverted at the receiver.
+    input_states: one payload per pair, either one state for every lane or
+    one state per lane.  rotations: optional per-pair rotation gate, applied
+    at the transmitter and inverted at the receiver in every lane.
     swap: the assisters' policy during distribution.  A pair succeeds when
     the receiver-side fidelity reaches 1 within 1e-9.  A round that ends
     with a message queued, a qubit in flight, or a live qubit no node holds
@@ -215,7 +227,7 @@ def run_round(net: QNetwork, reg: StateRegistry,
         rotations = [None] * n
     elif len(rotations) != n:
         raise ValueError(f"need {n} rotation entries, got {len(rotations)}")
-    states = [as_state(s) for s in input_states]  # the one check, before any qubit exists
+    states = [_lane_states(s, len(reg.lanes)) for s in input_states]  # before any qubit exists
     result = RoundResult()
     try:
         distribute_entanglements(net, reg, swap)
@@ -229,6 +241,15 @@ def run_round(net: QNetwork, reg: StateRegistry,
     result.peak_alloc = reg.peak_alloc
     result.trace = net.trace  # reset() starts a new view, so this one stays as is
     return result
+
+
+def _lane_states(payload, lanes: int) -> list[np.ndarray]:
+    """A pair's payload checked in each lane: one state for all, or one per lane."""
+    if np.ndim(payload) < 2:
+        return [as_state(payload)] * lanes
+    if len(payload) != lanes:
+        raise ValueError(f"need one payload state per lane ({lanes}), got {len(payload)}")
+    return [as_state(s) for s in payload]
 
 
 def _diagnostic(exc: Exception, reg: StateRegistry) -> str:

@@ -26,7 +26,7 @@ from .iedtc import (
     run_round,
     teleport_encode,
 )
-from .qstate import Gate, QubitId, StateRegistry, random_state, rx, ry
+from .qstate import Gate, QubitId, StateRegistry, as_state, random_state, rx, ry
 from .simnet import QNetwork
 
 EAVESDROP_THRESHOLD = 0.99
@@ -85,7 +85,7 @@ class AttackStats:
 
 
 def substituting_swap(net: QNetwork, reg: StateRegistry, pair: Pair,
-                      phi_half: QubitId, psi_half: QubitId) -> str:
+                      phi_half: QubitId, psi_half: QubitId) -> tuple[str, ...]:
     """Swap policy of a malicious assister on pair 1; honest on every other pair.
 
     It Bell-measures a half of its own fresh pair against the transmitter's
@@ -117,7 +117,8 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
     success means fidelity >= EAVESDROP_THRESHOLD against the original
     payload; legitimate success keeps the protocol's own exactness bar.  A
     round that fails inside the simulator raises RuntimeError rather than
-    counting as a decoy.
+    counting as a decoy.  ``reg`` runs one lane: every trial's payload,
+    rotation and guess come from the one attack stream.
     """
     n = net.topology.n_pairs
     attacked = pair_table(n)[0]  # its assister is the eavesdropper
@@ -129,7 +130,7 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
         raise ValueError("key must consist of 0/1 characters")
     rng = np.random.default_rng(seed)
     chunk_width = 2 + magnitude_bits
-    idle = [[1.0, 0.0]] * (n - 1)
+    idle = [as_state([1.0, 0.0])] * (n - 1)  # |0>, checked once per attack
     eve_hits = 0
     legit_hits = 0
     for t in range(trials):
@@ -153,8 +154,8 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
         # Eve reads out as a connected receiver, with the pair-1 broadcast.
         guess = random_guess(magnitude_bits, rng) if use_qsre else None
         broadcast = net.message(attacked.assister, attacked.broadcast)
-        fidelity = read_out(reg, net.take(attacked.assister, attacked.psi_swap), broadcast, guess,
-                            payload_ref)
+        fidelity, = read_out(reg, net.take(attacked.assister, attacked.psi_swap), broadcast,
+                             guess, [payload_ref])
         if fidelity >= EAVESDROP_THRESHOLD:
             eve_hits += 1
     return AttackStats(trials, eve_hits, legit_hits)

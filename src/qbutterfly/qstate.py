@@ -18,6 +18,11 @@ projection: its CNOT and H are never applied.  A Bell pair starts as one
 shared read-only (|00>+|11>)/sqrt(2) unless its H drew a fault.  Public
 methods check every input; ``iedtc``'s round calls the unchecked steps they
 are built from on what it has checked (see ``StateRegistry``).
+
+A registry runs lanes: trials of one circuit, each on its own generator.
+Noise Paulis and measured bits never change which qubits share a cluster, so
+the lanes share the clusters, each holding one amplitude array per lane, and
+each step runs its kernel and draws once per lane, as the lane would alone.
 """
 from __future__ import annotations
 
@@ -138,9 +143,9 @@ def as_state(amplitudes: Sequence[complex]) -> np.ndarray:
 
 
 class _Cluster:
-    __slots__ = ("qubits", "amps")
+    __slots__ = ("qubits", "amps")  # amps: one amplitude array per lane
 
-    def __init__(self, qubits: list[QubitId], amps: np.ndarray):
+    def __init__(self, qubits: list[QubitId], amps: list[np.ndarray]):
         self.qubits = qubits
         self.amps = amps
 
@@ -191,7 +196,7 @@ def _gray_order(dim: int, *strides: int) -> np.ndarray:
 
 
 class StateRegistry:
-    """Owns every live qubit and its cluster state.
+    """Owns every live qubit and its cluster state in each lane.
 
     Each live qubit maps straight to the cluster object that holds it;
     clusters carry no ids, and a cluster lives as long as a qubit maps to it.
@@ -214,26 +219,30 @@ class StateRegistry:
     Measurement and release consume the QubitId; a consumed id can never be
     used again (no-cloning is enforced by handle death, ids are never reused).
 
+    ``seed`` is a seed or generator, or a list or tuple of them, one per
+    lane (``rngs``; ``lanes`` holds their indexes).  ``gate_count`` and
+    ``noise_events`` sum over the lanes.  Each unchecked step takes the lanes
+    it acts in and returns one result per lane.
+
     Each operation is checked once, where it enters: the public methods
     (``alloc_qubit``, ``apply_gate``, ``measure``, ``bell_measure``,
     ``release``, ``fidelity``, ``cluster_state``) validate states, arity,
-    distinct targets and liveness.  The steps they are built from
-    (``_alloc``, ``_apply_gate``, ``_measure``, ``_fidelity``, the kernels
-    and ``_draw_noise``), and ``create_bell_pair``, whose qubits are fresh,
-    run unchecked.  Only ``iedtc`` calls the steps: ``run_round`` validates
-    each payload once, ``teleport_payloads`` allocates and rotates it, and
-    ``teleport_decode`` and ``read_out`` (qsre's eavesdropper's too) correct,
-    unrotate and read the fidelity of halves the round holds in custody.
+    distinct targets and liveness, and need one lane to return a value.  The
+    steps they are built from (``_alloc``, ``_apply_gate``, ``_measure``,
+    ``_bell_measure``, ``_fidelity``, the kernels and ``_draw_noise``), and
+    ``create_bell_pair``, whose qubits are fresh, run unchecked, and only
+    ``iedtc`` calls them: on the payloads ``run_round`` checked once, and on
+    halves the round holds in custody (qsre's eavesdropper's too).
 
     Noise hook: after each gate, when ``noise_prob`` is nonzero, the
-    configured channel may inject Pauli errors, drawn from this registry's
-    RNG so runs are seed-deterministic.  Every gate's Paulis are drawn by
-    ``_draw_noise(gate, targets)``, the one hook, which returns (qubit,
-    Pauli index) pairs; ``_inject_noise`` applies them.  ``bell_measure``
-    applies none: a Pauli pushed through its Clifford gates stays a Pauli,
-    so on a measured qubit it flips that qubit's bit or is a global phase.
-    A flipped bit is drawn against the other branch's weight, so every draw
-    meets the probability it meets when the gates run.
+    configured channel may inject Pauli errors, drawn from each lane's
+    generator so runs are seed-deterministic.  Every gate's Paulis are drawn
+    by ``_draw_noise(gate, targets, rng)``, the one hook, which returns
+    (qubit, Pauli index) pairs; ``_inject_noise`` applies them in their lane.
+    ``bell_measure`` applies none: a Pauli pushed through its Clifford gates
+    stays a Pauli, so on a measured qubit it flips that qubit's bit or is a
+    global phase.  A flipped bit is drawn against the other branch's weight,
+    so every draw meets the probability it meets when the gates run.
 
     * ``entangling`` (default): with probability ``noise_prob`` per CNOT,
       one Pauli chosen uniformly from {X,Y,Z} lands on one of the two
@@ -244,7 +253,8 @@ class StateRegistry:
     Measurements themselves are noise-free under both models.
     """
 
-    def __init__(self, noise_prob: float = 0.0, seed: int | np.random.Generator = 0,
+    def __init__(self, noise_prob: float = 0.0,
+                 seed: int | np.random.Generator | Sequence[int | np.random.Generator] = 0,
                  noise_model: str = NOISE_ENTANGLING):
         if not (0.0 <= noise_prob <= 1.0):
             raise ValueError(f"noise_prob must be in [0, 1], got {noise_prob}")
@@ -252,7 +262,11 @@ class StateRegistry:
             raise ValueError(f"unknown noise model {noise_model!r}")
         self.noise_prob = float(noise_prob)
         self.noise_model = noise_model
-        self.rng = np.random.default_rng(seed)
+        seeds = seed if isinstance(seed, (list, tuple)) else (seed,)
+        if not seeds:
+            raise ValueError("a registry needs at least one lane")
+        self.rngs = [np.random.default_rng(s) for s in seeds]
+        self.lanes = range(len(self.rngs))
         self._cluster_of: dict[QubitId, _Cluster] = {}
         self._next_qubit = 0
         self.peak_alloc = 0              # max simultaneous live qubits, any instant
@@ -264,14 +278,14 @@ class StateRegistry:
     # -- allocation ---------------------------------------------------------
 
     def alloc_qubit(self, amplitudes: Sequence[complex]) -> QubitId:
-        """Allocate a fresh qubit in the given normalized single-qubit state."""
-        return self._alloc(as_state(amplitudes))
+        """Allocate a fresh qubit in the given normalized single-qubit state, in every lane."""
+        return self._alloc([as_state(amplitudes).copy()] * len(self.rngs))
 
-    def _alloc(self, amps: np.ndarray) -> QubitId:
-        # Unchecked: amps came from as_state.
+    def _alloc(self, states: Sequence[np.ndarray]) -> QubitId:
+        # Unchecked: one state per lane from as_state, kept as is (no kernel writes in place).
         q = QubitId(self._next_qubit)
         self._next_qubit += 1
-        cluster = _Cluster([q], amps.copy())
+        cluster = _Cluster([q], list(states))
         self._cluster_of[q] = cluster
         if len(self._cluster_of) > self.peak_alloc:
             self.peak_alloc = len(self._cluster_of)
@@ -281,24 +295,24 @@ class StateRegistry:
     def create_bell_pair(self) -> tuple[QubitId, QubitId]:
         """Allocate two qubits and entangle them into (|00>+|11>)/sqrt(2).
 
-        The pair starts as one cluster holding the CNOT's output, unless H's
-        noise hook drew a fault: then H|0>|0> takes the fault and the CNOT
+        The pair starts as one cluster holding the CNOT's output, except in a
+        lane whose H drew a fault: there H|0>|0> takes the fault and the CNOT
         kernel runs.  Both gates count and both hooks draw in order, so the
         draws and amplitudes are those of two allocations and two gates.
         """
         a, b = QubitId(self._next_qubit), QubitId(self._next_qubit + 1)
         self._next_qubit += 2
-        cluster = _Cluster([a, b], _H_ON_00)
+        cluster = _Cluster([a, b], [_H_ON_00 if self.noise_prob else _PHI_PLUS] * len(self.rngs))
         self._cluster_of[a] = self._cluster_of[b] = cluster
         if len(self._cluster_of) > self.peak_alloc:
             self.peak_alloc = len(self._cluster_of)
-        self.gate_count += 2
-        if self.noise_prob and self._inject_noise(H, (a,)):
-            self._apply_cnot(a, b)
-        else:
-            cluster.amps = _PHI_PLUS
+        self.gate_count += 2 * len(self.rngs)
         if self.noise_prob:
-            self._inject_noise(CNOT, (a, b))
+            faulty = self._inject_noise(H, (a,), self.lanes)
+            cluster.amps = [amps if lane in faulty else _PHI_PLUS
+                            for lane, amps in enumerate(cluster.amps)]
+            self._apply_cnot(a, b, faulty)
+            self._inject_noise(CNOT, (a, b), self.lanes)
         self._note(cluster)
         return a, b
 
@@ -312,58 +326,75 @@ class StateRegistry:
             raise ValueError("duplicate target qubit")
         for q in targets:
             self._require_live(q)
-        self._apply_gate(gate, targets)
+        self._apply_gate(gate, targets, self.lanes)
         if gate.matrix is None:  # only a CNOT's merge can grow a cluster
             self._note(self._cluster_of[targets[0]])
 
-    def _apply_gate(self, gate: Gate, targets: Sequence[QubitId]) -> None:
+    def _apply_gate(self, gate: Gate, targets: Sequence[QubitId], lanes: Sequence[int]) -> None:
         # Unchecked: the caller has made sure of arity, distinctness and liveness.
         if gate.matrix is None:
-            self._apply_cnot(targets[0], targets[1])
+            self._apply_cnot(targets[0], targets[1], lanes)
         else:
-            self._apply_single(gate, targets[0])
-        self.gate_count += 1
+            self._apply_single(gate, targets[0], lanes)
+        self.gate_count += len(lanes)
         if self.noise_prob:
-            self._inject_noise(gate, targets)
+            self._inject_noise(gate, targets, lanes)
 
-    def _apply_single(self, gate: Gate, q: QubitId) -> None:
+    def _apply_single(self, gate: Gate, q: QubitId, lanes: Sequence[int]) -> None:
         cluster = self._cluster_of[q]
         qubits, amps, kind = cluster.qubits, cluster.amps, gate.kind
         stride = 1 << (len(qubits) - 1 - qubits.index(q))
         if kind is GateKind.X:
-            cluster.amps = amps[_flip_order(amps.size, stride)]
+            order = _flip_order(1 << len(qubits), stride)
+            for lane in lanes:
+                amps[lane] = amps[lane][order]
         elif kind is GateKind.Z:
-            cluster.amps = amps * _phase_signs(amps.size, stride)
+            signs = _phase_signs(1 << len(qubits), stride)
+            for lane in lanes:
+                amps[lane] = amps[lane] * signs
         else:
-            cluster.amps = (gate.matrix @ amps.reshape(-1, 2, stride)).reshape(-1)
+            for lane in lanes:
+                amps[lane] = (gate.matrix @ amps[lane].reshape(-1, 2, stride)).reshape(-1)
 
-    def _apply_cnot(self, control: QubitId, target: QubitId) -> None:
+    def _apply_cnot(self, control: QubitId, target: QubitId, lanes: Sequence[int]) -> None:
         cluster = self._cluster_of[control]
         if cluster is not self._cluster_of[target]:
             cluster = self._merge(cluster, self._cluster_of[target])
         qubits, amps = cluster.qubits, cluster.amps
         last = len(qubits) - 1
-        cluster.amps = amps[_cnot_permutation(amps.size, 1 << (last - qubits.index(control)),
-                                              1 << (last - qubits.index(target)))]
+        perm = _cnot_permutation(2 << last, 1 << (last - qubits.index(control)),
+                                 1 << (last - qubits.index(target)))
+        for lane in lanes:
+            amps[lane] = amps[lane][perm]
 
     def _merge(self, a: _Cluster, b: _Cluster) -> _Cluster:
-        merged = _Cluster(a.qubits + b.qubits, (a.amps.reshape(-1, 1) * b.amps).reshape(-1))
-        for q in merged.qubits:
-            self._cluster_of[q] = merged
-        if merged.amps.size > self.peak_cluster_dim:
-            self.peak_cluster_dim = merged.amps.size
-        return merged
+        # a takes b's qubits as its low bits, and b is dropped.
+        amps = a.amps
+        for lane in self.lanes:
+            amps[lane] = (amps[lane].reshape(-1, 1) * b.amps[lane]).reshape(-1)
+        a.qubits += b.qubits
+        for q in b.qubits:
+            self._cluster_of[q] = a
+        if 1 << len(a.qubits) > self.peak_cluster_dim:
+            self.peak_cluster_dim = 1 << len(a.qubits)
+        return a
 
-    def _inject_noise(self, gate: Gate, targets: Sequence[QubitId]) -> bool:
-        events = self._draw_noise(gate, targets)
-        for q, pauli in events:
-            self._apply_single(_PAULIS[pauli], q)
-        return bool(events)
+    def _inject_noise(self, gate: Gate, targets: Sequence[QubitId],
+                      lanes: Sequence[int]) -> list[int]:
+        faulty = []  # the lanes that drew a Pauli
+        for lane in lanes:
+            events = self._draw_noise(gate, targets, self.rngs[lane])
+            for q, pauli in events:
+                self._apply_single(_PAULIS[pauli], q, (lane,))
+            if events:
+                faulty.append(lane)
+        return faulty
 
-    def _draw_noise(self, gate: Gate, targets: Sequence[QubitId]) -> list[tuple[QubitId, int]]:
-        # The one noise hook: every gate's Paulis are drawn here, and only
-        # when noise_prob > 0.  Returns (qubit, index into _PAULIS) in draw order.
-        p, rng = self.noise_prob, self.rng
+    def _draw_noise(self, gate: Gate, targets: Sequence[QubitId],
+                    rng: np.random.Generator) -> list[tuple[QubitId, int]]:
+        # The one noise hook: every gate's Paulis are drawn here, only when
+        # noise_prob > 0.  Returns (qubit, index into _PAULIS) in draw order.
+        p = self.noise_prob
         events = []
         if self.noise_model == NOISE_ENTANGLING:
             if gate.kind is GateKind.CNOT and rng.random() < p:
@@ -380,23 +411,27 @@ class StateRegistry:
 
     def measure(self, q: QubitId) -> int:
         """Computational-basis measurement; collapses and consumes the qubit."""
-        self._require_live(q)
-        return self._measure(q)
+        self._require_readable(q)
+        return self._measure(q)[0]
 
-    def _measure(self, q: QubitId) -> int:
-        # Unchecked: q is live.
+    def _measure(self, q: QubitId) -> list[int]:
+        # Unchecked: q is live.  Returns each lane's outcome.
         cluster = self._cluster_of[q]
         qubits, amps = cluster.qubits, cluster.amps
-        half = amps.size >> 1
-        halves = amps[_gray_order(amps.size, 1 << (len(qubits) - 1 - qubits.index(q)))]
-        ones = halves[half:]
-        outcome = 1 if self.rng.random() < np.vdot(ones, ones).real else 0  # the draw is < 1
+        half = 1 << (len(qubits) - 1)
+        order = _gray_order(half << 1, 1 << (len(qubits) - 1 - qubits.index(q)))
         del self._cluster_of[q]
         qubits.remove(q)
-        if qubits:  # an emptied cluster is dropped with its last qubit
-            collapsed = ones if outcome else halves[:half]
-            cluster.amps = collapsed / math.sqrt(np.vdot(collapsed, collapsed).real)
-        return outcome
+        outcomes = []
+        for lane in self.lanes:
+            halves = amps[lane][order]
+            ones = halves[half:]
+            outcome = 1 if self.rngs[lane].random() < np.vdot(ones, ones).real else 0  # the draw is < 1
+            if qubits:  # an emptied cluster is dropped with its last qubit
+                collapsed = ones if outcome else halves[:half]
+                amps[lane] = collapsed / math.sqrt(np.vdot(collapsed, collapsed).real)
+            outcomes.append(outcome)
+        return outcomes
 
     def bell_measure(self, q1: QubitId, q2: QubitId) -> tuple[int, int]:
         """Bell-basis measurement: CNOT(q1->q2), H(q1), then measure both.
@@ -406,63 +441,73 @@ class StateRegistry:
         """
         if q1 == q2:
             raise ValueError("bell_measure needs two distinct qubits")
-        self._require_live(q1)
-        self._require_live(q2)
+        self._require_readable(q1, q2)
+        return self._bell_measure(q1, q2)[0]
+
+    def _bell_measure(self, q1: QubitId, q2: QubitId) -> list[tuple[int, int]]:
+        # Unchecked: q1 and q2 are distinct and live.  Returns each lane's (b1, b2).
         cluster = self._cluster_of[q1]
         if cluster is not self._cluster_of[q2]:
             cluster = self._merge(cluster, self._cluster_of[q2])
         qubits, amps = cluster.qubits, cluster.amps
-        last, half = len(qubits) - 1, amps.size >> 1
-        gathered = amps[_gray_order(amps.size, 1 << (last - qubits.index(q1)),
-                                    1 << (last - qubits.index(q2)))]
-        lo, hi = gathered[:half], gathered[half:]
-        self.gate_count += 2
-        flip1 = flip2 = False
-        if self.noise_prob:
-            # A Pauli before the measurements only relabels their bits (the
-            # rest is a global phase): after the CNOT, Y or Z on q1 flips b1
-            # and X or Y on q2 flips b2; after the H, X or Y on q1 flips b1.
-            for q, pauli in self._draw_noise(CNOT, (q1, q2)):
-                if q == q1:
-                    flip1 ^= pauli != 0
-                else:
-                    flip2 ^= pauli != 2
-            for _, pauli in self._draw_noise(H, (q1,)):
-                flip1 ^= pauli != 2
-        if flip1:  # Z on q1 before the H
-            hi = -hi
-        # Branch b1 of the H is (lo + (-1)**b1 * hi) / sqrt(2), and its first
-        # half has q2 = 0.
-        minus = lo - hi
-        if self.rng.random() < 0.5 * np.vdot(minus, minus).real:
-            b1, branch = 1, minus
-        else:
-            b1, branch = 0, lo + hi
-        zeros, ones = branch[:half >> 1], branch[half >> 1:]
-        if flip2:  # X on q2 before its measurement
-            zeros, ones = ones, zeros
-        w_zeros, w_ones = np.vdot(zeros, zeros).real, np.vdot(ones, ones).real
-        b2 = 1 if self.rng.random() < w_ones / (w_zeros + w_ones) else 0
+        last, half = len(qubits) - 1, 1 << (len(qubits) - 1)
+        order = _gray_order(half << 1, 1 << (last - qubits.index(q1)),
+                            1 << (last - qubits.index(q2)))
+        self.gate_count += 2 * len(amps)
         del self._cluster_of[q1], self._cluster_of[q2]
         qubits.remove(q1)
         qubits.remove(q2)
-        if qubits:  # other qubits shared the merged cluster
-            cluster.amps = ones / math.sqrt(w_ones) if b2 else zeros / math.sqrt(w_zeros)
+        bits = []
+        for lane in self.lanes:
+            rng = self.rngs[lane]
+            gathered = amps[lane][order]
+            lo, hi = gathered[:half], gathered[half:]
+            flip1 = flip2 = False
+            if self.noise_prob:
+                # A Pauli before the measurements only relabels their bits (the
+                # rest is a global phase): after the CNOT, Y or Z on q1 flips b1
+                # and X or Y on q2 flips b2; after the H, X or Y on q1 flips b1.
+                for q, pauli in self._draw_noise(CNOT, (q1, q2), rng):
+                    if q == q1:
+                        flip1 ^= pauli != 0
+                    else:
+                        flip2 ^= pauli != 2
+                for _, pauli in self._draw_noise(H, (q1,), rng):
+                    flip1 ^= pauli != 2
+            if flip1:  # Z on q1 before the H
+                hi = -hi
+            # Branch b1 of the H is (lo + (-1)**b1 * hi) / sqrt(2), and its
+            # first half has q2 = 0.
+            minus = lo - hi
+            if rng.random() < 0.5 * np.vdot(minus, minus).real:
+                b1, branch = 1, minus
+            else:
+                b1, branch = 0, lo + hi
+            zeros, ones = branch[:half >> 1], branch[half >> 1:]
+            if flip2:  # X on q2 before its measurement
+                zeros, ones = ones, zeros
+            w_zeros, w_ones = np.vdot(zeros, zeros).real, np.vdot(ones, ones).real
+            b2 = 1 if rng.random() < w_ones / (w_zeros + w_ones) else 0
+            if qubits:  # other qubits shared the merged cluster
+                amps[lane] = ones / math.sqrt(w_ones) if b2 else zeros / math.sqrt(w_zeros)
+            bits.append((b1, b2))
+        if qubits:
             self._note(cluster)
-        return b1, b2
+        return bits
 
     def release(self, q: QubitId) -> None:
-        """Discard a qubit (measure-and-forget); partners decohere accordingly.
+        """Discard a qubit in every lane (measure-and-forget); partners decohere accordingly.
 
         A qubit with no partner is dropped without working out an outcome
-        that nothing reads, after the one draw its measurement makes, so the
-        RNG stream ends where a measurement leaves it.
+        that nothing reads, after the one draw its measurement makes, so
+        each lane's generator ends where a measurement leaves it.
         """
         self._require_live(q)
         if len(self._cluster_of[q].qubits) > 1:
             self._measure(q)
         else:
-            self.rng.random()
+            for rng in self.rngs:
+                rng.random()
             del self._cluster_of[q]
 
     # -- inspection ----------------------------------------------------------
@@ -473,27 +518,32 @@ class StateRegistry:
 
     def fidelity(self, q: QubitId, reference: Sequence[complex]) -> float:
         """<ref|rho_q|ref> for the qubit's reduced state; non-destructive."""
-        self._require_live(q)
-        return self._fidelity(q, as_state(reference))
+        self._require_readable(q)
+        return self._fidelity(q, [as_state(reference)])[0]
 
-    def _fidelity(self, q: QubitId, ref: np.ndarray) -> float:
-        # q is live and ref came from as_state; the cluster's norm is checked as there.
+    def _fidelity(self, q: QubitId, refs: Sequence[np.ndarray]) -> list[float]:
+        # q is live and each lane's ref came from as_state; norms are checked as there.
         cluster = self._cluster_of[q]
-        if not abs(math.sqrt(np.vdot(cluster.amps, cluster.amps).real) - 1.0) <= NORM_ATOL:
-            raise ValueError(f"qubit {q}'s cluster is not normalized")
         qubits = cluster.qubits
-        if len(qubits) == 1:
-            return float(abs(np.vdot(ref, cluster.amps)) ** 2)
-        # q's reduced density matrix: its bit moves from the columns to the rows.
-        psi = cluster.amps.reshape(-1, 2, 1 << (len(qubits) - 1 - qubits.index(q)))
-        psi = psi.transpose(1, 0, 2).reshape(2, -1)
-        return float(np.real(ref.conj() @ (psi @ psi.conj().T) @ ref))
+        fidelities = []
+        for lane in self.lanes:
+            amps, ref = cluster.amps[lane], refs[lane]
+            if not abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) <= NORM_ATOL:
+                raise ValueError(f"qubit {q}'s cluster is not normalized")
+            if len(qubits) == 1:
+                fidelities.append(float(abs(np.vdot(ref, amps)) ** 2))
+                continue
+            # q's reduced density matrix: its bit moves from the columns to the rows.
+            psi = amps.reshape(-1, 2, 1 << (len(qubits) - 1 - qubits.index(q)))
+            psi = psi.transpose(1, 0, 2).reshape(2, -1)
+            fidelities.append(float(np.real(ref.conj() @ (psi @ psi.conj().T) @ ref)))
+        return fidelities
 
     def cluster_state(self, q: QubitId) -> tuple[tuple[QubitId, ...], np.ndarray]:
         """Qubit ordering and a copy of the amplitude vector of q's cluster."""
-        self._require_live(q)
+        self._require_readable(q)
         cluster = self._cluster_of[q]
-        return tuple(cluster.qubits), cluster.amps.copy()
+        return tuple(cluster.qubits), cluster.amps[0].copy()
 
     # -- internals -----------------------------------------------------------
 
@@ -501,11 +551,18 @@ class StateRegistry:
         if q not in self._cluster_of:
             raise DeadQubitError(f"qubit {q} is not live (consumed or never allocated)")
 
+    def _require_readable(self, *qubits: QubitId) -> None:
+        # A checked method that returns a value reads one lane's live qubits.
+        if len(self.rngs) != 1:
+            raise ValueError(f"this reads one lane's value; the registry has {len(self.rngs)}")
+        for q in qubits:
+            self._require_live(q)
+
     def _note(self, cluster: _Cluster) -> None:
         # Called at the end of each operation on the one cluster it can have
         # grown; single-qubit gates keep a cluster's size, and measurement
         # and release only shrink clusters.
-        dim = cluster.amps.size
+        dim = 1 << len(cluster.qubits)
         if dim > self.peak_resident_cluster_dim:  # never above peak_cluster_dim
             self.peak_resident_cluster_dim = dim
             if dim > self.peak_cluster_dim:

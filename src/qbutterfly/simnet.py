@@ -1,8 +1,9 @@
 """Message-passing layer over a topology: tick-based FIFO delivery.
 
 Every send queues one plain (src, targets, tag, payload) record, whose
-targets is a tuple of receiving nodes and whose payload is the bit string
-of a classical message or the QubitId of a qubit.  A single send names one
+targets is a tuple of receiving nodes and whose payload is the QubitId of a
+qubit or a classical message: one bit string per lane of the round that sent
+it (see ``iedtc``), each of the message's size.  A single send names one
 target; a broadcast is one record whose targets, when nothing is excluded,
 is the neighbour tuple the network builds once per topology.  Nothing is
 delivered until run_until_idle drains the queue, so a protocol phase is
@@ -48,7 +49,8 @@ class TraceEntry(NamedTuple):
         return f"{self.time} {self.src} {self.dst} {self.kind} {self.tag} {self.size}"
 
 
-Record = tuple[NodeId, tuple[NodeId, ...], str, "str | QubitId"]  # (src, targets, tag, payload)
+Bits = tuple[str, ...]  # a classical payload: one bit string per lane
+Record = tuple[NodeId, tuple[NodeId, ...], str, "Bits | QubitId"]  # (src, targets, tag, payload)
 
 
 class Trace:
@@ -74,8 +76,8 @@ class Trace:
     def __iter__(self) -> Iterator[TraceEntry]:
         """One entry per target of each held record."""
         entry = tuple.__new__  # TraceEntry's own __new__ is Python code
-        return iter([entry(TraceEntry, (tick, src, dst, "classical", tag, len(payload)))
-                     if payload.__class__ is str else
+        return iter([entry(TraceEntry, (tick, src, dst, "classical", tag, len(payload[0])))
+                     if payload.__class__ is tuple else
                      entry(TraceEntry, (tick, src, dst, "quantum", tag, 1))
                      for tick, records in enumerate(self._drains, self._first)
                      for src, targets, tag, payload in records
@@ -103,7 +105,7 @@ class QNetwork:
         self._drains: list[list[Record]] = []  # delivered records per drain; tick = place + 1
         self.trace = Trace(self._drains)
         self.qubits: dict[NodeId, dict[str, QubitId]] = {n: {} for n in nodes}
-        self.inbox: dict[NodeId, dict[str, str]] = {n: {} for n in nodes}
+        self.inbox: dict[NodeId, dict[str, Bits]] = {n: {} for n in nodes}
         self._in_flight: dict[NodeId, int] = dict.fromkeys(nodes, 0)
         self.node_peaks: dict[NodeId, int] = dict.fromkeys(nodes, 0)
 
@@ -134,7 +136,7 @@ class QNetwork:
 
     # -- classical inbox -----------------------------------------------------
 
-    def message(self, node: NodeId, tag: str) -> str:
+    def message(self, node: NodeId, tag: str) -> Bits:
         try:
             return self.inbox[node][tag]
         except KeyError:
@@ -144,7 +146,7 @@ class QNetwork:
 
     # -- sending ---------------------------------------------------------------
 
-    def send_classical(self, src: NodeId, dst: NodeId, bits: str, tag: str) -> None:
+    def send_classical(self, src: NodeId, dst: NodeId, bits: Bits, tag: str) -> None:
         self._link(src, dst)
         _check_bits(bits)
         self._queue.append((src, (dst,), tag, bits))
@@ -163,7 +165,7 @@ class QNetwork:
             raise NetworkError(f"no link between {src} and {dst}")
         return kind
 
-    def broadcast_classical(self, src: NodeId, bits: str, tag: str,
+    def broadcast_classical(self, src: NodeId, bits: Bits, tag: str,
                             exclude: Iterable[NodeId] = ()) -> None:
         """One classical send to every neighbor (minus exclusions)."""
         if src not in self._neighbors:
@@ -195,7 +197,7 @@ class QNetwork:
         self._drains.append(queue)
         try:
             for i, (src, targets, tag, payload) in enumerate(queue):
-                if payload.__class__ is str:
+                if payload.__class__ is tuple:
                     for dst in targets:
                         box = inbox[dst]
                         if tag in box:
@@ -234,9 +236,9 @@ def _outsider(node: NodeId) -> NetworkError:
     return NetworkError(f"{node} is not part of this network")
 
 
-def _check_bits(bits: str) -> None:
-    if bits.strip("01"):
-        raise ValueError(f"classical payload must be a bit string, got {bits!r}")
+def _check_bits(bits: Bits) -> None:
+    if bits.__class__ is not tuple or not bits or "".join(bits).strip("01"):
+        raise ValueError(f"classical payload must be a bit string per lane, got {bits!r}")
 
 
 def serialize_trace(trace: Iterable[TraceEntry]) -> str:

@@ -142,8 +142,8 @@ def test_05_every_measurement_branch_is_exact(capfd):
         reg = StateRegistry(seed=seed)
         keep, give = reg.create_bell_pair()
         assist, own = reg.create_bell_pair()
-        msg = teleport_encode(reg, assist, give)
-        teleport_decode(reg, keep, msg)
+        (msg,) = teleport_encode(reg, assist, give)  # the one lane's bits
+        teleport_decode(reg, keep, (msg,))
         fid = pair_fidelity(reg, keep, own, BELL)
         assert fid == pytest.approx(1.0, abs=1e-9), (msg, fid)
         swap_seen[(int(msg[0]), int(msg[1]))] = fid
@@ -157,8 +157,8 @@ def test_05_every_measurement_branch_is_exact(capfd):
         ref = random_state(rng)
         payload = reg.alloc_qubit(ref)
         here, there = reg.create_bell_pair()
-        msg = teleport_encode(reg, payload, here)
-        teleport_decode(reg, there, msg)
+        (msg,) = teleport_encode(reg, payload, here)
+        teleport_decode(reg, there, (msg,))
         fid = reg.fidelity(there, ref)
         assert fid == pytest.approx(1.0, abs=1e-9), (msg, fid)
         tele_seen[(int(msg[0]), int(msg[1]))] = fid

@@ -106,7 +106,8 @@ def test_config_validation():
 def test_accuracy_sweep_noiseless_is_perfect():
     cfg = ExperimentConfig("accuracy", noise_levels=(0.0,), trials=25, seed=7)
     (row,) = run_accuracy_sweep(cfg)
-    assert row == SweepRow(0.0, *binomial_ci(25, 25), 25, 25)
+    assert row == SweepRow(0.0, 25, 25)
+    assert (row.estimate, row.ci_low, row.ci_high) == binomial_ci(25, 25)
     assert row.ci_low < row.estimate == row.ci_high == 1.0
 
 
@@ -253,7 +254,7 @@ def test_resource_report_matches_closed_forms():
 
 
 def test_sweep_csv_roundtrip(tmp_path):
-    rows = [SweepRow(0.01, 0.925, 0.9069987, 0.9397484, 1000, 925)]
+    rows = [SweepRow(0.01, 1000, 925)]  # the interval columns are worked out from the counts
     path = tmp_path / "sweep.csv"
     write_csv(rows, str(path))
     with open(path, newline="") as fh:
@@ -361,17 +362,20 @@ def test_cli_accuracy_and_manifest(tmp_path, capsys):
     assert code == 0
     assert out.exists() and manifest.exists()
     stdout = capsys.readouterr().out
-    assert "noise=0.0200" in stdout
+    assert "noise=0.02  accuracy=" in stdout  # x prints as the CSV prints it
     assert json.loads(manifest.read_text())["experiment"] == "accuracy"
 
 
-def test_cli_tells_apart_levels_closer_than_a_millionth(tmp_path):
+def test_cli_tells_apart_levels_closer_than_a_millionth(tmp_path, capsys):
     out = tmp_path / "close.csv"
     assert main(["accuracy", "--noise", "0.0500001:0.0500003:0.0000001", "--trials", "200",
                  "--seed", "42", "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         xs = [row["x"] for row in csv.DictReader(fh)]
     assert xs == ["0.0500001", "0.0500002", "0.0500003"]
+    printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("noise=")]
+    assert printed == [f"noise={x}" for x in xs]  # stdout prints each level as the CSV does
 
 
 def test_cli_eavesdrop_with_key_file(tmp_path, capsys):

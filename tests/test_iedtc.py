@@ -131,8 +131,8 @@ def test_entanglement_swap_exact_for_every_outcome():
         reg = StateRegistry(seed=seed)
         keep, give = reg.create_bell_pair()
         assist, own = reg.create_bell_pair()
-        msg = teleport_encode(reg, assist, give)
-        teleport_decode(reg, keep, msg)
+        (msg,) = teleport_encode(reg, assist, give)  # the one lane's bits
+        teleport_decode(reg, keep, (msg,))
         fid = pair_fidelity(reg, keep, own, BELL)
         seen.setdefault(msg, fid)
         assert fid == pytest.approx(1.0, abs=1e-9)
@@ -144,7 +144,7 @@ def test_swap_without_corrections_gives_wrong_pair():
         reg = StateRegistry(seed=seed)
         keep, give = reg.create_bell_pair()
         assist, own = reg.create_bell_pair()
-        msg = teleport_encode(reg, assist, give)
+        (msg,) = teleport_encode(reg, assist, give)
         if msg != "00":
             # uncorrected state is a different Bell state, orthogonal to phi+
             assert pair_fidelity(reg, keep, own, BELL) == pytest.approx(0.0, abs=1e-9)
@@ -168,8 +168,8 @@ def test_teleport_exact_for_every_outcome():
         ref = random_state(rng)
         payload = reg.alloc_qubit(ref)
         here, there = reg.create_bell_pair()
-        msg = teleport_encode(reg, payload, here)
-        teleport_decode(reg, there, msg)
+        (msg,) = teleport_encode(reg, payload, here)
+        teleport_decode(reg, there, (msg,))
         assert reg.fidelity(there, ref) == pytest.approx(1.0, abs=1e-9)
         seen.add(msg)
     assert seen == {"00", "01", "10", "11"}
@@ -180,9 +180,9 @@ def test_teleport_with_flipped_corrections_fails():
     ref = np.array([0.6, 0.8], dtype=complex)
     payload = reg.alloc_qubit(ref)
     here, there = reg.create_bell_pair()
-    msg = teleport_encode(reg, payload, here)
+    (msg,) = teleport_encode(reg, payload, here)
     wrong = xor_combine([msg, "11"])
-    teleport_decode(reg, there, wrong)
+    teleport_decode(reg, there, (wrong,))
     # off by X*Z, and <psi|XZ|psi> = 0 for this state
     assert reg.fidelity(there, ref) == pytest.approx(0.0, abs=1e-9)
 
@@ -221,12 +221,13 @@ def test_four_phases_by_hand_are_the_round(n, assert_nothing_left):
     net, reg = fresh(n), StateRegistry(seed=7)
     rng = np.random.default_rng(8)
     states, rotations, fidelities = [random_state(rng) for _ in range(n)], [None] * n, []
+    lanes = [[s] for s in states]  # each pair's checked state in the one lane
     relay, source = NodeId.relay(), NodeId.source()
     phases = [  # (deliveries, crossings of M1->M2, phase)
         (4 * n, 0, lambda: distribute_entanglements(net, reg)),
-        (n * n, 0, lambda: teleport_payloads(net, reg, states, rotations)),
+        (n * n, 0, lambda: teleport_payloads(net, reg, lanes, rotations)),
         (n + 1, 1, lambda: relay_combined(net)),
-        (0, 0, lambda: fidelities.extend(decode_payloads(net, reg, states, rotations))),
+        (0, 0, lambda: fidelities.extend(decode_payloads(net, reg, lanes, rotations))),
     ]
     for deliveries, crossings, phase in phases:
         start = len(net.trace)
@@ -384,9 +385,11 @@ def test_a_lost_bottleneck_message_fails_the_round(monkeypatch):
 class LeakyGates(StateRegistry):
     """A registry whose single-qubit gates lose 1 % of each amplitude."""
 
-    def _apply_single(self, gate, q):
-        super()._apply_single(gate, q)
-        self._cluster_of[q].amps = self._cluster_of[q].amps * 0.99
+    def _apply_single(self, gate, q, lanes):
+        super()._apply_single(gate, q, lanes)
+        amps = self._cluster_of[q].amps
+        for lane in lanes:
+            amps[lane] = amps[lane] * 0.99
 
 
 def test_a_leaking_kernel_fails_the_readout():
@@ -519,7 +522,7 @@ def test_noisy_round_counters_and_rng_position_are_pinned(model, successes, coun
         wins += result.all_success
     assert wins == successes
     assert (reg.gate_count, reg.noise_events, reg.peak_alloc, reg.peak_cluster_dim,
-            reg.peak_resident_cluster_dim, reg.rng.random()) == counters
+            reg.peak_resident_cluster_dim, reg.rngs[0].random()) == counters
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

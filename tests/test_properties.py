@@ -98,8 +98,9 @@ class DenseOracle:
 
 def next_uniforms(reg, k):
     """The registry RNG's next k uniform draws, left unconsumed."""
-    rng = np.random.Generator(type(reg.rng.bit_generator)())
-    rng.bit_generator.state = reg.rng.bit_generator.state
+    (lane,) = reg.rngs
+    rng = np.random.Generator(type(lane.bit_generator)())
+    rng.bit_generator.state = lane.bit_generator.state
     return rng.random(k)
 
 
@@ -211,7 +212,7 @@ def test_x_and_z_kernels_equal_the_matrix_product(n, seed):
 
     def inject(gate, pauli, q):
         reg._draw_noise = lambda *_: [(q, pauli)]  # the hook draws this Pauli on q
-        reg._inject_noise(gate, [q])
+        reg._inject_noise(gate, [q], reg.lanes)
 
     for position, q in enumerate(qubits):
         stride = 2 ** (n - 1 - position)
@@ -262,7 +263,7 @@ def test_trace_matches_an_independent_record_of_the_sends(data):
         if op == "classical":
             src, dst, _ = data.draw(st.sampled_from(links))
             payload, tag = data.draw(bits), data.draw(tags)
-            net.send_classical(src, dst, payload, tag)
+            net.send_classical(src, dst, (payload,), tag)
             queued.append((i, src, dst, "classical", tag, len(payload)))
         elif op == "qubit":
             src, dst = data.draw(st.sampled_from(fiber))
@@ -281,7 +282,7 @@ def test_trace_matches_an_independent_record_of_the_sends(data):
             neighbors = list(net.topology.adjacency[src])
             skip = data.draw(st.lists(st.sampled_from(neighbors), max_size=len(neighbors) - 1))
             payload, tag = data.draw(bits), data.draw(tags)
-            net.broadcast_classical(src, payload, tag, exclude=skip)
+            net.broadcast_classical(src, (payload,), tag, exclude=skip)
             queued += [(i, src, m, "classical", tag, len(payload))
                        for m in neighbors if m not in skip]
         else:

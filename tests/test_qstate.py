@@ -155,7 +155,7 @@ def _assert_pair_is_its_gates(pair, gates):
     assert pair.gate_count == gates.gate_count == 2
     assert (pair.peak_alloc, pair.peak_cluster_dim, pair.peak_resident_cluster_dim) == (
         gates.peak_alloc, gates.peak_cluster_dim, gates.peak_resident_cluster_dim)
-    assert pair.rng.random() == gates.rng.random()
+    assert pair.rngs[0].random() == gates.rngs[0].random()
 
 
 @pytest.mark.parametrize("model", [NOISE_ALL_GATES, NOISE_ENTANGLING])
@@ -202,7 +202,7 @@ def _assert_same_after_bell(fused, gates, s1, bits, ref_bits):
     (order, amps), (ref_order, ref_amps) = fused.cluster_state(s1), gates.cluster_state(s1)
     assert order == ref_order
     assert abs(np.vdot(amps, ref_amps)) == pytest.approx(1.0, rel=0, abs=1e-12)
-    assert fused.rng.random() == gates.rng.random()
+    assert fused.rngs[0].random() == gates.rngs[0].random()
 
 
 @pytest.mark.parametrize("layout", ["separate", "shared"])
@@ -232,7 +232,7 @@ class _OneFault(StateRegistry):
         self.slot, self.pauli = slot, pauli
         self.seen = None  # the gates the hook saw since arming
 
-    def _draw_noise(self, gate, targets):
+    def _draw_noise(self, gate, targets, rng):
         if self.seen is None:
             return []
         self.seen.append(gate.kind)
@@ -262,7 +262,7 @@ def test_bell_pair_takes_each_fault_like_its_gates(slot, pauli):
 def test_shared_bell_pair_constant_is_read_only():
     reg = StateRegistry()
     a, _ = reg.create_bell_pair()
-    shared = reg._cluster_of[a].amps
+    (shared,) = reg._cluster_of[a].amps  # the one lane's array
     assert shared is qstate._PHI_PLUS and not shared.flags.writeable
     with pytest.raises(ValueError):
         shared[0] = 0.0
@@ -353,7 +353,7 @@ def test_releasing_a_lone_qubit_moves_the_rng_as_measuring_it_does():
         q = reg.alloc_qubit(random_state(np.random.default_rng(1)))
         consume(q)
         assert reg.live_count == 0
-    assert measured.rng.random() == released.rng.random()
+    assert measured.rngs[0].random() == released.rngs[0].random()
     with pytest.raises(DeadQubitError):
         released.release(q)
 
