@@ -134,8 +134,7 @@ def run_accuracy_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     An errored round of ``BATCH`` lanes fails the sweep, naming its first trial."""
     if cfg.experiment != "accuracy":
         raise ValueError("config is not an accuracy configuration")
-    n = cfg.n_pairs
-    net = QNetwork(build_butterfly(n))
+    n, net = cfg.n_pairs, QNetwork(build_butterfly(cfg.n_pairs))
     rows = []
     for level in cfg.noise_levels:
         # One integer, not a list: SeedSequence spreads a list's ints over
@@ -152,8 +151,8 @@ def run_accuracy_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
             if result.error is not None:
                 raise RuntimeError(f"accuracy round failed at noise {level}, trial {first}: "
                                    f"{result.error}")
-            exact = np.reshape(result.fidelities, (len(rngs), n)) >= SUCCESS_FIDELITY
-            successes += int(exact.all(axis=1).sum())
+            exact = np.reshape(result.fidelities, (n, len(rngs))) >= SUCCESS_FIDELITY
+            successes += int(exact.all(axis=0).sum())
         rows.append(SweepRow(level, cfg.trials, successes))
     return rows
 
@@ -190,6 +189,8 @@ class ResourceRow:
     benchmark_qubits: int
     within_reference: bool
 
+    COLUMNS = property(lambda self: tuple(f.name for f in fields(self)))  # the CSV's: every field
+
 
 def run_resource_report(n_range: Sequence[int]) -> list[ResourceRow]:
     """Measured link/qubit usage of one noiseless round against the closed forms.
@@ -225,12 +226,12 @@ def format_cell(value, exact: bool) -> str:
 
 
 def write_csv(rows: Sequence[SweepRow] | Sequence[ResourceRow], path: str) -> None:
-    """One CSV line per row, headed by ``SweepRow.COLUMNS`` or the row's field names.
-    A sweep row's ``x`` prints exactly (shortest round-trip repr), other floats
-    at 6 decimals, so every sweep point reads apart from its neighbours."""
+    """One CSV line per row, headed by the row type's ``COLUMNS``.  A sweep
+    row's ``x`` prints exactly (shortest round-trip repr), other floats at 6
+    decimals, so every sweep point reads apart from its neighbours."""
     if not rows:
         raise ValueError("no rows to write")
-    header = rows[0].COLUMNS if isinstance(rows[0], SweepRow) else [f.name for f in fields(rows[0])]
+    header = rows[0].COLUMNS
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

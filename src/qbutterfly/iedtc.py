@@ -5,11 +5,10 @@ One round moves one qubit state from every transmitter Tk to its receiver
 Rk.  No quantum link Tk--Rk exists, so a neighbor receiver (the assister)
 swaps entanglement sourced at M2 onto Tk's own Bell pair; Tk then teleports
 its payload and the 2-bit teleport messages cross the M1--M2 bottleneck as
-a single XOR-combined message that every receiver can invert locally.
-
-A round runs in every lane of its registry (see ``qstate``): the network and
-the round-end check run once, a classical payload holds one bit string per
-lane, and encoding, corrections and read-out run per lane.
+a single XOR-combined message that every receiver can invert locally.  A
+round runs in every lane of its registry (see ``qstate``): the network runs
+once, a classical payload holds one bit string per lane, and encoding,
+corrections and read-out run per lane.
 """
 from __future__ import annotations
 
@@ -46,7 +45,7 @@ def teleport_encode(reg: StateRegistry, state: QubitId, half: QubitId) -> tuple[
     """Bell-measure payload against the local pair half, consuming both, both
     in custody; returns each lane's "b1b2", b1 from the H side.  Entanglement
     swapping is this same step with one half of a Bell pair as the payload."""
-    return tuple([_TWO_BITS[2 * b1 + b2] for b1, b2 in reg._bell_measure(state, half)])
+    return tuple(map(_TWO_BITS.__getitem__, reg._bell_measure(state, half)))
 
 
 def teleport_decode(reg: StateRegistry, half: QubitId, bits: Sequence[str]) -> None:
@@ -175,24 +174,22 @@ def decode_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequence
                     rotations: Sequence[Gate | None]) -> list[float]:
     """Phase four: each Rk XORs every other pair's broadcast, read by its tag, out
     of "combined" and reads out its half; a lost message raises.  Returns the
-    fidelities lane by lane, each lane's pairs in order."""
+    fidelities pair by pair, each pair's lanes in order."""
     pairs = pair_table(net.topology.n_pairs)
-    tags = [p.broadcast for p in pairs]
-    fidelities = [0.0] * (len(reg.lanes) * len(pairs))
+    tags, fidelities = [p.broadcast for p in pairs], []
     for k, (p, refs, rotation) in enumerate(zip(pairs, states, rotations)):
-        box = net.inbox[p.r]
+        box, reads = net.inbox[p.r], ("combined", *tags[:k], *tags[k + 1:])
         try:
-            each_lane = zip(box["combined"], *map(box.__getitem__, tags[:k] + tags[k + 1:]))
-            own = tuple(map(xor_combine, each_lane))
+            own = [xor_combine([box[tag][lane] for tag in reads]) for lane in reg.lanes]
         except KeyError as lost:
             raise NetworkError(f"{p.r} has no message tagged {lost.args[0]!r}") from None
-        fidelities[k::len(pairs)] = read_out(reg, net.take(p.r, p.psi_own), own, rotation, refs)
+        fidelities += read_out(reg, net.take(p.r, p.psi_own), own, rotation, refs)
     return fidelities
 
 
 @dataclass
 class RoundResult:
-    fidelities: list[float] = field(default_factory=list)  # lane by lane, n pairs each
+    fidelities: list[float] = field(default_factory=list)  # pair by pair, a lane each
     peak_usage: int = 0        # sum over nodes of per-node peak holdings
     peak_alloc: int = 0        # network-wide simultaneous live qubits
     trace: Trace = Trace([])  # net.trace: entries are built when iterated
@@ -210,9 +207,9 @@ def run_round(net: QNetwork, reg: StateRegistry,
     """One full protocol round on a fresh/reset network: its four phases, in
     every lane of ``reg``.
 
-    input_states: one payload per pair, either one state for every lane or
-    one state per lane.  rotations: optional per-pair rotation gate, applied
-    at the transmitter and inverted at the receiver in every lane.
+    input_states: one payload per pair, each one state for every lane or
+    each one state per lane.  rotations: optional per-pair rotation gate,
+    applied at the transmitter and inverted at the receiver in every lane.
     swap: the assisters' policy during distribution.  A pair succeeds when
     the receiver-side fidelity reaches 1 within 1e-9.  A round that ends
     with a message queued, a qubit in flight, or a live qubit no node holds
@@ -227,7 +224,7 @@ def run_round(net: QNetwork, reg: StateRegistry,
         rotations = [None] * n
     elif len(rotations) != n:
         raise ValueError(f"need {n} rotation entries, got {len(rotations)}")
-    states = [_lane_states(s, len(reg.lanes)) for s in input_states]  # before any qubit exists
+    states = _lane_states(input_states, len(reg.lanes))  # before any qubit exists
     result = RoundResult()
     try:
         distribute_entanglements(net, reg, swap)
@@ -243,13 +240,13 @@ def run_round(net: QNetwork, reg: StateRegistry,
     return result
 
 
-def _lane_states(payload, lanes: int) -> list[np.ndarray]:
-    """A pair's payload checked in each lane: one state for all, or one per lane."""
-    if np.ndim(payload) < 2:
-        return [as_state(payload)] * lanes
-    if len(payload) != lanes:
-        raise ValueError(f"need one payload state per lane ({lanes}), got {len(payload)}")
-    return [as_state(s) for s in payload]
+def _lane_states(payloads, lanes: int) -> list[list[np.ndarray]]:
+    """Each pair's payload, checked, in each lane: one state for all or one per lane."""
+    if np.ndim(payloads[0]) < 2:
+        return [[as_state(s)] * lanes for s in payloads]
+    if any(len(payload) != lanes for payload in payloads):
+        raise ValueError(f"need one payload state per lane ({lanes}) for every pair")
+    return [[as_state(s) for s in payload] for payload in payloads]
 
 
 def _diagnostic(exc: Exception, reg: StateRegistry) -> str:

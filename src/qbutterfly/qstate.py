@@ -13,11 +13,11 @@ built once with the Gate, into ``amps.reshape(-1, 2, stride)``, which puts
 q's bit on the middle axis, except that X gathers and Z multiplies by
 cached signs.  CNOT gathers through a cached permutation, and both
 measurements through one cached Gray-code order of the measured bits
-(``_gray_order``).  A Bell measurement is one such gather and one
-projection: its CNOT and H are never applied.  A Bell pair starts as one
-shared read-only (|00>+|11>)/sqrt(2) unless its H drew a fault.  Public
-methods check every input; ``iedtc``'s round calls the unchecked steps they
-are built from on what it has checked (see ``StateRegistry``).
+(``_gray_order``).  A Bell measurement is one such gather, from the factors
+of the clusters it joins, and one projection: its CNOT and H are never
+applied.  A noiseless Bell pair starts as one shared read-only
+(|00>+|11>)/sqrt(2).  Public methods check every input; ``iedtc``'s round
+calls the unchecked steps they are built from on what it has checked.
 
 A registry runs lanes: trials of one circuit, each on its own generator.
 Noise Paulis and measured bits never change which qubits share a cluster, so
@@ -126,8 +126,9 @@ def ry(theta: float) -> Gate:
 
 def random_state(rng: np.random.Generator) -> np.ndarray:
     """Haar-random single-qubit pure state (uniform on the Bloch sphere)."""
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
+    # rng.uniform(low, high) is low + (high - low) * rng.random(), at 4x the cost.
+    z = -1.0 + 2.0 * rng.random()
+    phi = 2.0 * math.pi * rng.random()
     half = math.acos(z) / 2.0
     return np.array([math.cos(half), np.exp(1j * phi) * math.sin(half)], dtype=complex)
 
@@ -159,7 +160,7 @@ def _cnot_permutation(dim: int, control_stride: int, target_stride: int) -> np.n
     return perm
 
 
-# The CNOT kernel's output on H|0>|0>, where each Bell pair with a clean H starts.
+# The CNOT kernel's output on H|0>|0>, where each noiseless Bell pair starts.
 _PHI_PLUS = _H_ON_00[_cnot_permutation(4, 2, 1)]
 _PHI_PLUS.flags.writeable = False
 
@@ -195,16 +196,20 @@ def _gray_order(dim: int, *strides: int) -> np.ndarray:
     return order
 
 
+@functools.lru_cache(maxsize=None)
+def _gray_factors(high: int, low: int, *strides: int) -> tuple[np.ndarray, np.ndarray]:
+    # _gray_order into each factor of a product: its entry i is high[i // low] * low[i % low].
+    orders = np.divmod(_gray_order(high * low, *strides), low)
+    orders[0].flags.writeable = orders[1].flags.writeable = False  # cached, as above
+    return orders
+
+
 class StateRegistry:
     """Owns every live qubit and its cluster state in each lane.
 
     Each live qubit maps straight to the cluster object that holds it;
     clusters carry no ids, and a cluster lives as long as a qubit maps to it.
-    A single-qubit gate on q is ``gate.matrix @ view`` on the (high, q, low)
-    view of the module docstring, or the same amplitudes by gather (X) or
-    sign product (Z).  CNOT gathers through a cached order that swaps the
-    target halves where the control bit is 1, after a merge that appends
-    the second cluster's qubits as the low bits.
+    Joining two clusters appends the second one's qubits as the low bits.
     Measuring q gathers q's 0 half then its 1 half, draws the outcome from
     the 1 half's weight and keeps the chosen half, renormalized.
 
@@ -219,30 +224,27 @@ class StateRegistry:
     Measurement and release consume the QubitId; a consumed id can never be
     used again (no-cloning is enforced by handle death, ids are never reused).
 
-    ``seed`` is a seed or generator, or a list or tuple of them, one per
-    lane (``rngs``; ``lanes`` holds their indexes).  ``gate_count`` and
-    ``noise_events`` sum over the lanes.  Each unchecked step takes the lanes
-    it acts in and returns one result per lane.
+    ``seed`` is a seed or generator, or one per lane in a list or tuple
+    (``rngs``, indexed by ``lanes``); gate and noise counts sum over lanes.
 
     Each operation is checked once, where it enters: the public methods
-    (``alloc_qubit``, ``apply_gate``, ``measure``, ``bell_measure``,
-    ``release``, ``fidelity``, ``cluster_state``) validate states, arity,
-    distinct targets and liveness, and need one lane to return a value.  The
-    steps they are built from (``_alloc``, ``_apply_gate``, ``_measure``,
-    ``_bell_measure``, ``_fidelity``, the kernels and ``_draw_noise``), and
-    ``create_bell_pair``, whose qubits are fresh, run unchecked, and only
-    ``iedtc`` calls them: on the payloads ``run_round`` checked once, and on
-    halves the round holds in custody (qsre's eavesdropper's too).
+    validate states, arity, distinct targets and liveness, and need one lane
+    to return a value.  The steps they are built from (``_alloc``,
+    ``_apply_gate``, ``_measure``, ``_fidelity``, the kernels and
+    ``_draw_noise``), and ``create_bell_pair``, whose qubits are fresh, run
+    unchecked on what ``iedtc``'s round checked or holds in custody (qsre's
+    eavesdropper's too); each takes the lanes it acts in and returns one
+    result per lane.  ``_bell_measure`` refuses a repeated or dead qubit, and
+    ``release`` a dead one, before any change and at next to no cost.
 
-    Noise hook: after each gate, when ``noise_prob`` is nonzero, the
-    configured channel may inject Pauli errors, drawn from each lane's
-    generator so runs are seed-deterministic.  Every gate's Paulis are drawn
-    by ``_draw_noise(gate, targets, rng)``, the one hook, which returns
-    (qubit, Pauli index) pairs; ``_inject_noise`` applies them in their lane.
-    ``bell_measure`` applies none: a Pauli pushed through its Clifford gates
-    stays a Pauli, so on a measured qubit it flips that qubit's bit or is a
-    global phase.  A flipped bit is drawn against the other branch's weight,
-    so every draw meets the probability it meets when the gates run.
+    Noise hook: after each gate, when ``noise_prob`` is nonzero,
+    ``_draw_noise(gate, targets, rng)``, the one hook, draws the configured
+    channel's Paulis from the lane's generator as (qubit, Pauli index) pairs,
+    and ``_inject_noise`` applies them.  ``bell_measure`` applies none: a
+    Pauli pushed through its Clifford gates stays a Pauli, so on a measured
+    qubit it flips that qubit's bit or is a global phase.  A flipped bit is
+    drawn against the other branch's weight, so every draw meets the
+    probability it meets when the gates run.
 
     * ``entangling`` (default): with probability ``noise_prob`` per CNOT,
       one Pauli chosen uniformly from {X,Y,Z} lands on one of the two
@@ -295,10 +297,10 @@ class StateRegistry:
     def create_bell_pair(self) -> tuple[QubitId, QubitId]:
         """Allocate two qubits and entangle them into (|00>+|11>)/sqrt(2).
 
-        The pair starts as one cluster holding the CNOT's output, except in a
-        lane whose H drew a fault: there H|0>|0> takes the fault and the CNOT
-        kernel runs.  Both gates count and both hooks draw in order, so the
-        draws and amplitudes are those of two allocations and two gates.
+        Without noise the pair starts as one cluster holding the CNOT's
+        output; with it, H|0>|0> takes each lane's H faults and the CNOT kernel
+        runs.  Both gates count and both hooks draw in order, so the draws and
+        amplitudes are those of two allocations and two gates.
         """
         a, b = QubitId(self._next_qubit), QubitId(self._next_qubit + 1)
         self._next_qubit += 2
@@ -308,10 +310,8 @@ class StateRegistry:
             self.peak_alloc = len(self._cluster_of)
         self.gate_count += 2 * len(self.rngs)
         if self.noise_prob:
-            faulty = self._inject_noise(H, (a,), self.lanes)
-            cluster.amps = [amps if lane in faulty else _PHI_PLUS
-                            for lane, amps in enumerate(cluster.amps)]
-            self._apply_cnot(a, b, faulty)
+            self._inject_noise(H, (a,), self.lanes)
+            self._apply_cnot(a, b, self.lanes)
             self._inject_noise(CNOT, (a, b), self.lanes)
         self._note(cluster)
         return a, b
@@ -324,8 +324,7 @@ class StateRegistry:
             raise ValueError(f"{gate.kind.value} takes {gate.arity} target(s), got {len(targets)}")
         if len(set(targets)) != len(targets):
             raise ValueError("duplicate target qubit")
-        for q in targets:
-            self._require_live(q)
+        self._require_live(*targets)
         self._apply_gate(gate, targets, self.lanes)
         if gate.matrix is None:  # only a CNOT's merge can grow a cluster
             self._note(self._cluster_of[targets[0]])
@@ -343,13 +342,14 @@ class StateRegistry:
     def _apply_single(self, gate: Gate, q: QubitId, lanes: Sequence[int]) -> None:
         cluster = self._cluster_of[q]
         qubits, amps, kind = cluster.qubits, cluster.amps, gate.kind
-        stride = 1 << (len(qubits) - 1 - qubits.index(q))
+        last = len(qubits) - 1
+        stride = 1 << (last - qubits.index(q))
         if kind is GateKind.X:
-            order = _flip_order(1 << len(qubits), stride)
+            order = _flip_order(2 << last, stride)
             for lane in lanes:
                 amps[lane] = amps[lane][order]
         elif kind is GateKind.Z:
-            signs = _phase_signs(1 << len(qubits), stride)
+            signs = _phase_signs(2 << last, stride)
             for lane in lanes:
                 amps[lane] = amps[lane] * signs
         else:
@@ -357,9 +357,12 @@ class StateRegistry:
                 amps[lane] = (gate.matrix @ amps[lane].reshape(-1, 2, stride)).reshape(-1)
 
     def _apply_cnot(self, control: QubitId, target: QubitId, lanes: Sequence[int]) -> None:
-        cluster = self._cluster_of[control]
-        if cluster is not self._cluster_of[target]:
-            cluster = self._merge(cluster, self._cluster_of[target])
+        cluster, other = self._cluster_of[control], self._cluster_of[target]
+        if other is not cluster:  # in every lane, the two clusters' product state
+            high_order, low_order = _gray_factors(1 << len(cluster.qubits), 1 << len(other.qubits))
+            for lane in self.lanes:
+                cluster.amps[lane] = cluster.amps[lane][high_order] * other.amps[lane][low_order]
+            self._merge(cluster, other)
         qubits, amps = cluster.qubits, cluster.amps
         last = len(qubits) - 1
         perm = _cnot_permutation(2 << last, 1 << (last - qubits.index(control)),
@@ -367,28 +370,18 @@ class StateRegistry:
         for lane in lanes:
             amps[lane] = amps[lane][perm]
 
-    def _merge(self, a: _Cluster, b: _Cluster) -> _Cluster:
-        # a takes b's qubits as its low bits, and b is dropped.
-        amps = a.amps
-        for lane in self.lanes:
-            amps[lane] = (amps[lane].reshape(-1, 1) * b.amps[lane]).reshape(-1)
+    def _merge(self, a: _Cluster, b: _Cluster) -> None:
+        # a takes b's qubits as its low bits, and b is dropped; callers form the amplitudes.
         a.qubits += b.qubits
         for q in b.qubits:
             self._cluster_of[q] = a
         if 1 << len(a.qubits) > self.peak_cluster_dim:
             self.peak_cluster_dim = 1 << len(a.qubits)
-        return a
 
-    def _inject_noise(self, gate: Gate, targets: Sequence[QubitId],
-                      lanes: Sequence[int]) -> list[int]:
-        faulty = []  # the lanes that drew a Pauli
+    def _inject_noise(self, gate: Gate, targets: Sequence[QubitId], lanes: Sequence[int]) -> None:
         for lane in lanes:
-            events = self._draw_noise(gate, targets, self.rngs[lane])
-            for q, pauli in events:
+            for q, pauli in self._draw_noise(gate, targets, self.rngs[lane]):
                 self._apply_single(_PAULIS[pauli], q, (lane,))
-            if events:
-                faulty.append(lane)
-        return faulty
 
     def _draw_noise(self, gate: Gate, targets: Sequence[QubitId],
                     rng: np.random.Generator) -> list[tuple[QubitId, int]]:
@@ -423,10 +416,10 @@ class StateRegistry:
         del self._cluster_of[q]
         qubits.remove(q)
         outcomes = []
-        for lane in self.lanes:
+        for lane, rng in enumerate(self.rngs):
             halves = amps[lane][order]
             ones = halves[half:]
-            outcome = 1 if self.rngs[lane].random() < np.vdot(ones, ones).real else 0  # the draw is < 1
+            outcome = 1 if rng.random() < np.vdot(ones, ones).real else 0  # the draw is < 1
             if qubits:  # an emptied cluster is dropped with its last qubit
                 collapsed = ones if outcome else halves[:half]
                 amps[lane] = collapsed / math.sqrt(np.vdot(collapsed, collapsed).real)
@@ -439,28 +432,34 @@ class StateRegistry:
         Consumes both qubits; returns (b1, b2) with b1 from q1.  Runs as one
         projection with the draws of those four steps (see the class docstring).
         """
+        self._require_readable()
+        return divmod(self._bell_measure(q1, q2)[0], 2)
+
+    def _bell_measure(self, q1: QubitId, q2: QubitId) -> list[int]:
+        # Returns each lane's 2 * b1 + b2; checks as the class docstring says.
         if q1 == q2:
             raise ValueError("bell_measure needs two distinct qubits")
-        self._require_readable(q1, q2)
-        return self._bell_measure(q1, q2)[0]
-
-    def _bell_measure(self, q1: QubitId, q2: QubitId) -> list[tuple[int, int]]:
-        # Unchecked: q1 and q2 are distinct and live.  Returns each lane's (b1, b2).
-        cluster = self._cluster_of[q1]
-        if cluster is not self._cluster_of[q2]:
-            cluster = self._merge(cluster, self._cluster_of[q2])
+        try:
+            cluster, other = self._cluster_of[q1], self._cluster_of[q2]
+        except KeyError:
+            self._require_live(q1, q2)  # raises DeadQubitError
+        # Two clusters are joined, their product never formed: each lane gathers from both.
+        high, low = 1 << len(cluster.qubits), None if other is cluster else other.amps
+        if low is not None:
+            self._merge(cluster, other)
         qubits, amps = cluster.qubits, cluster.amps
         last, half = len(qubits) - 1, 1 << (len(qubits) - 1)
-        order = _gray_order(half << 1, 1 << (last - qubits.index(q1)),
-                            1 << (last - qubits.index(q2)))
+        order, low_order = _gray_factors(high, (half << 1) // high, 1 << (last - qubits.index(q1)),
+                                         1 << (last - qubits.index(q2)))
         self.gate_count += 2 * len(amps)
         del self._cluster_of[q1], self._cluster_of[q2]
         qubits.remove(q1)
         qubits.remove(q2)
         bits = []
-        for lane in self.lanes:
-            rng = self.rngs[lane]
+        for lane, rng in enumerate(self.rngs):
             gathered = amps[lane][order]
+            if low is not None:
+                gathered = gathered * low[lane][low_order]
             lo, hi = gathered[:half], gathered[half:]
             flip1 = flip2 = False
             if self.noise_prob:
@@ -490,7 +489,7 @@ class StateRegistry:
             b2 = 1 if rng.random() < w_ones / (w_zeros + w_ones) else 0
             if qubits:  # other qubits shared the merged cluster
                 amps[lane] = ones / math.sqrt(w_ones) if b2 else zeros / math.sqrt(w_zeros)
-            bits.append((b1, b2))
+            bits.append(2 * b1 + b2)
         if qubits:
             self._note(cluster)
         return bits
@@ -502,8 +501,11 @@ class StateRegistry:
         that nothing reads, after the one draw its measurement makes, so
         each lane's generator ends where a measurement leaves it.
         """
-        self._require_live(q)
-        if len(self._cluster_of[q].qubits) > 1:
+        try:
+            cluster = self._cluster_of[q]
+        except KeyError:
+            self._require_live(q)  # raises DeadQubitError
+        if len(cluster.qubits) > 1:
             self._measure(q)
         else:
             for rng in self.rngs:
@@ -547,16 +549,15 @@ class StateRegistry:
 
     # -- internals -----------------------------------------------------------
 
-    def _require_live(self, q: QubitId) -> None:
-        if q not in self._cluster_of:
-            raise DeadQubitError(f"qubit {q} is not live (consumed or never allocated)")
+    def _require_live(self, *qubits: QubitId) -> None:
+        for q in qubits:
+            if q not in self._cluster_of:
+                raise DeadQubitError(f"qubit {q} is not live (consumed or never allocated)")
 
-    def _require_readable(self, *qubits: QubitId) -> None:
-        # A checked method that returns a value reads one lane's live qubits.
+    def _require_readable(self, *qubits: QubitId) -> None:  # one lane's live qubits
         if len(self.rngs) != 1:
             raise ValueError(f"this reads one lane's value; the registry has {len(self.rngs)}")
-        for q in qubits:
-            self._require_live(q)
+        self._require_live(*qubits)
 
     def _note(self, cluster: _Cluster) -> None:
         # Called at the end of each operation on the one cluster it can have

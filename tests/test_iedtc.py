@@ -30,6 +30,7 @@ from qbutterfly.qsre import random_guess
 from qbutterfly.qstate import (
     NOISE_ALL_GATES,
     NOISE_ENTANGLING,
+    DeadQubitError,
     StateRegistry,
     as_state,
     random_state,
@@ -173,6 +174,27 @@ def test_teleport_exact_for_every_outcome():
         assert reg.fidelity(there, ref) == pytest.approx(1.0, abs=1e-9)
         seen.add(msg)
     assert seen == {"00", "01", "10", "11"}
+
+
+def test_teleport_encode_refuses_a_repeated_or_dead_qubit_and_changes_nothing():
+    def registry():
+        reg = StateRegistry(seed=[1, 2])
+        payload = reg.alloc_qubit([0.6, 0.8])
+        here, there = reg.create_bell_pair()
+        reg.release(payload)
+        return reg, payload, here, there
+
+    reg, payload, here, there = registry()
+    with pytest.raises(ValueError, match="two distinct qubits"):
+        teleport_encode(reg, here, here)
+    for dead in ((payload, here), (here, payload)):
+        with pytest.raises(DeadQubitError):
+            teleport_encode(reg, *dead)
+    untouched, *_ = registry()
+    assert reg.live_count == untouched.live_count == 2
+    assert reg._cluster_of[here].qubits == reg._cluster_of[there].qubits == [here, there]
+    assert reg.gate_count == untouched.gate_count
+    assert [rng.random() for rng in reg.rngs] == [rng.random() for rng in untouched.rngs]
 
 
 def test_teleport_with_flipped_corrections_fails():

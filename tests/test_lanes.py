@@ -34,7 +34,7 @@ def test_a_round_of_lanes_is_its_one_lane_rounds(n, lanes, p, model, seed):
         rng = np.random.default_rng(stream)
         one = StateRegistry(p, seed=rng, noise_model=model)
         result = run_round(QNetwork(build_butterfly(n)), one, [random_state(rng) for _ in range(n)])
-        assert batch.fidelities[lane * n:(lane + 1) * n] == result.fidelities
+        assert batch.fidelities[lane::lanes] == result.fidelities
         assert rngs[lane].random() == rng.random()  # each stream ends where it ends alone
         assert peaks(reg) == peaks(one)
         assert (batch.peak_usage, batch.peak_alloc) == (result.peak_usage, result.peak_alloc)
@@ -78,7 +78,9 @@ def recorded_sweep(monkeypatch, cfg):
 
     def recording_round(net, reg, inputs, *args, **kwargs):
         result = qbutterfly.iedtc.run_round(net, reg, inputs, *args, **kwargs)
-        seen.setdefault(reg.noise_prob, []).extend(result.fidelities)
+        lanes = len(reg.rngs)  # the round's fidelities run pair by pair, a lane each
+        seen.setdefault(reg.noise_prob, []).extend(
+            f for lane in range(lanes) for f in result.fidelities[lane::lanes])
         return result
 
     monkeypatch.setattr(qbutterfly.experiments, "run_round", recording_round)

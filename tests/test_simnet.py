@@ -272,6 +272,10 @@ def test_payload_validation(net):
         net.send_classical(T1, M1, "01", "t")  # a bare string is not one string per lane
     with pytest.raises(ValueError, match="must be a bit string per lane"):
         net.send_classical(T1, M1, (), "t")  # nor is an empty tuple
+    with pytest.raises(ValueError, match="must be a bit string per lane"):
+        net.send_classical(T1, M1, ("01", "0"), "t")  # lanes of one message share its size
+    with pytest.raises(ValueError, match="must be a bit string per lane"):
+        net.broadcast_classical(T1, ("01", "01", "011"), "t")
     assert net.pending == 0
     net.send_classical(T1, M1, ("0101",), "t")
     assert net.pending == 1
