@@ -8,7 +8,8 @@ its payload and the 2-bit teleport messages cross the M1--M2 bottleneck as
 a single XOR-combined message that every receiver can invert locally.  A
 round runs in every lane of its registry (see ``qstate``): the network runs
 once, a classical payload holds one bit string per lane, and encoding,
-corrections and read-out run per lane.
+corrections and read-out run per lane, each a public registry method that
+returns a value per lane.  Payload states pass ``as_state`` once, in ``run_round``.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .qstate import DeadQubitError, Gate, QubitId, StateRegistry, X, Z, as_state
+from .qstate import Gate, QubitId, StateRegistry, X, Z, as_state
 from .simnet import NetworkError, QNetwork, Trace
 from .topology import NodeId
 
@@ -42,31 +43,30 @@ def xor_combine(messages: Sequence[str]) -> str:
 
 
 def teleport_encode(reg: StateRegistry, state: QubitId, half: QubitId) -> tuple[str, ...]:
-    """Bell-measure payload against the local pair half, consuming both, both
-    in custody; returns each lane's "b1b2", b1 from the H side.  Entanglement
-    swapping is this same step with one half of a Bell pair as the payload."""
-    return tuple(map(_TWO_BITS.__getitem__, reg._bell_measure(state, half)))
+    """Bell-measure payload against the local pair half, consuming both;
+    returns each lane's "b1b2", b1 from the H side.  Entanglement swapping is
+    this same step with one half of a Bell pair as the payload."""
+    return tuple(map(_TWO_BITS.__getitem__, reg.bell_measure(state, half)))
 
 
 def teleport_decode(reg: StateRegistry, half: QubitId, bits: Sequence[str]) -> None:
-    """Correct the held half in each lane by that lane's bits (X if b2, then Z
-    if b1), unchecked: it is in custody."""
+    """Correct the held half in each lane by that lane's bits (X if b2, then Z if b1)."""
     for lane, b in enumerate(bits):
         if b[1] == "1":
-            reg._apply_gate(X, (half,), (lane,))
+            reg.apply_gate(X, (half,), (lane,))
         if b[0] == "1":
-            reg._apply_gate(Z, (half,), (lane,))
+            reg.apply_gate(Z, (half,), (lane,))
 
 
 def read_out(reg: StateRegistry, half: QubitId, bits: Sequence[str], rotation: Gate | None,
              references: Sequence[np.ndarray]) -> list[float]:
     """Correct the half by its teleport bits, undo the rotation if any, and
-    release the half; returns each lane's fidelity to its reference (a checked
-    state).  A receiver reads out its payload this way, and so does qsre's eavesdropper."""
+    release the half; returns each lane's fidelity to its reference (from
+    ``as_state``).  A receiver reads out its payload this way, and so does qsre's eavesdropper."""
     teleport_decode(reg, half, bits)
     if rotation is not None:
-        reg._apply_gate(rotation.inverse(), (half,), reg.lanes)
-    fidelities = reg._fidelity(half, references)
+        reg.apply_gate(rotation.inverse(), (half,))
+    fidelities = reg.fidelity(half, references)
     reg.release(half)
     return fidelities
 
@@ -150,10 +150,10 @@ def teleport_payloads(net: QNetwork, reg: StateRegistry, states: Sequence[Sequen
     """Phase two: each Tk rotates and teleports its payload (a state per
     lane, which ``run_round`` checked), broadcasting the bits."""
     for p, state, rotation in zip(pair_table(net.topology.n_pairs), states, rotations):
-        payload = reg._alloc(state)
+        payload = reg.alloc_qubit(state)
         net.deposit(p.t, p.eta, payload)
         if rotation is not None:
-            reg._apply_gate(rotation, (payload,), reg.lanes)
+            reg.apply_gate(rotation, (payload,))
         state_q, kept = net.take(p.t, p.eta), net.take(p.t, p.phi_keep)
         net.broadcast_classical(p.t, teleport_encode(reg, state_q, kept), p.broadcast)
     net.run_until_idle()
@@ -233,7 +233,7 @@ def run_round(net: QNetwork, reg: StateRegistry,
         result.fidelities = decode_payloads(net, reg, states, rotations)
         result.error = _custody_error(net, reg)
     except Exception as exc:  # a failed round is a failed trial, with diagnostic
-        result.error = _diagnostic(exc, reg)
+        result.error = f"{type(exc).__name__}: {exc}"
     result.peak_usage = sum(net.node_peaks.values())
     result.peak_alloc = reg.peak_alloc
     result.trace = net.trace  # reset() starts a new view, so this one stays as is
@@ -247,18 +247,6 @@ def _lane_states(payloads, lanes: int) -> list[list[np.ndarray]]:
     if any(len(payload) != lanes for payload in payloads):
         raise ValueError(f"need one payload state per lane ({lanes}) for every pair")
     return [[as_state(s) for s in payload] for payload in payloads]
-
-
-def _diagnostic(exc: Exception, reg: StateRegistry) -> str:
-    """"Type: message" of the error that failed a round.  The unchecked steps
-    raise KeyError on a qubit that is no longer live; that reads as the
-    checked steps' DeadQubitError, at no cost to a round that succeeds."""
-    if type(exc) is KeyError and exc.args and type(exc.args[0]) is int:
-        try:
-            reg._require_live(exc.args[0])
-        except DeadQubitError as dead:
-            exc = dead
-    return f"{type(exc).__name__}: {exc}"
 
 
 def _custody_error(net: QNetwork, reg: StateRegistry) -> str | None:

@@ -117,13 +117,15 @@ def run_attack(net: QNetwork, reg: StateRegistry, magnitude_bits: int,
     success means fidelity >= EAVESDROP_THRESHOLD against the original
     payload; legitimate success keeps the protocol's own exactness bar.  A
     round that fails inside the simulator raises RuntimeError rather than
-    counting as a decoy.  ``reg`` runs one lane: every trial's payload,
-    rotation and guess come from the one attack stream.
+    counting as a decoy.  ``reg`` must run one lane (ValueError otherwise):
+    every trial's payload, rotation and guess come from the one attack stream.
     """
     n = net.topology.n_pairs
     attacked = pair_table(n)[0]  # its assister is the eavesdropper
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if len(reg.rngs) != 1:
+        raise ValueError(f"the attack runs one lane; the registry has {len(reg.rngs)}")
     if not (1 <= magnitude_bits <= 63):
         raise ValueError(f"magnitude_bits must be in 1..63, got {magnitude_bits}")
     if key is not None and any(c not in "01" for c in key):

@@ -16,13 +16,14 @@ measurements through one cached Gray-code order of the measured bits
 (``_gray_order``).  A Bell measurement is one such gather, from the factors
 of the clusters it joins, and one projection: its CNOT and H are never
 applied.  A noiseless Bell pair starts as one shared read-only
-(|00>+|11>)/sqrt(2).  Public methods check every input; ``iedtc``'s round
-calls the unchecked steps they are built from on what it has checked.
+(|00>+|11>)/sqrt(2).  Each registry operation is one public method, which
+``iedtc``'s round calls as tests do; states enter through ``as_state``.
 
 A registry runs lanes: trials of one circuit, each on its own generator.
 Noise Paulis and measured bits never change which qubits share a cluster, so
-the lanes share the clusters, each holding one amplitude array per lane, and
-each step runs its kernel and draws once per lane, as the lane would alone.
+the lanes share the clusters, each holding one amplitude array per lane; each
+step runs its kernel and draws once per lane, as the lane would alone, and a
+method returns one value per lane.
 """
 from __future__ import annotations
 
@@ -95,10 +96,6 @@ class Gate:
         if matrix is not None:
             matrix.flags.writeable = False  # the gate is frozen, and so is what it applies
         object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def arity(self) -> int:
-        return 2 if self.kind is GateKind.CNOT else 1
 
     def inverse(self) -> "Gate":
         """The same rotation with -theta; X, Y, Z, H and CNOT are their own inverses."""
@@ -227,15 +224,13 @@ class StateRegistry:
     ``seed`` is a seed or generator, or one per lane in a list or tuple
     (``rngs``, indexed by ``lanes``); gate and noise counts sum over lanes.
 
-    Each operation is checked once, where it enters: the public methods
-    validate states, arity, distinct targets and liveness, and need one lane
-    to return a value.  The steps they are built from (``_alloc``,
-    ``_apply_gate``, ``_measure``, ``_fidelity``, the kernels and
-    ``_draw_noise``), and ``create_bell_pair``, whose qubits are fresh, run
-    unchecked on what ``iedtc``'s round checked or holds in custody (qsre's
-    eavesdropper's too); each takes the lanes it acts in and returns one
-    result per lane.  ``_bell_measure`` refuses a repeated or dead qubit, and
-    ``release`` a dead one, before any change and at next to no cost.
+    One method per operation, each making only the checks that cost nothing
+    when they pass, before any change: ``alloc_qubit`` refuses a state count
+    other than the lane count; ``apply_gate`` branches on the gate's matrix
+    and target count, so a CNOT needs two distinct targets and any other gate
+    one; ``bell_measure`` refuses a repeated qubit; and a dead qubit raises
+    DeadQubitError from the KeyError of the method's own lookup.  States come
+    as ``as_state`` returns them, and are not checked again.
 
     Noise hook: after each gate, when ``noise_prob`` is nonzero,
     ``_draw_noise(gate, targets, rng)``, the one hook, draws the configured
@@ -279,12 +274,10 @@ class StateRegistry:
 
     # -- allocation ---------------------------------------------------------
 
-    def alloc_qubit(self, amplitudes: Sequence[complex]) -> QubitId:
-        """Allocate a fresh qubit in the given normalized single-qubit state, in every lane."""
-        return self._alloc([as_state(amplitudes).copy()] * len(self.rngs))
-
-    def _alloc(self, states: Sequence[np.ndarray]) -> QubitId:
-        # Unchecked: one state per lane from as_state, kept as is (no kernel writes in place).
+    def alloc_qubit(self, states: Sequence[np.ndarray]) -> QubitId:
+        """A fresh qubit in state ``states[l]`` in lane l, kept as is: no kernel writes in place."""
+        if len(states) != len(self.rngs):
+            raise ValueError(f"need one state per lane ({len(self.rngs)}), got {len(states)}")
         q = QubitId(self._next_qubit)
         self._next_qubit += 1
         cluster = _Cluster([q], list(states))
@@ -318,23 +311,22 @@ class StateRegistry:
 
     # -- gates --------------------------------------------------------------
 
-    def apply_gate(self, gate: Gate, targets: Sequence[QubitId]) -> None:
-        targets = list(targets)
-        if len(targets) != gate.arity:
-            raise ValueError(f"{gate.kind.value} takes {gate.arity} target(s), got {len(targets)}")
-        if len(set(targets)) != len(targets):
-            raise ValueError("duplicate target qubit")
-        self._require_live(*targets)
-        self._apply_gate(gate, targets, self.lanes)
-        if gate.matrix is None:  # only a CNOT's merge can grow a cluster
-            self._note(self._cluster_of[targets[0]])
-
-    def _apply_gate(self, gate: Gate, targets: Sequence[QubitId], lanes: Sequence[int]) -> None:
-        # Unchecked: the caller has made sure of arity, distinctness and liveness.
-        if gate.matrix is None:
-            self._apply_cnot(targets[0], targets[1], lanes)
-        else:
-            self._apply_single(gate, targets[0], lanes)
+    def apply_gate(self, gate: Gate, targets: Sequence[QubitId],
+                   lanes: Sequence[int] | None = None) -> None:
+        """Apply the gate, then its noise, in the given lanes (every lane by default)."""
+        lanes = self.lanes if lanes is None else lanes
+        try:
+            if gate.matrix is not None and len(targets) == 1:
+                self._apply_single(gate, targets[0], lanes)
+            elif gate.matrix is None and len(targets) == 2 and targets[0] != targets[1]:
+                self._apply_cnot(targets[0], targets[1], lanes)
+                self._note(self._cluster_of[targets[0]])  # only a merge can grow a cluster
+            else:
+                need = "one target" if gate.matrix is not None else "two distinct targets"
+                raise ValueError(f"{gate.kind.value} takes {need}, got {list(targets)}")
+        except KeyError:
+            self._require_live(*targets)  # raises DeadQubitError
+            raise
         self.gate_count += len(lanes)
         if self.noise_prob:
             self._inject_noise(gate, targets, lanes)
@@ -402,14 +394,12 @@ class StateRegistry:
 
     # -- measurement & consumption ------------------------------------------
 
-    def measure(self, q: QubitId) -> int:
-        """Computational-basis measurement; collapses and consumes the qubit."""
-        self._require_readable(q)
-        return self._measure(q)[0]
-
-    def _measure(self, q: QubitId) -> list[int]:
-        # Unchecked: q is live.  Returns each lane's outcome.
-        cluster = self._cluster_of[q]
+    def measure(self, q: QubitId) -> list[int]:
+        """Computational-basis measurement, consuming q; returns each lane's outcome."""
+        try:
+            cluster = self._cluster_of[q]
+        except KeyError:
+            self._require_live(q)  # raises DeadQubitError
         qubits, amps = cluster.qubits, cluster.amps
         half = 1 << (len(qubits) - 1)
         order = _gray_order(half << 1, 1 << (len(qubits) - 1 - qubits.index(q)))
@@ -426,17 +416,12 @@ class StateRegistry:
             outcomes.append(outcome)
         return outcomes
 
-    def bell_measure(self, q1: QubitId, q2: QubitId) -> tuple[int, int]:
+    def bell_measure(self, q1: QubitId, q2: QubitId) -> list[int]:
         """Bell-basis measurement: CNOT(q1->q2), H(q1), then measure both.
 
-        Consumes both qubits; returns (b1, b2) with b1 from q1.  Runs as one
+        Consumes both qubits; returns each lane's 2 * b1 + b2, b1 from q1.  One
         projection with the draws of those four steps (see the class docstring).
         """
-        self._require_readable()
-        return divmod(self._bell_measure(q1, q2)[0], 2)
-
-    def _bell_measure(self, q1: QubitId, q2: QubitId) -> list[int]:
-        # Returns each lane's 2 * b1 + b2; checks as the class docstring says.
         if q1 == q2:
             raise ValueError("bell_measure needs two distinct qubits")
         try:
@@ -506,7 +491,7 @@ class StateRegistry:
         except KeyError:
             self._require_live(q)  # raises DeadQubitError
         if len(cluster.qubits) > 1:
-            self._measure(q)
+            self.measure(q)
         else:
             for rng in self.rngs:
                 rng.random()
@@ -518,14 +503,13 @@ class StateRegistry:
     def live_count(self) -> int:
         return len(self._cluster_of)
 
-    def fidelity(self, q: QubitId, reference: Sequence[complex]) -> float:
-        """<ref|rho_q|ref> for the qubit's reduced state; non-destructive."""
-        self._require_readable(q)
-        return self._fidelity(q, [as_state(reference)])[0]
-
-    def _fidelity(self, q: QubitId, refs: Sequence[np.ndarray]) -> list[float]:
-        # q is live and each lane's ref came from as_state; norms are checked as there.
-        cluster = self._cluster_of[q]
+    def fidelity(self, q: QubitId, refs: Sequence[np.ndarray]) -> list[float]:
+        """Each lane's <ref|rho_q|ref>, ref = ``refs[l]``, for the qubit's reduced
+        state; non-destructive.  ValueError if a lane's cluster is not normalized."""
+        try:
+            cluster = self._cluster_of[q]
+        except KeyError:
+            self._require_live(q)  # raises DeadQubitError
         qubits = cluster.qubits
         fidelities = []
         for lane in self.lanes:
@@ -541,11 +525,13 @@ class StateRegistry:
             fidelities.append(float(np.real(ref.conj() @ (psi @ psi.conj().T) @ ref)))
         return fidelities
 
-    def cluster_state(self, q: QubitId) -> tuple[tuple[QubitId, ...], np.ndarray]:
-        """Qubit ordering and a copy of the amplitude vector of q's cluster."""
-        self._require_readable(q)
-        cluster = self._cluster_of[q]
-        return tuple(cluster.qubits), cluster.amps[0].copy()
+    def cluster_state(self, q: QubitId) -> tuple[tuple[QubitId, ...], list[np.ndarray]]:
+        """Qubit ordering and a copy of each lane's amplitude vector of q's cluster."""
+        try:
+            cluster = self._cluster_of[q]
+        except KeyError:
+            self._require_live(q)  # raises DeadQubitError
+        return tuple(cluster.qubits), [amps.copy() for amps in cluster.amps]
 
     # -- internals -----------------------------------------------------------
 
@@ -553,11 +539,6 @@ class StateRegistry:
         for q in qubits:
             if q not in self._cluster_of:
                 raise DeadQubitError(f"qubit {q} is not live (consumed or never allocated)")
-
-    def _require_readable(self, *qubits: QubitId) -> None:  # one lane's live qubits
-        if len(self.rngs) != 1:
-            raise ValueError(f"this reads one lane's value; the registry has {len(self.rngs)}")
-        self._require_live(*qubits)
 
     def _note(self, cluster: _Cluster) -> None:
         # Called at the end of each operation on the one cluster it can have

@@ -33,8 +33,8 @@ def partial_trace(psi, keep):
 def pair_fidelity(reg, q1, q2, ref):
     """<ref|rho_{q1,q2}|ref> (q1 the high bit), from the registry's cluster
     amplitudes by the dense partial trace above."""
-    order1, amps1 = reg.cluster_state(q1)
-    order2, amps2 = reg.cluster_state(q2)
+    order1, (amps1,) = reg.cluster_state(q1)
+    order2, (amps2,) = reg.cluster_state(q2)
     if order1 == order2:
         rho = partial_trace(amps1, [order1.index(q1), order1.index(q2)])
     else:

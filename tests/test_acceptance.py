@@ -155,11 +155,11 @@ def test_05_every_measurement_branch_is_exact(capfd):
             break
         reg = StateRegistry(seed=seed)
         ref = random_state(rng)
-        payload = reg.alloc_qubit(ref)
+        payload = reg.alloc_qubit([ref])
         here, there = reg.create_bell_pair()
         (msg,) = teleport_encode(reg, payload, here)
         teleport_decode(reg, there, (msg,))
-        fid = reg.fidelity(there, ref)
+        (fid,) = reg.fidelity(there, [ref])
         assert fid == pytest.approx(1.0, abs=1e-9), (msg, fid)
         tele_seen[(int(msg[0]), int(msg[1]))] = fid
 

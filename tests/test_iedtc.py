@@ -167,11 +167,11 @@ def test_teleport_exact_for_every_outcome():
     for seed in range(60):
         reg = StateRegistry(seed=seed)
         ref = random_state(rng)
-        payload = reg.alloc_qubit(ref)
+        payload = reg.alloc_qubit([ref])
         here, there = reg.create_bell_pair()
         (msg,) = teleport_encode(reg, payload, here)
         teleport_decode(reg, there, (msg,))
-        assert reg.fidelity(there, ref) == pytest.approx(1.0, abs=1e-9)
+        assert reg.fidelity(there, [ref]) == [pytest.approx(1.0, abs=1e-9)]
         seen.add(msg)
     assert seen == {"00", "01", "10", "11"}
 
@@ -179,7 +179,7 @@ def test_teleport_exact_for_every_outcome():
 def test_teleport_encode_refuses_a_repeated_or_dead_qubit_and_changes_nothing():
     def registry():
         reg = StateRegistry(seed=[1, 2])
-        payload = reg.alloc_qubit([0.6, 0.8])
+        payload = reg.alloc_qubit([as_state([0.6, 0.8])] * 2)
         here, there = reg.create_bell_pair()
         reg.release(payload)
         return reg, payload, here, there
@@ -200,13 +200,13 @@ def test_teleport_encode_refuses_a_repeated_or_dead_qubit_and_changes_nothing():
 def test_teleport_with_flipped_corrections_fails():
     reg = StateRegistry(seed=3)
     ref = np.array([0.6, 0.8], dtype=complex)
-    payload = reg.alloc_qubit(ref)
+    payload = reg.alloc_qubit([ref])
     here, there = reg.create_bell_pair()
     (msg,) = teleport_encode(reg, payload, here)
     wrong = xor_combine([msg, "11"])
     teleport_decode(reg, there, (wrong,))
     # off by X*Z, and <psi|XZ|psi> = 0 for this state
-    assert reg.fidelity(there, ref) == pytest.approx(0.0, abs=1e-9)
+    assert reg.fidelity(there, [ref]) == [pytest.approx(0.0, abs=1e-9)]
 
 
 # -- distribution phase -----------------------------------------------------------

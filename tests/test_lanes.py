@@ -8,7 +8,18 @@ from hypothesis import strategies as st
 import qbutterfly.experiments
 from qbutterfly.experiments import BATCH, ExperimentConfig, run_accuracy_sweep
 from qbutterfly.iedtc import run_round
-from qbutterfly.qstate import NOISE_MODELS, StateRegistry, random_state
+from qbutterfly.qstate import (
+    CNOT,
+    NOISE_ALL_GATES,
+    NOISE_MODELS,
+    DeadQubitError,
+    H,
+    StateRegistry,
+    X,
+    as_state,
+    random_state,
+    ry,
+)
 from qbutterfly.simnet import QNetwork, serialize_trace
 from qbutterfly.topology import build_butterfly
 
@@ -58,18 +69,82 @@ def test_one_state_serves_every_lane():
         run_round(QNetwork(build_butterfly(n)), StateRegistry(seed=[1, 2]), [[[0.6, 0.8]] * 3] * n)
 
 
-def test_a_lane_registry_refuses_what_reads_one_lane():
+def one_circuit(reg, states, refs, flipped):
+    """The same operations in every lane, except an X in the lanes ``flipped``,
+    and what each read returns: a value per lane."""
+    q = reg.alloc_qubit(states)
+    a, b = reg.create_bell_pair()
+    c, d = reg.create_bell_pair()
+    reg.apply_gate(CNOT, [q, a])
+    reg.apply_gate(ry(0.7), [b])
+    reg.apply_gate(X, [d], flipped)
+    order, amps = reg.cluster_state(q)
+    reads = [reg.fidelity(b, refs), reg.fidelity(q, refs), reg.bell_measure(a, c),
+             reg.measure(q), reg.fidelity(d, refs)]
+    reg.release(b)
+    reg.release(d)
+    return order, amps, reads
+
+
+def test_a_lane_registry_reads_each_lane_as_its_one_lane_registry():
     with pytest.raises(ValueError, match="at least one lane"):
         StateRegistry(seed=[])
     reg = StateRegistry(seed=[1, 2])
     a, b = reg.create_bell_pair()
     assert reg.gate_count == 4  # H and CNOT in each lane
-    for read in (lambda: reg.measure(a), lambda: reg.bell_measure(a, b),
-                 lambda: reg.fidelity(a, [1.0, 0.0]), lambda: reg.cluster_state(a)):
-        with pytest.raises(ValueError, match="reads one lane's value; the registry has 2"):
-            read()
     reg.release(a)  # acts in every lane
     assert reg.live_count == 1
+    for lanes in (1, 3):
+        states = [random_state(np.random.default_rng([lanes, lane])) for lane in range(lanes)]
+        refs = [random_state(np.random.default_rng([lanes, lane, 1])) for lane in range(lanes)]
+        reg = StateRegistry(0.3, seed=list(range(lanes)), noise_model=NOISE_ALL_GATES)
+        order, amps, reads = one_circuit(reg, states, refs, range(0, lanes, 2))
+        assert reg.live_count == 0 and len(amps) == lanes
+        assert all(len(read) == lanes for read in reads)
+        for lane in range(lanes):
+            one = StateRegistry(0.3, seed=lane, noise_model=NOISE_ALL_GATES)
+            one_order, (one_amps,), one_reads = one_circuit(
+                one, [states[lane]], [refs[lane]], (0,) if lane % 2 == 0 else ())
+            assert order == one_order and np.array_equal(amps[lane], one_amps)
+            assert [read[lane] for read in reads] == [read[0] for read in one_reads]
+            assert reg.rngs[lane].random() == one.rngs[0].random()
+
+
+def registry_state(reg, q):
+    """What a refused call must leave as it was."""
+    order, amps = reg.cluster_state(q)
+    return (reg.live_count, reg.gate_count, reg.peak_alloc, reg._next_qubit, order,
+            [a.tolist() for a in amps])
+
+
+def test_every_refusal_comes_before_any_change():
+    for lanes in (1, 3):
+        reg = StateRegistry(0.5, seed=list(range(lanes)), noise_model=NOISE_ALL_GATES)
+        a, b = reg.create_bell_pair()
+        dead = reg.alloc_qubit([as_state([0.6, 0.8])] * lanes)
+        reg.release(dead)
+        before, zeros = registry_state(reg, a), [as_state([1, 0])] * lanes
+        refusals = [
+            (ValueError, "one state per lane", lambda: reg.alloc_qubit(zeros + zeros[:1])),
+            (ValueError, "one state per lane", lambda: reg.alloc_qubit([])),
+            (ValueError, "two distinct targets", lambda: reg.apply_gate(CNOT, [a])),
+            (ValueError, "two distinct targets", lambda: reg.apply_gate(CNOT, [a, a])),
+            (ValueError, "one target", lambda: reg.apply_gate(H, [a, b])),
+            (DeadQubitError, "not live", lambda: reg.apply_gate(X, [dead], range(0, lanes, 2))),
+            (DeadQubitError, "not live", lambda: reg.apply_gate(CNOT, [a, dead])),
+            (DeadQubitError, "not live", lambda: reg.measure(dead)),
+            (DeadQubitError, "not live", lambda: reg.fidelity(dead, zeros)),
+            (DeadQubitError, "not live", lambda: reg.cluster_state(dead)),
+        ]
+        for error, message, refused in refusals:
+            with pytest.raises(error, match=message):
+                refused()
+            assert registry_state(reg, a) == before
+        draws = [rng.random() for rng in reg.rngs]
+        again = StateRegistry(0.5, seed=list(range(lanes)), noise_model=NOISE_ALL_GATES)
+        again.create_bell_pair()
+        again.release(again.alloc_qubit([as_state([0.6, 0.8])] * lanes))
+        assert draws == [rng.random() for rng in again.rngs]  # no refusal drew
 
 
 def recorded_sweep(monkeypatch, cfg):
@@ -113,11 +188,11 @@ class LeakyLastLane(StateRegistry):
     """Loses 1 % of its last lane's amplitude before a read-out, in a round
     of fewer than BATCH lanes only: a sweep's short last batch."""
 
-    def _fidelity(self, q, refs):
+    def fidelity(self, q, refs):
         if len(self.rngs) < BATCH:
             amps = self._cluster_of[q].amps
             amps[-1] = amps[-1] * 0.99
-        return super()._fidelity(q, refs)
+        return super().fidelity(q, refs)
 
 
 def test_an_errored_lane_fails_its_batch_and_names_its_first_trial(monkeypatch):

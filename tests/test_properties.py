@@ -21,13 +21,14 @@ from qbutterfly.qstate import (
     X,
     Y,
     Z,
+    as_state,
     random_state,
     rx,
     ry,
 )
 from qbutterfly.simnet import NetworkError, QNetwork, serialize_trace
 from qbutterfly.topology import LinkKind, build_butterfly
-from test_qstate import embed_cnot, embed_single, oracle_matrix
+from test_qstate import bell_bits, embed_cnot, embed_single, oracle_matrix
 
 WIDTHS = st.integers(min_value=3, max_value=12)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -42,11 +43,11 @@ def chunks(width):
 def test_chunk_inverse_undoes_its_rotation(chunk, seed):
     reg = StateRegistry()
     ref = random_state(np.random.default_rng(seed))
-    q = reg.alloc_qubit(ref)
+    q = reg.alloc_qubit([ref])
     gate = rotation_gate(chunk)
     reg.apply_gate(gate, [q])
     reg.apply_gate(gate.inverse(), [q])
-    assert reg.fidelity(q, ref) == pytest.approx(1.0, abs=1e-12)
+    assert reg.fidelity(q, [ref]) == [pytest.approx(1.0, abs=1e-12)]
 
 
 @pytest.mark.parametrize("width", range(3, 13))
@@ -114,7 +115,7 @@ def registry_vector(reg, order):
     for q in order:
         if q in qubits:
             continue
-        members, amps = reg.cluster_state(q)
+        members, (amps,) = reg.cluster_state(q)
         assert abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL
         qubits.extend(members)
         psi = np.kron(psi, amps)
@@ -147,11 +148,12 @@ def test_cluster_kernels_match_dense_oracle(data, n, seed):
 
     def measure(q):
         (u,) = next_uniforms(reg, 1)
-        oracle.measure(q, reg.measure(q), u)
+        (bit,) = reg.measure(q)
+        oracle.measure(q, bit, u)
 
     def bell_measure(q1, q2):
         u1, u2 = next_uniforms(reg, 2)
-        b1, b2 = reg.bell_measure(q1, q2)
+        b1, b2 = bell_bits(reg, q1, q2)
         oracle.cnot(q1, q2)
         oracle.gate(H, q1)
         oracle.measure(q1, b1, u1)
@@ -166,7 +168,7 @@ def test_cluster_kernels_match_dense_oracle(data, n, seed):
 
     for _ in range(n):
         amps = random_state(rng)
-        oracle.alloc(reg.alloc_qubit(amps), amps)
+        oracle.alloc(reg.alloc_qubit([amps]), amps)
     # Group the qubits into 1-3 clusters with CNOTs drawn in either direction.
     groups = data.draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
     for g in set(groups):
@@ -206,7 +208,7 @@ def test_x_and_z_kernels_equal_the_matrix_product(n, seed):
     # Pauli; either way each must give exactly what gate.matrix @ view gives.
     rng = np.random.default_rng(seed)
     reg = StateRegistry()
-    qubits = [reg.alloc_qubit(random_state(rng)) for _ in range(n)]
+    qubits = [reg.alloc_qubit([random_state(rng)]) for _ in range(n)]
     for a, b in zip(qubits, qubits[1:]):
         reg.apply_gate(CNOT, [a, b])  # one cluster, qubits in allocation order
 
@@ -218,11 +220,11 @@ def test_x_and_z_kernels_equal_the_matrix_product(n, seed):
         stride = 2 ** (n - 1 - position)
         for pauli, gate in ((0, X), (2, Z)):
             for apply in (lambda: reg.apply_gate(gate, [q]), lambda: inject(gate, pauli, q)):
-                order, before = reg.cluster_state(q)
+                order, (before,) = reg.cluster_state(q)
                 assert order == tuple(qubits)
                 expected = (gate.matrix @ before.reshape(-1, 2, stride)).reshape(-1)
                 apply()
-                assert np.array_equal(reg.cluster_state(q)[1], expected)
+                assert np.array_equal(reg.cluster_state(q)[1][0], expected)
 
 
 # -- XOR coding and whole rounds -------------------------------------------------
@@ -268,7 +270,7 @@ def test_trace_matches_an_independent_record_of_the_sends(data):
         elif op == "qubit":
             src, dst = data.draw(st.sampled_from(fiber))
             tag = data.draw(tags)
-            q = reg.alloc_qubit([1.0, 0.0])
+            q = reg.alloc_qubit([as_state([1.0, 0.0])])
             if tag in held[src]:  # the sender already holds a qubit under this tag
                 event("refused: the sender's deposit")
                 with pytest.raises(NetworkError, match="already holds"):

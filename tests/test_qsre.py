@@ -139,11 +139,11 @@ def test_encode_decode_roundtrip_is_exact():
     for chunk in ("000", "101", "0111", "110101"):
         reg = StateRegistry()
         ref = random_state(rng)
-        q = reg.alloc_qubit(ref)
+        q = reg.alloc_qubit([ref])
         gate = rotation_gate(chunk)
         reg.apply_gate(gate, [q])
         reg.apply_gate(gate.inverse(), [q])
-        assert reg.fidelity(q, ref) == pytest.approx(1.0, abs=1e-12)
+        assert reg.fidelity(q, [ref]) == [pytest.approx(1.0, abs=1e-12)]
 
 
 @pytest.mark.parametrize("magnitude_bits", [1, 2, 3])
@@ -163,10 +163,10 @@ def test_wrong_sign_is_invisible_at_magnitude_zero():
     # still recovers the state perfectly when the magnitude bits are zero.
     reg = StateRegistry()
     ref = random_state(np.random.default_rng(12))
-    q = reg.alloc_qubit(ref)
+    q = reg.alloc_qubit([ref])
     reg.apply_gate(rotation_gate("000"), [q])
     reg.apply_gate(rotation_gate("010").inverse(), [q])
-    assert reg.fidelity(q, ref) == pytest.approx(1.0, abs=1e-12)
+    assert reg.fidelity(q, [ref]) == [pytest.approx(1.0, abs=1e-12)]
 
 
 def test_random_guess_covers_space_uniformly():
@@ -236,6 +236,13 @@ def test_attack_validation():
         run_attack(net, reg, 2, True, trials=1, seed=1, key="000")
     with pytest.raises(ValueError, match="0/1"):  # checked even when no trial reads it
         run_attack(net, reg, 1, False, trials=1, seed=1, key="10x1")
+
+
+def test_attack_refuses_a_lane_registry_before_any_round():
+    reg = StateRegistry(seed=[1, 2])
+    with pytest.raises(ValueError, match="one lane; the registry has 2"):
+        run_attack(QNetwork(build_butterfly(2)), reg, 1, True, trials=3, seed=1)
+    assert (reg.live_count, reg.gate_count, reg.peak_alloc) == (0, 0, 0)
 
 
 def test_attack_without_defense_always_wins(assert_nothing_left):

@@ -25,6 +25,7 @@ from qbutterfly.qstate import (
     Y,
     Z,
     _gray_order,
+    as_state,
     random_state,
     rx,
     ry,
@@ -77,7 +78,7 @@ def embed_cnot(n, control, target):
 def registry_vector(reg, qubits):
     """Amplitudes of the (single) cluster holding `qubits`, axes reordered to
     match the given qubit order."""
-    order, amps = reg.cluster_state(qubits[0])
+    order, (amps,) = reg.cluster_state(qubits[0])
     assert set(order) == set(qubits)
     k = len(order)
     perm = [order.index(q) for q in qubits]
@@ -89,14 +90,14 @@ def cluster_dims(reg, qubits):
     the qubits must be every live one."""
     clusters = dict(map(reg.cluster_state, qubits))
     assert sum(len(order) for order in clusters) == reg.live_count
-    return sorted(amps.size for amps in clusters.values())
+    return sorted(amps.size for (amps,) in clusters.values())
 
 
 def test_scripted_circuit_matches_dense_oracle():
     reg = StateRegistry()
     rng = np.random.default_rng(17)
     inits = [random_state(rng) for _ in range(3)]
-    qs = [reg.alloc_qubit(s) for s in inits]
+    qs = [reg.alloc_qubit([s]) for s in inits]
 
     oracle = np.kron(np.kron(inits[0], inits[1]), inits[2])
     script = [
@@ -126,16 +127,16 @@ def test_scripted_circuit_matches_dense_oracle():
 def test_single_qubit_gates_match_matrices(gate, matrix):
     reg = StateRegistry()
     init = random_state(np.random.default_rng(3))
-    q = reg.alloc_qubit(init)
+    q = reg.alloc_qubit([init])
     reg.apply_gate(gate, [q])
-    _, amps = reg.cluster_state(q)
+    _, (amps,) = reg.cluster_state(q)
     assert np.allclose(amps, matrix @ init, atol=1e-12)
 
 
 def test_bell_pair_is_phi_plus():
     reg = StateRegistry()
     a, b = reg.create_bell_pair()
-    order, amps = reg.cluster_state(a)
+    order, (amps,) = reg.cluster_state(a)
     assert order == (a, b)
     assert np.allclose(amps, BELL, atol=1e-12)
     assert cluster_dims(reg, [a, b]) == [4]
@@ -145,10 +146,10 @@ def _assert_pair_is_its_gates(pair, gates):
     # create_bell_pair against two allocations and two checked gates: equal
     # amplitudes, counters, peaks and rng position.
     a, _ = pair.create_bell_pair()
-    c, d = gates.alloc_qubit([1.0, 0.0]), gates.alloc_qubit([1.0, 0.0])
+    c, d = gates.alloc_qubit([as_state([1.0, 0.0])]), gates.alloc_qubit([as_state([1.0, 0.0])])
     gates.apply_gate(H, [c])
     gates.apply_gate(CNOT, [c, d])
-    (order, amps), (ref_order, ref_amps) = pair.cluster_state(a), gates.cluster_state(c)
+    (order, (amps,)), (ref_order, (ref_amps,)) = pair.cluster_state(a), gates.cluster_state(c)
     assert order == ref_order
     assert np.array_equal(amps, ref_amps)  # the paths may sign a zero differently
     assert pair.noise_events == gates.noise_events
@@ -177,7 +178,7 @@ def _bell_setup(reg, layout, seed):
     rng = np.random.default_rng(seed)
 
     def pair():
-        a, b = reg.alloc_qubit(random_state(rng)), reg.alloc_qubit(random_state(rng))
+        a, b = reg.alloc_qubit([random_state(rng)]), reg.alloc_qubit([random_state(rng)])
         reg.apply_gate(CNOT, [a, b])
         reg.apply_gate(ry(rng.uniform(0.0, 2.0 * math.pi)), [b])
         return a, b
@@ -194,12 +195,18 @@ def _bell_setup(reg, layout, seed):
 def _bell_by_gates(reg, q1, q2):
     reg.apply_gate(CNOT, [q1, q2])
     reg.apply_gate(H, [q1])
-    return reg.measure(q1), reg.measure(q2)
+    return reg.measure(q1)[0], reg.measure(q2)[0]
+
+
+def bell_bits(reg, q1, q2):
+    """(b1, b2) of a one-lane registry's Bell measurement."""
+    (value,) = reg.bell_measure(q1, q2)
+    return divmod(value, 2)
 
 
 def _assert_same_after_bell(fused, gates, s1, bits, ref_bits):
     assert bits == ref_bits
-    (order, amps), (ref_order, ref_amps) = fused.cluster_state(s1), gates.cluster_state(s1)
+    (order, (amps,)), (ref_order, (ref_amps,)) = fused.cluster_state(s1), gates.cluster_state(s1)
     assert order == ref_order
     assert abs(np.vdot(amps, ref_amps)) == pytest.approx(1.0, rel=0, abs=1e-12)
     assert fused.rngs[0].random() == gates.rngs[0].random()
@@ -217,7 +224,7 @@ def test_bell_measure_draws_like_its_gates(model, p, layout):
         q1, q2, s1, s2 = _bell_setup(fused, layout, seed)
         assert _bell_setup(gates, layout, seed) == (q1, q2, s1, s2)
         counts = (fused.gate_count, fused.noise_events, gates.gate_count, gates.noise_events)
-        bits = fused.bell_measure(q1, q2)
+        bits = bell_bits(fused, q1, q2)
         ref_bits = _bell_by_gates(gates, q1, q2)
         assert fused.gate_count - counts[0] == gates.gate_count - counts[2] == 2
         assert fused.noise_events - counts[1] == gates.noise_events - counts[3]
@@ -278,7 +285,7 @@ def test_bell_measure_folds_each_fault_slot(slot, pauli):
         reg = _OneFault(0, slot, pauli)
         a, b = reg.create_bell_pair()
         reg.seen = []
-        bits = reg.bell_measure(a, b) if path == "fused" else _bell_by_gates(reg, a, b)
+        bits = bell_bits(reg, a, b) if path == "fused" else _bell_by_gates(reg, a, b)
         assert bits == _FLIPS[slot][pauli]
         assert reg.seen == [GateKind.CNOT, GateKind.H]
     # On random states with spectators both paths agree, draw for draw.
@@ -288,7 +295,7 @@ def test_bell_measure_folds_each_fault_slot(slot, pauli):
             q1, q2, s1, s2 = _bell_setup(fused, layout, seed)
             assert _bell_setup(gates, layout, seed) == (q1, q2, s1, s2)
             fused.seen, gates.seen = [], []
-            bits = fused.bell_measure(q1, q2)
+            bits = bell_bits(fused, q1, q2)
             ref_bits = _bell_by_gates(gates, q1, q2)
             assert fused.seen == gates.seen == [GateKind.CNOT, GateKind.H]
             _assert_same_after_bell(fused, gates, s1, bits, ref_bits)
@@ -303,7 +310,7 @@ def test_bell_measure_distinguishes_all_bell_states():
         a, b = reg.create_bell_pair()
         for gate in paulis:
             reg.apply_gate(gate, [b])
-        assert reg.bell_measure(a, b) == bits
+        assert bell_bits(reg, a, b) == bits
 
 
 def test_measurement_frequency_follows_born_rule():
@@ -312,9 +319,9 @@ def test_measurement_frequency_follows_born_rule():
     reg = StateRegistry(seed=5)
     hits = 0
     for _ in range(10_000):
-        q = reg.alloc_qubit([1.0, 0.0])
+        q = reg.alloc_qubit([as_state([1.0, 0.0])])
         reg.apply_gate(ry(theta), [q])
-        hits += reg.measure(q)
+        hits += reg.measure(q)[0]
     assert abs(hits / 10_000 - p1) < 0.02
 
 
@@ -323,7 +330,7 @@ def test_bell_pair_measurements_are_correlated():
     seen = set()
     for _ in range(200):
         a, b = reg.create_bell_pair()
-        ba, bb = reg.measure(a), reg.measure(b)
+        (ba,), (bb,) = reg.measure(a), reg.measure(b)
         assert ba == bb
         seen.add(ba)
     assert seen == {0, 1}
@@ -332,8 +339,8 @@ def test_bell_pair_measurements_are_correlated():
 def test_partner_collapses_to_measured_bit():
     reg = StateRegistry(seed=2)
     a, b = reg.create_bell_pair()
-    bit = reg.measure(a)
-    _, amps = reg.cluster_state(b)
+    (bit,) = reg.measure(a)
+    _, (amps,) = reg.cluster_state(b)
     target = np.zeros(2, dtype=complex)
     target[bit] = 1.0
     assert np.allclose(amps, target, atol=1e-12)
@@ -344,13 +351,13 @@ def test_release_leaves_partner_maximally_mixed():
     a, b = reg.create_bell_pair()
     reg.release(a)
     plus = np.array([SQ2, SQ2], dtype=complex)
-    assert reg.fidelity(b, plus) == pytest.approx(0.5, abs=1e-12)
+    assert reg.fidelity(b, [plus]) == [pytest.approx(0.5, abs=1e-12)]
 
 
 def test_releasing_a_lone_qubit_moves_the_rng_as_measuring_it_does():
     measured, released = StateRegistry(seed=6), StateRegistry(seed=6)
     for reg, consume in ((measured, measured.measure), (released, released.release)):
-        q = reg.alloc_qubit(random_state(np.random.default_rng(1)))
+        q = reg.alloc_qubit([random_state(np.random.default_rng(1))])
         consume(q)
         assert reg.live_count == 0
     assert measured.rngs[0].random() == released.rngs[0].random()
@@ -361,11 +368,11 @@ def test_releasing_a_lone_qubit_moves_the_rng_as_measuring_it_does():
 def test_rotation_inverses_cancel():
     reg = StateRegistry()
     init = random_state(np.random.default_rng(9))
-    q = reg.alloc_qubit(init)
+    q = reg.alloc_qubit([init])
     for gate, inverse in ((rx(0.7), rx(-0.7)), (ry(2.1), ry(-2.1))):
         reg.apply_gate(gate, [q])
         reg.apply_gate(inverse, [q])
-    _, amps = reg.cluster_state(q)
+    _, (amps,) = reg.cluster_state(q)
     assert np.allclose(amps, init, atol=1e-12)
 
 
@@ -405,9 +412,9 @@ def test_gate_equality_hash_and_repr_ignore_the_matrix():
 def test_full_turn_is_global_phase_only():
     reg = StateRegistry()
     init = random_state(np.random.default_rng(21))
-    q = reg.alloc_qubit(init)
+    q = reg.alloc_qubit([init])
     reg.apply_gate(rx(2.0 * math.pi), [q])
-    _, amps = reg.cluster_state(q)
+    _, (amps,) = reg.cluster_state(q)
     assert np.allclose(amps, -init, atol=1e-12)
     assert states_equal(amps, init)
 
@@ -420,13 +427,13 @@ def test_states_equal_is_phase_invariant():
 
 def test_fidelity_of_known_states():
     reg = StateRegistry()
-    q = reg.alloc_qubit([0.6, 0.8])
+    q = reg.alloc_qubit([as_state([0.6, 0.8])])
     ref = np.array([SQ2, SQ2], dtype=complex)
-    assert reg.fidelity(q, ref) == pytest.approx(abs(np.vdot(ref, [0.6, 0.8])) ** 2, abs=1e-12)
+    assert reg.fidelity(q, [ref]) == [pytest.approx(abs(np.vdot(ref, [0.6, 0.8])) ** 2, abs=1e-12)]
     # the reduced state of one Bell half is maximally mixed
     a, b = reg.create_bell_pair()
-    assert reg.fidelity(a, [1.0, 0.0]) == pytest.approx(0.5, abs=1e-12)
-    assert reg.fidelity(b, ref) == pytest.approx(0.5, abs=1e-12)
+    assert reg.fidelity(a, [as_state([1.0, 0.0])]) == [pytest.approx(0.5, abs=1e-12)]
+    assert reg.fidelity(b, [ref]) == [pytest.approx(0.5, abs=1e-12)]
 
 
 def test_reduced_states_match_dense_oracle():
@@ -434,7 +441,7 @@ def test_reduced_states_match_dense_oracle():
     # in the reduced-state code changes the overlaps.
     reg = StateRegistry()
     rng = np.random.default_rng(23)
-    qs = [reg.alloc_qubit(random_state(rng)) for _ in range(3)]
+    qs = [reg.alloc_qubit([random_state(rng)]) for _ in range(3)]
     reg.apply_gate(H, [qs[0]])
     reg.apply_gate(CNOT, [qs[0], qs[1]])
     reg.apply_gate(rx(0.9), [qs[2]])
@@ -445,7 +452,7 @@ def test_reduced_states_match_dense_oracle():
     for i, q in enumerate(qs):
         ref = random_state(rng)
         want = np.real(ref.conj() @ partial_trace(psi, [i]) @ ref)
-        assert reg.fidelity(q, ref) == pytest.approx(want, abs=1e-12)
+        assert reg.fidelity(q, [ref]) == [pytest.approx(want, abs=1e-12)]
     # The pair_fidelity helper that Bell-pair checks read agrees with the
     # trace of the reordered vector, for every ordered pair.
     for i in range(3):
@@ -507,10 +514,10 @@ def test_gray_order_matches_the_measurement_formulas():
 
 
 def _merged_dim(reg, q1, q2):
-    qubits, amps = reg.cluster_state(q1)
+    qubits, (amps,) = reg.cluster_state(q1)
     if q2 in qubits:
         return amps.size
-    return amps.size * reg.cluster_state(q2)[1].size
+    return amps.size * reg.cluster_state(q2)[1][0].size
 
 
 def test_peaks_match_brute_force_reference():
@@ -531,7 +538,7 @@ def test_peaks_match_brute_force_reference():
             i, j = (int(x) for x in rng.choice(max(len(live), 2), 2, replace=False))
             merge = 0
             if op == 0:
-                live.append(reg.alloc_qubit(random_state(rng)))
+                live.append(reg.alloc_qubit([random_state(rng)]))
             elif op == 1:
                 live.extend(reg.create_bell_pair())
             elif op == 2:
@@ -548,7 +555,7 @@ def test_peaks_match_brute_force_reference():
             # The distinct clusters partition the live qubits, each normalized.
             clusters = {}
             for q in live:
-                order, amps = reg.cluster_state(q)
+                order, (amps,) = reg.cluster_state(q)
                 assert q in order
                 assert abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL
                 clusters[order] = amps.size
@@ -562,7 +569,7 @@ def test_peaks_match_brute_force_reference():
 
 def test_chain_entanglement_grows_and_collapses():
     reg = StateRegistry(seed=0)
-    qs = [reg.alloc_qubit([1.0, 0.0]) for _ in range(3)]
+    qs = [reg.alloc_qubit([as_state([1.0, 0.0])]) for _ in range(3)]
     reg.apply_gate(H, [qs[0]])
     reg.apply_gate(CNOT, [qs[0], qs[1]])
     reg.apply_gate(CNOT, [qs[1], qs[2]])
@@ -574,7 +581,7 @@ def test_chain_entanglement_grows_and_collapses():
 
 def test_consumed_qubits_are_dead():
     reg = StateRegistry(seed=8)
-    q = reg.alloc_qubit([1.0, 0.0])
+    q = reg.alloc_qubit([as_state([1.0, 0.0])])
     reg.measure(q)
     with pytest.raises(DeadQubitError):
         reg.measure(q)
@@ -584,7 +591,7 @@ def test_consumed_qubits_are_dead():
     reg.bell_measure(a, b)
     for dead in (a, b):
         with pytest.raises(DeadQubitError):
-            reg.fidelity(dead, [1.0, 0.0])
+            reg.fidelity(dead, [as_state([1.0, 0.0])])
     with pytest.raises(DeadQubitError):
         reg.cluster_state(q)
     assert reg.live_count == 0
@@ -592,22 +599,22 @@ def test_consumed_qubits_are_dead():
 
 def test_qubit_ids_are_never_reused():
     reg = StateRegistry()
-    q1 = reg.alloc_qubit([1.0, 0.0])
+    q1 = reg.alloc_qubit([as_state([1.0, 0.0])])
     reg.measure(q1)
-    q2 = reg.alloc_qubit([1.0, 0.0])
+    q2 = reg.alloc_qubit([as_state([1.0, 0.0])])
     assert q2 != q1
 
 
 def test_alloc_validates_shape_and_norm():
     reg = StateRegistry()
     with pytest.raises(ValueError):
-        reg.alloc_qubit([1.0, 0.0, 0.0])
+        reg.alloc_qubit([as_state([1.0, 0.0, 0.0])])
     with pytest.raises(ValueError):
-        reg.alloc_qubit([1.0, 1.0])
+        reg.alloc_qubit([as_state([1.0, 1.0])])
     with pytest.raises(ValueError):
-        reg.alloc_qubit([float("nan"), 0.0])
+        reg.alloc_qubit([as_state([float("nan"), 0.0])])
     # within the norm tolerance is fine
-    reg.alloc_qubit([1.0 + 0.5 * NORM_ATOL, 0.0])
+    reg.alloc_qubit([as_state([1.0 + 0.5 * NORM_ATOL, 0.0])])
 
 
 def test_gate_construction_validation():
@@ -623,8 +630,8 @@ def test_gate_construction_validation():
 
 def test_gate_application_validation():
     reg = StateRegistry()
-    a = reg.alloc_qubit([1.0, 0.0])
-    b = reg.alloc_qubit([1.0, 0.0])
+    a = reg.alloc_qubit([as_state([1.0, 0.0])])
+    b = reg.alloc_qubit([as_state([1.0, 0.0])])
     with pytest.raises(ValueError):
         reg.apply_gate(CNOT, [a])
     with pytest.raises(ValueError):
@@ -666,7 +673,7 @@ def test_noiseless_runs_are_clean_and_reproducible():
 
 def test_entangling_noise_fires_only_on_cnot():
     reg = StateRegistry(noise_prob=1.0, seed=13)
-    q = reg.alloc_qubit([1.0, 0.0])
+    q = reg.alloc_qubit([as_state([1.0, 0.0])])
     for _ in range(10):
         reg.apply_gate(H, [q])
         reg.apply_gate(rx(0.3), [q])

@@ -1,7 +1,7 @@
 """Tests for the tick-based message-passing layer."""
 import pytest
 
-from qbutterfly.qstate import QubitId, StateRegistry
+from qbutterfly.qstate import QubitId, StateRegistry, as_state
 from qbutterfly.simnet import NetworkError, QNetwork, TraceEntry, _check_bits, serialize_trace
 from qbutterfly.topology import NodeId, build_butterfly
 
@@ -26,7 +26,7 @@ def test_classical_send_requires_a_link(net):
 
 def test_qubit_send_requires_quantum_link(net):
     reg = StateRegistry()
-    q = reg.alloc_qubit([1.0, 0.0])
+    q = reg.alloc_qubit([as_state([1.0, 0.0])])
     net.deposit(T1, "payload", q)
     with pytest.raises(NetworkError):
         net.send_qubit(T1, M1, "payload")  # classical-only link
@@ -35,7 +35,7 @@ def test_qubit_send_requires_quantum_link(net):
 
 
 def test_qubit_send_requires_possession(net):
-    q = StateRegistry().alloc_qubit([1.0, 0.0])
+    q = StateRegistry().alloc_qubit([as_state([1.0, 0.0])])
     net.deposit(R2, "payload", q)  # held under that tag, but not by the sender
     with pytest.raises(NetworkError):
         net.send_qubit(T1, R2, "payload")
@@ -82,7 +82,7 @@ def test_fifo_order_and_times(net):
 
 def test_qubit_custody_moves_on_delivery(net):
     reg = StateRegistry()
-    q = reg.alloc_qubit([1.0, 0.0])
+    q = reg.alloc_qubit([as_state([1.0, 0.0])])
     net.deposit(T1, "h", q)
     assert net.qubits[T1] == {"h": q}
     net.send_qubit(T1, R2, "h")
@@ -97,8 +97,8 @@ def test_qubit_custody_moves_on_delivery(net):
 
 def test_qubit_tag_collision_on_delivery(net):
     reg = StateRegistry()
-    qa = reg.alloc_qubit([1.0, 0.0])
-    qb = reg.alloc_qubit([1.0, 0.0])
+    qa = reg.alloc_qubit([as_state([1.0, 0.0])])
+    qb = reg.alloc_qubit([as_state([1.0, 0.0])])
     net.deposit(R2, "h", qa)
     net.deposit(T1, "h", qb)
     net.send_qubit(T1, R2, "h")  # R2 already holds an "h"
@@ -153,11 +153,11 @@ def test_inbox_query_refuses_a_node_outside_the_network(net):
 
 def test_reset_clears_state(net):
     reg = StateRegistry()
-    q = reg.alloc_qubit([1.0, 0.0])
+    q = reg.alloc_qubit([as_state([1.0, 0.0])])
     net.deposit(T1, "h", q)
     net.send_classical(T1, M1, ("01",), "m")
     net.run_until_idle()
-    net.deposit(T2, "g", reg.alloc_qubit([1.0, 0.0]))
+    net.deposit(T2, "g", reg.alloc_qubit([as_state([1.0, 0.0])]))
     net.send_qubit(T2, R1, "g")  # still in flight at the reset
     held_before = net.qubits
     net.reset()
@@ -198,7 +198,7 @@ def test_each_drain_returns_its_own_tail_of_the_trace(net):
 
 def test_trace_is_a_sized_view_built_on_read(net):
     reg = StateRegistry()
-    net.deposit(T1, "q", reg.alloc_qubit([1.0, 0.0]))
+    net.deposit(T1, "q", reg.alloc_qubit([as_state([1.0, 0.0])]))
     net.send_qubit(T1, R2, "q")
     net.send_classical(T1, M1, ("101",), "a")
     net.run_until_idle()
@@ -232,8 +232,8 @@ def test_a_refused_delivery_leaves_the_earlier_ones_recorded(net):
     assert net.pending == 1 and net.inbox[R1] == {}  # the message after it stays queued
     (entry,) = net.run_until_idle()
     assert str(entry) == "3 T2 R1 classical n 2"
-    net.deposit(R2, "q", reg.alloc_qubit([1.0, 0.0]))
-    net.deposit(T1, "q", reg.alloc_qubit([1.0, 0.0]))
+    net.deposit(R2, "q", reg.alloc_qubit([as_state([1.0, 0.0])]))
+    net.deposit(T1, "q", reg.alloc_qubit([as_state([1.0, 0.0])]))
     net.send_classical(M2, R2, ("0",), "o")
     net.send_qubit(T1, R2, "q")  # collides with the qubit R2 holds
     with pytest.raises(NetworkError):
