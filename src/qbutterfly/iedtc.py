@@ -53,9 +53,9 @@ def teleport_decode(reg: StateRegistry, half: QubitId, bits: Sequence[str]) -> N
     """Correct the held half in each lane by that lane's bits (X if b2, then Z if b1)."""
     for lane, b in enumerate(bits):
         if b[1] == "1":
-            reg.apply_gate(X, (half,), (lane,))
+            reg.apply_gate(X, (half,), lane)
         if b[0] == "1":
-            reg.apply_gate(Z, (half,), (lane,))
+            reg.apply_gate(Z, (half,), lane)
 
 
 def read_out(reg: StateRegistry, half: QubitId, bits: Sequence[str], rotation: Gate | None,

@@ -17,13 +17,15 @@ measurements through one cached Gray-code order of the measured bits
 of the clusters it joins, and one projection: its CNOT and H are never
 applied.  A noiseless Bell pair starts as one shared read-only
 (|00>+|11>)/sqrt(2).  Each registry operation is one public method, which
-``iedtc``'s round calls as tests do; states enter through ``as_state``.
+``iedtc``'s round calls as tests do; states enter through ``as_state``, and
+the map from qubit to cluster refuses a dead id itself.
 
 A registry runs lanes: trials of one circuit, each on its own generator.
 Noise Paulis and measured bits never change which qubits share a cluster, so
 the lanes share the clusters, each holding one amplitude array per lane; each
 step runs its kernel and draws once per lane, as the lane would alone, and a
-method returns one value per lane.
+method returns one value per lane.  ``apply_gate`` acts in every lane, or in
+the one lane it is given: a receiver's corrections differ lane by lane.
 """
 from __future__ import annotations
 
@@ -148,6 +150,15 @@ class _Cluster:
         self.amps = amps
 
 
+class _ClusterMap(dict[QubitId, _Cluster]):
+    """Live qubit -> its cluster; looking up any other id raises DeadQubitError."""
+
+    __slots__ = ()
+
+    def __missing__(self, q: QubitId) -> _Cluster:
+        raise DeadQubitError(f"qubit {q} is not live (consumed or never allocated)")
+
+
 @functools.lru_cache(maxsize=None)
 def _cnot_permutation(dim: int, control_stride: int, target_stride: int) -> np.ndarray:
     # Gather indices that swap the target's 0 and 1 halves where the control is 1.
@@ -225,12 +236,14 @@ class StateRegistry:
     (``rngs``, indexed by ``lanes``); gate and noise counts sum over lanes.
 
     One method per operation, each making only the checks that cost nothing
-    when they pass, before any change: ``alloc_qubit`` refuses a state count
-    other than the lane count; ``apply_gate`` branches on the gate's matrix
-    and target count, so a CNOT needs two distinct targets and any other gate
-    one; ``bell_measure`` refuses a repeated qubit; and a dead qubit raises
-    DeadQubitError from the KeyError of the method's own lookup.  States come
-    as ``as_state`` returns them, and are not checked again.
+    when they pass, before any change: ``alloc_qubit`` refuses a state count,
+    and ``fidelity`` a reference count, other than the lane count;
+    ``apply_gate`` refuses a lane outside ``lanes``, and branches on the
+    gate's matrix and target count, so a CNOT needs two distinct targets and
+    any other gate one; ``bell_measure`` refuses a repeated qubit; and the
+    qubit-to-cluster map raises DeadQubitError on a dead id, at the method's
+    own lookup.  States come as ``as_state`` returns them, and are not
+    checked again.
 
     Noise hook: after each gate, when ``noise_prob`` is nonzero,
     ``_draw_noise(gate, targets, rng)``, the one hook, draws the configured
@@ -264,7 +277,7 @@ class StateRegistry:
             raise ValueError("a registry needs at least one lane")
         self.rngs = [np.random.default_rng(s) for s in seeds]
         self.lanes = range(len(self.rngs))
-        self._cluster_of: dict[QubitId, _Cluster] = {}
+        self._cluster_of = _ClusterMap()
         self._next_qubit = 0
         self.peak_alloc = 0              # max simultaneous live qubits, any instant
         self.peak_cluster_dim = 0        # max amplitudes in one cluster, any instant
@@ -282,8 +295,6 @@ class StateRegistry:
         self._next_qubit += 1
         cluster = _Cluster([q], list(states))
         self._cluster_of[q] = cluster
-        if len(self._cluster_of) > self.peak_alloc:
-            self.peak_alloc = len(self._cluster_of)
         self._note(cluster)
         return q
 
@@ -299,8 +310,6 @@ class StateRegistry:
         self._next_qubit += 2
         cluster = _Cluster([a, b], [_H_ON_00 if self.noise_prob else _PHI_PLUS] * len(self.rngs))
         self._cluster_of[a] = self._cluster_of[b] = cluster
-        if len(self._cluster_of) > self.peak_alloc:
-            self.peak_alloc = len(self._cluster_of)
         self.gate_count += 2 * len(self.rngs)
         if self.noise_prob:
             self._inject_noise(H, (a,), self.lanes)
@@ -311,22 +320,22 @@ class StateRegistry:
 
     # -- gates --------------------------------------------------------------
 
-    def apply_gate(self, gate: Gate, targets: Sequence[QubitId],
-                   lanes: Sequence[int] | None = None) -> None:
-        """Apply the gate, then its noise, in the given lanes (every lane by default)."""
-        lanes = self.lanes if lanes is None else lanes
-        try:
-            if gate.matrix is not None and len(targets) == 1:
-                self._apply_single(gate, targets[0], lanes)
-            elif gate.matrix is None and len(targets) == 2 and targets[0] != targets[1]:
-                self._apply_cnot(targets[0], targets[1], lanes)
-                self._note(self._cluster_of[targets[0]])  # only a merge can grow a cluster
-            else:
-                need = "one target" if gate.matrix is not None else "two distinct targets"
-                raise ValueError(f"{gate.kind.value} takes {need}, got {list(targets)}")
-        except KeyError:
-            self._require_live(*targets)  # raises DeadQubitError
-            raise
+    def apply_gate(self, gate: Gate, targets: Sequence[QubitId], lane: int | None = None) -> None:
+        """Apply the gate, then its noise, in every lane, or in lane ``lane`` alone."""
+        if lane is None:
+            lanes = self.lanes
+        elif 0 <= lane < len(self.rngs):
+            lanes = (lane,)
+        else:
+            raise ValueError(f"no lane {lane!r} in a registry of {len(self.rngs)} lanes")
+        if gate.matrix is not None and len(targets) == 1:
+            self._apply_single(gate, targets[0], lanes)
+        elif gate.matrix is None and len(targets) == 2 and targets[0] != targets[1]:
+            self._apply_cnot(targets[0], targets[1], lanes)
+            self._note(self._cluster_of[targets[0]])  # only a merge can grow a cluster
+        else:
+            need = "one target" if gate.matrix is not None else "two distinct targets"
+            raise ValueError(f"{gate.kind.value} takes {need}, got {list(targets)}")
         self.gate_count += len(lanes)
         if self.noise_prob:
             self._inject_noise(gate, targets, lanes)
@@ -396,10 +405,7 @@ class StateRegistry:
 
     def measure(self, q: QubitId) -> list[int]:
         """Computational-basis measurement, consuming q; returns each lane's outcome."""
-        try:
-            cluster = self._cluster_of[q]
-        except KeyError:
-            self._require_live(q)  # raises DeadQubitError
+        cluster = self._cluster_of[q]
         qubits, amps = cluster.qubits, cluster.amps
         half = 1 << (len(qubits) - 1)
         order = _gray_order(half << 1, 1 << (len(qubits) - 1 - qubits.index(q)))
@@ -424,10 +430,7 @@ class StateRegistry:
         """
         if q1 == q2:
             raise ValueError("bell_measure needs two distinct qubits")
-        try:
-            cluster, other = self._cluster_of[q1], self._cluster_of[q2]
-        except KeyError:
-            self._require_live(q1, q2)  # raises DeadQubitError
+        cluster, other = self._cluster_of[q1], self._cluster_of[q2]
         # Two clusters are joined, their product never formed: each lane gathers from both.
         high, low = 1 << len(cluster.qubits), None if other is cluster else other.amps
         if low is not None:
@@ -486,10 +489,7 @@ class StateRegistry:
         that nothing reads, after the one draw its measurement makes, so
         each lane's generator ends where a measurement leaves it.
         """
-        try:
-            cluster = self._cluster_of[q]
-        except KeyError:
-            self._require_live(q)  # raises DeadQubitError
+        cluster = self._cluster_of[q]
         if len(cluster.qubits) > 1:
             self.measure(q)
         else:
@@ -506,10 +506,9 @@ class StateRegistry:
     def fidelity(self, q: QubitId, refs: Sequence[np.ndarray]) -> list[float]:
         """Each lane's <ref|rho_q|ref>, ref = ``refs[l]``, for the qubit's reduced
         state; non-destructive.  ValueError if a lane's cluster is not normalized."""
-        try:
-            cluster = self._cluster_of[q]
-        except KeyError:
-            self._require_live(q)  # raises DeadQubitError
+        if len(refs) != len(self.rngs):
+            raise ValueError(f"need one reference per lane ({len(self.rngs)}), got {len(refs)}")
+        cluster = self._cluster_of[q]
         qubits = cluster.qubits
         fidelities = []
         for lane in self.lanes:
@@ -527,23 +526,18 @@ class StateRegistry:
 
     def cluster_state(self, q: QubitId) -> tuple[tuple[QubitId, ...], list[np.ndarray]]:
         """Qubit ordering and a copy of each lane's amplitude vector of q's cluster."""
-        try:
-            cluster = self._cluster_of[q]
-        except KeyError:
-            self._require_live(q)  # raises DeadQubitError
+        cluster = self._cluster_of[q]
         return tuple(cluster.qubits), [amps.copy() for amps in cluster.amps]
 
     # -- internals -----------------------------------------------------------
 
-    def _require_live(self, *qubits: QubitId) -> None:
-        for q in qubits:
-            if q not in self._cluster_of:
-                raise DeadQubitError(f"qubit {q} is not live (consumed or never allocated)")
-
     def _note(self, cluster: _Cluster) -> None:
-        # Called at the end of each operation on the one cluster it can have
-        # grown; single-qubit gates keep a cluster's size, and measurement
-        # and release only shrink clusters.
+        # Called at the end of each operation that can add a live qubit or
+        # grow a cluster, on the one cluster it can have grown; single-qubit
+        # gates keep a cluster's size, and measurement and release only
+        # shrink clusters and free qubits.
+        if len(self._cluster_of) > self.peak_alloc:
+            self.peak_alloc = len(self._cluster_of)
         dim = 1 << len(cluster.qubits)
         if dim > self.peak_resident_cluster_dim:  # never above peak_cluster_dim
             self.peak_resident_cluster_dim = dim

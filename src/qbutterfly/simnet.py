@@ -237,7 +237,8 @@ def _outsider(node: NodeId) -> NetworkError:
 
 
 def _check_bits(bits: Bits) -> None:
-    if (bits.__class__ is not tuple or "".join(bits).strip("01")
+    # One string per lane, all of one nonzero length, of 0s and 1s only.
+    if (bits.__class__ is not tuple or not (joined := "".join(bits)) or joined.strip("01")
             or len(bits) != 1 and len({*map(len, bits)}) != 1):
         raise ValueError(f"classical payload must be a bit string per lane, got {bits!r}")
 

@@ -448,8 +448,8 @@ def test_unnormalized_payload_raises_before_any_qubit_exists():
 
 
 def test_round_fails_when_a_held_half_dies_behind_the_network(assert_nothing_left):
-    # The corrections run unchecked on halves the round holds; a half that
-    # a swap policy released must still fail the round, not pass it.
+    # Every registry method refuses a dead qubit at its lookup, corrections
+    # included, so a half that a swap policy released fails the round.
     def releasing_swap(net, reg, pair, phi_half, psi_half):
         if pair.k == 1:
             reg.release(net.qubits[pair.t][pair.phi_keep])

@@ -70,14 +70,15 @@ def test_one_state_serves_every_lane():
 
 
 def one_circuit(reg, states, refs, flipped):
-    """The same operations in every lane, except an X in the lanes ``flipped``,
+    """The same operations in every lane, except an X in each lane of ``flipped``,
     and what each read returns: a value per lane."""
     q = reg.alloc_qubit(states)
     a, b = reg.create_bell_pair()
     c, d = reg.create_bell_pair()
     reg.apply_gate(CNOT, [q, a])
     reg.apply_gate(ry(0.7), [b])
-    reg.apply_gate(X, [d], flipped)
+    for lane in flipped:
+        reg.apply_gate(X, [d], lane)
     order, amps = reg.cluster_state(q)
     reads = [reg.fidelity(b, refs), reg.fidelity(q, refs), reg.bell_measure(a, c),
              reg.measure(q), reg.fidelity(d, refs)]
@@ -130,9 +131,13 @@ def test_every_refusal_comes_before_any_change():
             (ValueError, "two distinct targets", lambda: reg.apply_gate(CNOT, [a])),
             (ValueError, "two distinct targets", lambda: reg.apply_gate(CNOT, [a, a])),
             (ValueError, "one target", lambda: reg.apply_gate(H, [a, b])),
-            (DeadQubitError, "not live", lambda: reg.apply_gate(X, [dead], range(0, lanes, 2))),
+            (ValueError, "no lane", lambda: reg.apply_gate(X, [a], lane=lanes)),
+            (ValueError, "no lane", lambda: reg.apply_gate(X, [a], lane=-1)),
+            (DeadQubitError, "not live", lambda: reg.apply_gate(X, [dead], lanes - 1)),
             (DeadQubitError, "not live", lambda: reg.apply_gate(CNOT, [a, dead])),
             (DeadQubitError, "not live", lambda: reg.measure(dead)),
+            (ValueError, "one reference per lane", lambda: reg.fidelity(a, zeros + zeros[:1])),
+            (ValueError, "one reference per lane", lambda: reg.fidelity(a, zeros[:-1])),
             (DeadQubitError, "not live", lambda: reg.fidelity(dead, zeros)),
             (DeadQubitError, "not live", lambda: reg.cluster_state(dead)),
         ]
