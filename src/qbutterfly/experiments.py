@@ -75,6 +75,11 @@ def check_total_bits(bits: int) -> None:
         raise ValueError(f"total bits must be in 3..65, got {bits}")
 
 
+def check_n_pairs(n_pairs: int) -> None:
+    if n_pairs < 2:  # build_butterfly's refusal, made before any network is built
+        raise ValueError(f"butterfly requires at least 2 transceiver pairs, got {n_pairs}")
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -225,18 +230,19 @@ def format_cell(value, exact: bool) -> str:
     return str(value)
 
 
-def write_csv(rows: Sequence[SweepRow] | Sequence[ResourceRow], path: str) -> None:
-    """One CSV line per row, headed by the row type's ``COLUMNS``.  A sweep
-    row's ``x`` prints exactly (shortest round-trip repr), other floats at 6
-    decimals, so every sweep point reads apart from its neighbours."""
+def csv_lines(rows: Sequence[SweepRow] | Sequence[ResourceRow]) -> list[list[str]]:
+    """The CSV's lines: the row type's ``COLUMNS``, then one line of cells per
+    row.  A sweep row's ``x`` prints exactly (shortest round-trip repr), other
+    floats at 6 decimals, so every sweep point reads apart from its neighbours."""
     if not rows:
         raise ValueError("no rows to write")
     header = rows[0].COLUMNS
+    return [list(header)] + [[format_cell(getattr(r, c), c == "x") for c in header] for r in rows]
+
+
+def write_csv(rows: Sequence[SweepRow] | Sequence[ResourceRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(getattr(row, name), name == "x") for name in header])
+        csv.writer(fh).writerows(csv_lines(rows))
 
 
 def write_manifest(experiment: str, settings: dict, outputs: Sequence[str], elapsed: float,

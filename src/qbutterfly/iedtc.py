@@ -51,6 +51,8 @@ def teleport_encode(reg: StateRegistry, state: QubitId, half: QubitId) -> tuple[
 
 def teleport_decode(reg: StateRegistry, half: QubitId, bits: Sequence[str]) -> None:
     """Correct the held half in each lane by that lane's bits (X if b2, then Z if b1)."""
+    if len(bits) != len(reg.lanes):
+        raise ValueError(f"need one pair of bits per lane ({len(reg.lanes)}), got {len(bits)}")
     for lane, b in enumerate(bits):
         if b[1] == "1":
             reg.apply_gate(X, (half,), lane)

@@ -41,6 +41,9 @@ class Mutant(NamedTuple):
 LANES = "tests/test_lanes.py::"
 REFUSALS = LANES + "test_every_refusal_comes_before_any_change"
 LANE_READS = LANES + "test_a_lane_registry_reads_each_lane_as_its_one_lane_registry"
+ORACLE = "tests/test_qstate.py::test_scripted_circuit_matches_dense_oracle"
+DENSE = "tests/test_properties.py::test_cluster_kernels_match_dense_oracle"
+NOISY_ROUND = "tests/test_iedtc.py::test_noisy_round_counters_and_rng_position_are_pinned"
 
 MUTANTS = (
     # Each registry refusal comes before any change.
@@ -142,6 +145,74 @@ MUTANTS = (
 """,
            "",
            ("tests/test_qstate.py::test_cluster_factoring_keeps_pairs_independent",)),
+    # Kernels, each against the dense oracles.
+    Mutant("CNOT strides swapped", "qstate.py",
+           """        perm = _cnot_permutation(2 << last, 1 << (last - qubits.index(control)),
+                                 1 << (last - qubits.index(target)))
+""",
+           """        perm = _cnot_permutation(2 << last, 1 << (last - qubits.index(target)),
+                                 1 << (last - qubits.index(control)))
+""",
+           (ORACLE,)),
+    Mutant("merge order swapped", "qstate.py",
+           "        a.qubits += b.qubits\n",
+           "        a.qubits[:0] = b.qubits\n",
+           (ORACLE,)),
+    Mutant("the wrong collapsed half", "qstate.py",
+           "collapsed = ones if outcome else halves[:half]",
+           "collapsed = halves[:half] if outcome else ones",
+           (DENSE,)),
+    Mutant("a transposed gate matrix", "qstate.py",
+           "(gate.matrix @ amps[lane].reshape(-1, 2, stride))",
+           "(gate.matrix.T @ amps[lane].reshape(-1, 2, stride))",
+           (ORACLE,)),
+    Mutant("p1 read from the 0 half", "qstate.py",
+           "outcome = 1 if rng.random() < np.vdot(ones, ones).real else 0",
+           "outcome = 1 if rng.random() < np.vdot(halves[:half], halves[:half]).real else 0",
+           (DENSE,)),
+    Mutant("H noise after the CNOT", "qstate.py",
+           """            self._inject_noise(H, (a,), self.lanes)
+            self._apply_cnot(a, b, self.lanes)
+""",
+           """            self._apply_cnot(a, b, self.lanes)
+            self._inject_noise(H, (a,), self.lanes)
+""",
+           ("tests/test_qstate.py::test_bell_pair_draws_like_its_gates",)),
+    Mutant("the kept quarter of a Bell measurement renormalized by its branch's weight",
+           "qstate.py",
+           "ones / math.sqrt(w_ones) if b2 else zeros / math.sqrt(w_zeros)",
+           "ones / math.sqrt(w_zeros + w_ones) if b2 else zeros / math.sqrt(w_zeros + w_ones)",
+           (NOISY_ROUND,)),
+    # The network and the round.
+    Mutant("a refused broadcast's earlier targets cut from its drain", "simnet.py",
+           "queue[i:] = [(src, targets[:j], tag, payload)] if j else []",
+           "queue[i:] = []",
+           ("tests/test_simnet.py::test_a_broadcast_refused_midway_keeps_its_later_targets_queued",)),
+    Mutant("M2 relays M1's local XOR", "iedtc.py",
+           """    net.send_classical(relay, source, tuple(map(xor_combine, zip(*broadcasts))), "combined")
+    net.run_until_idle()
+    net.broadcast_classical(source, net.message(source, "combined"), "combined", exclude=[relay])
+""",
+           """    combined = tuple(map(xor_combine, zip(*broadcasts)))
+    net.send_classical(relay, source, combined, "combined")
+    net.run_until_idle()
+    net.broadcast_classical(source, combined, "combined", exclude=[relay])
+""",
+           ("tests/test_iedtc.py::test_a_lost_bottleneck_message_fails_the_round",)),
+    Mutant("teleport_decode without its lane-count check", "iedtc.py",
+           """    if len(bits) != len(reg.lanes):
+        raise ValueError(f"need one pair of bits per lane ({len(reg.lanes)}), got {len(bits)}")
+""",
+           "",
+           (LANES + "test_a_swap_policy_that_drops_lanes_fails_the_round",)),
+    # The command line: every range point is checked as it is built.
+    Mutant("a range point left unchecked", "cli.py",
+           """        check(point)
+        points.append(point)
+""",
+           """        points.append(point)
+""",
+           ("tests/test_experiments.py::test_parse_range_checks_each_point_as_it_is_built",)),
 )
 
 

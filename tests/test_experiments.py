@@ -10,12 +10,15 @@ import pytest
 
 import qbutterfly.experiments
 import qbutterfly.iedtc
-from qbutterfly.cli import main, parse_float_range, parse_int_range
+from qbutterfly.cli import main, parse_range
 from qbutterfly.experiments import (
     ExperimentConfig,
     ResourceRow,
     SweepRow,
     binomial_ci,
+    check_n_pairs,
+    check_noise_level,
+    check_total_bits,
     run_accuracy_sweep,
     run_eavesdrop_sweep,
     run_resource_report,
@@ -126,13 +129,14 @@ def test_each_sweep_point_reads_as_a_one_point_sweep():
     acc = dict(experiment="accuracy", trials=40, seed=42)
     for model in ("entangling", "all-gates"):
         rows = run_accuracy_sweep(ExperimentConfig(
-            noise_levels=parse_float_range("0.03:0.05:0.01"), noise_model=model, **acc))
+            noise_levels=parse_range("0.03:0.05:0.01", float, 0.01, check_noise_level),
+            noise_model=model, **acc))
         assert [row.x for row in rows] == [0.03, 0.04, 0.05]
         for row in rows:
             assert run_accuracy_sweep(ExperimentConfig(
                 noise_levels=(row.x,), noise_model=model, **acc)) == [row]
-    rows = run_eavesdrop_sweep(ExperimentConfig("eavesdrop", bits_range=parse_int_range("3:5"),
-                                                trials=40, seed=42))
+    rows = run_eavesdrop_sweep(ExperimentConfig(
+        "eavesdrop", bits_range=parse_range("3:5", int, 1, check_total_bits), trials=40, seed=42))
     assert [row.x for row in rows] == [3, 4, 5]
     for row in rows:
         assert run_eavesdrop_sweep(ExperimentConfig(
@@ -312,35 +316,50 @@ def test_manifest_contents(tmp_path):
 # -- CLI ------------------------------------------------------------------------
 
 def test_parse_float_range():
-    assert parse_float_range("0.05") == (0.05,)
-    assert parse_float_range("0.01:0.03:0.01") == (0.01, 0.02, 0.03)
-    levels = parse_float_range("0.01:0.10:0.01")
+    assert parse_range("0.05", float, 0.01, check_noise_level) == (0.05,)
+    assert parse_range("0.01:0.03:0.01", float, 0.01, check_noise_level) == (0.01, 0.02, 0.03)
+    levels = parse_range("0.01:0.10:0.01", float, 0.01, check_noise_level)
     assert len(levels) == 10
     assert levels[-1] == 0.1
     # a step that does not divide the range stops at the last point before stop
-    assert parse_float_range("0:0.1:0.06") == (0.0, 0.06)
-    assert parse_float_range("0.9:1.0:0.06") == (0.9, 0.96)
+    assert parse_range("0:0.1:0.06", float, 0.01, check_noise_level) == (0.0, 0.06)
+    assert parse_range("0.9:1.0:0.06", float, 0.01, check_noise_level) == (0.9, 0.96)
     with pytest.raises(ValueError):
-        parse_float_range("0.5:0.1")
+        parse_range("0.5:0.1", float, 0.01, check_noise_level)
     with pytest.raises(ValueError):
-        parse_float_range("0.1:0.5:0")
+        parse_range("0.1:0.5:0", float, 0.01, check_noise_level)
     with pytest.raises(ValueError):
-        parse_float_range("1:2:3:4")
+        parse_range("1:2:3:4", float, 0.01, check_noise_level)
     for text in ("0:inf:0.01", "nan:1:0.1", "0:1:inf", "-1e308:1e308:1"):
         with pytest.raises(ValueError):
-            parse_float_range(text)
+            parse_range(text, float, 0.01, check_noise_level)
     with pytest.raises(ValueError):  # rounding to 10 decimals would repeat 0.0
-        parse_float_range("0:1e-12:1e-13")
+        parse_range("0:1e-12:1e-13", float, 0.01, check_noise_level)
     with pytest.raises(ValueError):  # 1e12 points: rejected at the first repeat
-        parse_float_range("0:1:1e-12")
+        parse_range("0:1:1e-12", float, 0.01, check_noise_level)
 
 
 def test_parse_int_range():
-    assert parse_int_range("4") == (4,)
-    assert parse_int_range("2:5") == (2, 3, 4, 5)
-    assert parse_int_range("2:10:4") == (2, 6, 10)
+    assert parse_range("4", int, 1, check_n_pairs) == (4,)
+    assert parse_range("2:5", int, 1, check_n_pairs) == (2, 3, 4, 5)
+    assert parse_range("2:10:4", int, 1, check_n_pairs) == (2, 6, 10)
     with pytest.raises(ValueError):
-        parse_int_range("5:2")
+        parse_range("5:2", int, 1, check_n_pairs)
+
+
+def test_parse_range_checks_each_point_as_it_is_built():
+    seen = []
+
+    def check(point):
+        seen.append(point)
+        if point > 4:
+            raise ValueError(f"{point} is past 4")
+
+    for text, number, step in (("2:9", int, 1), ("2:9:1", float, 0.5), ("7", int, 1)):
+        seen.clear()
+        with pytest.raises(ValueError, match="is past 4"):
+            parse_range(text, number, step, check)
+        assert seen == ([7] if text == "7" else [2, 3, 4, 5])  # none after the first bad one
 
 
 def test_cli_rejects_an_out_of_bounds_range_before_building_it(tmp_path, capsys):
@@ -354,6 +373,29 @@ def test_cli_rejects_an_out_of_bounds_range_before_building_it(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_cli_builds_no_range_past_its_first_bad_point(tmp_path, capsys):
+    # resources --n is checked point by point too: 1e15 sizes are never built.
+    out = tmp_path / "x.csv"
+    assert main(["resources", "--n", "1:1000000000000000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("qbutterfly: error: butterfly requires at least 2 "
+                                       "transceiver pairs, got 1\n")
+    # An int range stays exact: a 400-digit stop is walked, never divided as a float.
+    assert main(["eavesdrop", "--bits", "3:1" + "0" * 400, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "qbutterfly: error: total bits must be in 3..65, got 66\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["accuracy", "--noise", "0:0.1:0.05", "--trials", "20"],
+    ["eavesdrop", "--bits", "3:5", "--trials", "20"],
+    ["resources", "--n", "2:4"],
+])
+def test_cli_stdout_prints_the_csv_it_writes(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out), "--json-manifest", str(tmp_path / "m.json")]) == 0
+    assert capsys.readouterr().out.splitlines() == out.read_text().splitlines()
+
+
 def test_cli_accuracy_and_manifest(tmp_path, capsys):
     out = tmp_path / "acc.csv"
     manifest = tmp_path / "acc.json"
@@ -361,8 +403,8 @@ def test_cli_accuracy_and_manifest(tmp_path, capsys):
                  "--seed", "5", "--out", str(out), "--json-manifest", str(manifest)])
     assert code == 0
     assert out.exists() and manifest.exists()
-    stdout = capsys.readouterr().out
-    assert "noise=0.02  accuracy=" in stdout  # x prints as the CSV prints it
+    printed = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [row["x"] for row in printed] == ["0.02"]  # x prints as the CSV prints it
     assert json.loads(manifest.read_text())["experiment"] == "accuracy"
 
 
@@ -373,9 +415,8 @@ def test_cli_tells_apart_levels_closer_than_a_millionth(tmp_path, capsys):
     with open(out, newline="") as fh:
         xs = [row["x"] for row in csv.DictReader(fh)]
     assert xs == ["0.0500001", "0.0500002", "0.0500003"]
-    printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
-               if line.startswith("noise=")]
-    assert printed == [f"noise={x}" for x in xs]  # stdout prints each level as the CSV does
+    printed = [row["x"] for row in csv.DictReader(capsys.readouterr().out.splitlines())]
+    assert printed == xs  # stdout prints each level as the CSV does
 
 
 def test_cli_eavesdrop_with_key_file(tmp_path, capsys):
@@ -385,7 +426,7 @@ def test_cli_eavesdrop_with_key_file(tmp_path, capsys):
     code = main(["eavesdrop", "--bits", "3", "--trials", "10",
                  "--key-file", str(key_file), "--out", str(out)])
     assert code == 0
-    assert "bits=3" in capsys.readouterr().out
+    assert [row["x"] for row in csv.DictReader(capsys.readouterr().out.splitlines())] == ["3"]
     assert out.exists()
 
 
@@ -399,7 +440,8 @@ def test_cli_resources_with_topology_dump(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "node M1" in stdout
     assert "link M1 M2 classical" in stdout
-    assert "n=2" in stdout and "n=3" in stdout
+    printed = csv.DictReader(stdout.splitlines()[-3:])  # the CSV follows the dump
+    assert [row["n_pairs"] for row in printed] == ["2", "3"]
 
 
 SEED42_OUTPUTS = [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import qbutterfly.experiments
 from qbutterfly.experiments import BATCH, ExperimentConfig, run_accuracy_sweep
-from qbutterfly.iedtc import run_round
+from qbutterfly.iedtc import honest_swap, run_round
 from qbutterfly.qstate import (
     CNOT,
     NOISE_ALL_GATES,
@@ -206,3 +206,16 @@ def test_an_errored_lane_fails_its_batch_and_names_its_first_trial(monkeypatch):
     with pytest.raises(RuntimeError, match=rf"noise 0\.0, trial {BATCH}: ValueError: .*"
                                            "not normalized"):
         run_accuracy_sweep(cfg)
+
+
+def test_a_swap_policy_that_drops_lanes_fails_the_round():
+    # Bits for one lane of three leave the other two uncorrected: the round
+    # must fail, naming the lane count, not pass as lower accuracy.
+    def one_lane_swap(net, reg, pair, phi_half, psi_half):
+        return honest_swap(net, reg, pair, phi_half, psi_half)[:1]
+
+    rng = np.random.default_rng(5)
+    result = run_round(QNetwork(build_butterfly(2)), StateRegistry(seed=[1, 2, 3]),
+                       [random_state(rng) for _ in range(2)], swap=one_lane_swap)
+    assert result.error == "ValueError: need one pair of bits per lane (3), got 1"
+    assert not result.all_success
